@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import finset
 from .classifiers import (categorified_choice_audit, full_subobject_classifier,
                           is_boolean, is_two_valued)
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        compose_functors, is_epi_on_objects, is_fully_faithful,
@@ -304,7 +304,7 @@ def run_audit(config: AuditConfig) -> dict:
                 try:
                     ih = internal_hom(a, b, config.size_bound)
                     hc = hom_category(a, b, config.size_bound)
-                except Exception:
+                except SizeBound:
                     continue
                 tried += 1
                 if (ih.carrier.C0.size, ih.carrier.C1.size) == (len(hc.objects), len(hc.arrows)):

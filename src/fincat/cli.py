@@ -15,7 +15,7 @@ from .errors import (FincatError, NotFFEpi, NotFullMono, ParseError, SizeBound,
                      ValidationError)
 from .factorisation import epi_mono_ofs, factor_internal, iso_all_ofs
 from .internal import validate_category
-from .limits import (copower_by_two, hom_category, internal_hom, power_by_two)
+from .limits import copower_by_two, internal_hom, power_by_two
 from .naive import (count_all_nat_trans, oracle_from_internal, oracle_functors)
 
 
@@ -25,10 +25,8 @@ def _read(path):
 
 
 def _emit(args, structured, *summary):
-    if args.format == "structured":
-        sys.stdout.write(structured)
-    else:
-        sys.stdout.write(structured)
+    sys.stdout.write(structured)
+    if args.format != "structured":
         for line in summary:
             print(line)
 
@@ -183,7 +181,6 @@ def build_parser():
     p.set_defaults(fn=cmd_audit)
 
     p = add("oracle-compare", help="compare the end formula with the oracle")
-    p.add_argument("--hom", action="store_true", default=True)
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--size-bound", type=int, default=10 ** 6)

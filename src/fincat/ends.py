@@ -15,9 +15,14 @@ The solver enumerates the level-0 and level-1 slot tables entry by entry,
 propagating the equations (endpoint, degeneracy and composition instances);
 slots at levels 2 and 3 are then assembled by spines and the assembled family
 is checked. Solutions are returned in the lexicographic order of the ambient
-product encoding. `brute_families` materialises the full product and filters
-by every equation; it is the literal equalizer, feasible only at tiny sizes,
-and the fidelity oracle for the solver.
+product encoding, and `budget` caps the search steps.
+
+The internal hom (limits.internal_hom) uses only levels 0 and 1: level 2 of a
+Segal category is the join of composable level-1 cells, so its composition is
+built from level 1 directly. The level-2 and level-3 ends stay available as
+the fidelity check that the join equals them. `brute_families` materialises
+the full product and filters by every equation; it is the literal equalizer,
+feasible only at tiny sizes, and the fidelity oracle for the solver.
 """
 
 from itertools import product as iproduct

@@ -70,3 +70,10 @@ class FiberNotSingleton(FincatError):
 
     Signals a precondition-validation bug in this package, not a user error.
     """
+
+
+class CertificateFailure(FincatError):
+    """A computed result failed the check that certifies it.
+
+    Signals a bug in this package, not a user error or a size refusal.
+    """

@@ -3,8 +3,11 @@ categories: terminal, binary products, pullbacks, powers by the free arrow,
 extensive coproducts, copowers, and internal homs via the simplicial end.
 
 The internal hom is computed by the end formula (see ends.py) as the
-definitional path; hom_category re-enumerates functors and transformations
-externally and serves as the anti-drift oracle.
+definitional path: its objects and cells are the level-0 and level-1 ends, and
+its composition is the Segal join of composable cells, read off level 1
+without a level-2 search. `bound` caps the end search steps and the composable
+triples of cells that validating the result lists. hom_category re-enumerates
+functors and transformations externally and serves as the anti-drift oracle.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,7 @@ from itertools import product as iproduct
 
 from . import finset
 from .ends import Family, end_families
-from .errors import DomainMismatch, SizeBound
+from .errors import CertificateFailure, DomainMismatch, SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        derived_unit_maps, validate_category, validate_functor,
@@ -304,46 +307,70 @@ class InternalHom:
         return InternalFunctor(z, self.carrier, f0, f1)
 
 
+def _composable_triples(d0: FinMap, d1: FinMap) -> int:
+    """Number of composable triples of arrows with targets d0 and sources d1,
+    counted from in- and out-degrees without listing them."""
+    into = [0] * d0.cod.size
+    out_of = [0] * d0.cod.size
+    for t in d0.table:
+        into[t] += 1
+    for s in d1.table:
+        out_of[s] += 1
+    return sum(out_of[t] * into[s] for t, s in zip(d0.table, d1.table))
+
+
 def internal_hom(x: InternalCategory, y: InternalCategory,
                  bound: int = 10 ** 6) -> InternalHom:
-    """The internal hom [x, y], each level the stated end; SizeBound if the
-    enumeration would exceed `bound` steps."""
+    """The internal hom [x, y]: levels 0 and 1 are the stated ends, and
+    composition is the Segal join of composable level-1 cells.
+
+    SizeBound if the end enumeration would exceed `bound` steps or the hom
+    has more than `bound` composable triples of cells; CertificateFailure if
+    the result fails its own validation.
+    """
     if x.C0.size and y.C0.size ** x.C0.size > bound:
         raise SizeBound("object-table space exceeds the configured bound")
     hom0 = end_families(x, y, 0, bound)
     hom1 = end_families(x, y, 1, bound)
-    hom2 = end_families(x, y, 2, bound)
     idx0 = {f.key(): i for i, f in enumerate(hom0)}
     idx1 = {f.key(): i for i, f in enumerate(hom1)}
 
     def vertex_key(fam, t):
         return (fam.eta0[(t,)], fam.eta1[(t, t)])
 
-    def edge_key(fam, s, t):
-        return (fam.eta0[(s,)], fam.eta0[(t,)],
-                fam.eta1[(s, s)], fam.eta1[(s, t)], fam.eta1[(t, t)])
-
     c0 = FinObj(len(hom0))
     c1 = FinObj(len(hom1))
     d0 = FinMap(c1, c0, tuple(idx0[vertex_key(f, 1)] for f in hom1))
     d1 = FinMap(c1, c0, tuple(idx0[vertex_key(f, 0)] for f in hom1))
-    i = FinMap(c0, c1, tuple(
-        idx1[(f.eta0[(0,)], f.eta0[(0,)], f.eta1[(0, 0)], f.eta1[(0, 0)],
-              f.eta1[(0, 0)])] for f in hom0))
+    triples = _composable_triples(d0, d1)
+    if triples > bound:
+        raise SizeBound(f"hom has {triples} composable triples of cells, "
+                        f"over the bound {bound}")
+    # the composite of u after v at an arrow a: p -> q of x is u at q after
+    # v's diagonal at a; its other slots are v's source and u's target
+    at_target = tuple(x.i.table[q] for q in x.d0.table)
+    y_pair, y_m = y.pairs.index, y.m.table
     pairs = finset.pullback(d1, d0)
-    seen = {}
-    for fam in hom2:
-        cu = idx1[edge_key(fam, 1, 2)]
-        cv = idx1[edge_key(fam, 0, 1)]
-        if (cu, cv) in seen:
-            raise SizeBound("internal error: Segal map not injective")
-        seen[(cu, cv)] = idx1[edge_key(fam, 0, 2)]
-    if len(seen) != pairs.apex.size:
-        raise SizeBound("internal error: Segal map not surjective")
-    m = FinMap(pairs.apex, c1, tuple(seen[t] for t in pairs.tuples))
+    try:
+        i = FinMap(c0, c1, tuple(
+            idx1[(f.eta0[(0,)], f.eta0[(0,)], f.eta1[(0, 0)], f.eta1[(0, 0)],
+                  f.eta1[(0, 0)])] for f in hom0))
+        table = []
+        for cu, cv in pairs.tuples:
+            u, v = hom1[cu], hom1[cv]
+            u_diag, v_diag = u.eta1[(0, 1)], v.eta1[(0, 1)]
+            diag = tuple(y_m[y_pair[(u_diag[t], v_diag[a])]]
+                         for a, t in enumerate(at_target))
+            table.append(idx1[(v.eta0[(0,)], u.eta0[(1,)], v.eta1[(0, 0)],
+                               diag, u.eta1[(1, 1)])])
+    except KeyError as exc:
+        raise CertificateFailure(
+            f"hom cell join missing from level 1: {exc.args[0]}") from exc
+    m = FinMap(pairs.apex, c1, tuple(table))
     carrier = InternalCategory(c0, c1, d0, d1, i, m)
     rep = validate_category(carrier)
-    assert rep.ok, f"hom carrier failed validation: {rep}"
+    if not rep.ok:
+        raise CertificateFailure(f"hom carrier failed validation: {rep}")
     prod = product_cat(carrier, x)
     ev0 = FinMap(prod.l0.apex, y.C0,
                  tuple(hom0[fi].eta0[(0,)][xv] for fi, xv in prod.l0.tuples))
@@ -351,7 +378,8 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
                  tuple(hom1[ci].eta1[(0, 1)][a] for ci, a in prod.l1.tuples))
     evaluation = InternalFunctor(prod.category, y, ev0, ev1)
     rep = validate_functor(evaluation)
-    assert rep.ok, f"evaluation failed validation: {rep}"
+    if not rep.ok:
+        raise CertificateFailure(f"evaluation failed validation: {rep}")
     return InternalHom(carrier, x, y, prod, evaluation, tuple(hom0), tuple(hom1))
 
 
@@ -448,7 +476,9 @@ def enumerate_cells(f: InternalFunctor, g: InternalFunctor):
 
 def hom_category(a: InternalCategory, b: InternalCategory,
                  bound: int = 10 ** 6) -> HomCategory:
-    """Exhaustively enumerated hom-category with its composition table."""
+    """Exhaustively enumerated hom-category with its composition table;
+    `bound` caps the functor search steps, the cells and the composable pairs
+    of cells."""
     from .internal import id_nat_trans, vcomp
     objects = enumerate_functors(a, b, bound)
     arrows = []
@@ -461,12 +491,17 @@ def hom_category(a: InternalCategory, b: InternalCategory,
     index = {(s, t, c.alpha.table): i for i, (s, t, c) in enumerate(arrows)}
     ident = tuple(index[(i, i, id_nat_trans(f).alpha.table)]
                   for i, f in enumerate(objects))
+    by_target = [[] for _ in objects]
+    for i1, (_s1, t1, _c1) in enumerate(arrows):
+        by_target[t1].append(i1)
+    if sum(len(by_target[s2]) for s2, _t2, _c2 in arrows) > bound:
+        raise SizeBound("composable cell pairs exceed the bound")
     comp = {}
     for i2, (s2, t2, c2) in enumerate(arrows):
-        for i1, (s1, t1, c1) in enumerate(arrows):
-            if t1 == s2:
-                c = vcomp(c2, c1)
-                comp[(i2, i1)] = index[(s1, t2, c.alpha.table)]
+        for i1 in by_target[s2]:
+            s1, _t1, c1 = arrows[i1]
+            c = vcomp(c2, c1)
+            comp[(i2, i1)] = index[(s1, t2, c.alpha.table)]
     return HomCategory(tuple(objects), tuple(arrows), ident, comp)
 
 

@@ -184,7 +184,8 @@ def count_all_nat_trans(a: NaiveCategory, b: NaiveCategory, functors):
 def oracle_hom_category(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
     """The hom-category as a naive category: objects are oracle functors,
     arrows are (source index, target index, component tuple), composition is
-    pointwise in b. Returns (functors, arrows, NaiveCategory)."""
+    pointwise in b. `bound` caps the functor search steps, the cells and the
+    composable pairs of cells. Returns (functors, arrows, NaiveCategory)."""
     funs = oracle_functors(a, b, bound)
     arrows = []
     for si, f in enumerate(funs):
@@ -197,12 +198,17 @@ def oracle_hom_category(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6
     identities = tuple(
         index[(i, i, tuple(b.identities[f[0][x]] for x in range(a.objects)))]
         for i, f in enumerate(funs))
+    by_target = [[] for _ in funs]
+    for i1, (_s1, t1, _c1) in enumerate(arrows):
+        by_target[t1].append(i1)
+    if sum(len(by_target[s2]) for s2, _t2, _c2 in arrows) > bound:
+        raise SizeBound("oracle composable cell pairs exceeded the bound")
     comp = {}
     for i2, (s2, t2, c2) in enumerate(arrows):
-        for i1, (s1, t1, c1) in enumerate(arrows):
-            if t1 == s2:
-                composite = tuple(b.comp[(c2[x], c1[x])] for x in range(a.objects))
-                comp[(i2, i1)] = index[(s1, t2, composite)]
+        for i1 in by_target[s2]:
+            s1, _t1, c1 = arrows[i1]
+            composite = tuple(b.comp[(c2[x], c1[x])] for x in range(a.objects))
+            comp[(i2, i1)] = index[(s1, t2, composite)]
     cat = NaiveCategory(len(funs),
                         tuple((s, t) for s, t, _c in arrows),
                         identities, comp)

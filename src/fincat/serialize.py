@@ -86,18 +86,28 @@ def _load(text):
         raise ParseError(f"not valid JSON: line {exc.lineno}", field=None) from exc
 
 
+def _object(doc, field):
+    if not isinstance(doc, dict):
+        raise ParseError("expected an object document", field=field)
+
+
+def _is_int(value):
+    """JSON integers only: true and false are not indices."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc, field, kind=None):
     if field not in doc:
         raise ParseError("missing", field=field)
     value = doc[field]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (isinstance(value, bool)
+                             or not isinstance(value, kind)):
         raise ParseError(f"expected {kind.__name__}", field=field)
     return value
 
 
 def parse_obj_doc(doc, field="set"):
-    if not isinstance(doc, dict):
-        raise ParseError("expected an object document", field=field)
+    _object(doc, field)
     size = _require(doc, "size", int)
     labels = doc.get("labels")
     if labels is not None:
@@ -108,12 +118,13 @@ def parse_obj_doc(doc, field="set"):
 
 
 def parse_map_doc(doc, field="map"):
+    _object(doc, field)
     dom = parse_obj_doc(_require(doc, "dom"), field=f"{field}.dom")
     cod = parse_obj_doc(_require(doc, "cod"), field=f"{field}.cod")
     table = _require(doc, "table", list)
     if len(table) != dom.size:
         raise ParseError("table length must equal dom size", field=f"{field}.table")
-    if any(not isinstance(v, int) or not 0 <= v < cod.size for v in table):
+    if any(not _is_int(v) or not 0 <= v < cod.size for v in table):
         raise ParseError("table entry outside codomain", field=f"{field}.table")
     return FinMap(dom, cod, tuple(table))
 
@@ -122,12 +133,13 @@ def _table(doc, field, length, cod_size):
     table = _require(doc, field, list)
     if len(table) != length:
         raise ParseError(f"table length must be {length}", field=field)
-    if any(not isinstance(v, int) or not 0 <= v < cod_size for v in table):
+    if any(not _is_int(v) or not 0 <= v < cod_size for v in table):
         raise ParseError("table entry out of range", field=field)
     return tuple(table)
 
 
 def parse_category_doc(doc, field="category", validate=True):
+    _object(doc, field)
     c0 = parse_obj_doc(_require(doc, "C0"), field=f"{field}.C0")
     c1 = parse_obj_doc(_require(doc, "C1"), field=f"{field}.C1")
     d0 = FinMap(c1, c0, _table(doc, "d0", c1.size, c0.size))
@@ -144,6 +156,7 @@ def parse_category_doc(doc, field="category", validate=True):
 
 
 def parse_functor_doc(doc, field="functor", validate=True):
+    _object(doc, field)
     dom = parse_category_doc(_require(doc, "dom"), field=f"{field}.dom", validate=validate)
     cod = parse_category_doc(_require(doc, "cod"), field=f"{field}.cod", validate=validate)
     f0 = FinMap(dom.C0, cod.C0, _table(doc, "f0", dom.C0.size, cod.C0.size))
@@ -157,6 +170,7 @@ def parse_functor_doc(doc, field="functor", validate=True):
 
 
 def parse_nat_trans_doc(doc, field="cell", validate=True):
+    _object(doc, field)
     src = parse_functor_doc(_require(doc, "src"), field=f"{field}.src", validate=validate)
     tgt = parse_functor_doc(_require(doc, "tgt"), field=f"{field}.tgt", validate=validate)
     alpha = FinMap(src.dom.C0, src.cod.C1,

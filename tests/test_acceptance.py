@@ -70,6 +70,18 @@ def test_criterion_01_oracle_hom_equivalence(corpus):
              f"{compared} pairs agreed, {skipped} skipped by bound, {elapsed:.1f}s")
 
 
+def test_criterion_01_segal_join_completes_pair_21_20(corpus):
+    # a hom of 64 functors whose level-2 end exceeds the step bound; the
+    # join composes it from level 1 alone
+    a, b = corpus[21], corpus[20]
+    ih = internal_hom(a, b, SIZE_BOUND)
+    na, nb = naive.oracle_from_internal(a), naive.oracle_from_internal(b)
+    funs, cells, oracle_cat = naive.oracle_hom_category(na, nb, SIZE_BOUND)
+    assert (ih.carrier.C0.size, ih.carrier.C1.size) == (64, 343)
+    assert (len(funs), len(cells)) == (64, 343)
+    _assert_hom_iso(ih, funs, cells, oracle_cat)
+
+
 def _assert_hom_iso(ih, funs, cells, oracle_cat):
     """Explicit isomorphism from the end-computed hom onto the oracle
     hom-category, located by search and verified against the naive tables."""

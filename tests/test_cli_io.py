@@ -148,6 +148,38 @@ def test_cli_validate_malformed(tmp_path, capsys):
     assert main(["validate", path]) == 2
 
 
+def test_cli_non_object_document_is_input_error(tmp_path, capsys):
+    five = _write(tmp_path, "five.json", "5")
+    assert main(["hom", five, five]) == 2
+    assert main(["validate", _write(tmp_path, "list.json", "[1, 2]")]) == 2
+    assert main(["factor", _write(tmp_path, "text.json", "\"f0\"")]) == 2
+    # a non-object nested where a category belongs
+    doc = json.loads(serialize.serialize_functor(id_functor(free_arrow())))
+    doc["cod"] = 5
+    assert main(["factor", _write(tmp_path, "nested.json", json.dumps(doc))]) == 2
+    assert "expected an object document" in capsys.readouterr().err
+    for text in ("5", "[]", "null"):
+        for parse in (serialize.parse_category, serialize.parse_functor,
+                      serialize.parse_nat_trans):
+            with pytest.raises(ParseError):
+                parse(text)
+
+
+def test_cli_bool_table_entry_is_input_error(tmp_path):
+    doc = json.loads(serialize.serialize_category(free_arrow()))
+    doc["d0"] = [0, True, True]
+    assert main(["validate", _write(tmp_path, "d0.json", json.dumps(doc))]) == 2
+    doc = json.loads(serialize.serialize_category(terminal_cat()))
+    doc["C0"]["size"] = True
+    assert main(["validate", _write(tmp_path, "size.json", json.dumps(doc))]) == 2
+    doc = json.loads(serialize.serialize_functor(id_functor(free_arrow())))
+    doc["f1"] = [0, True, 2]
+    assert main(["factor", _write(tmp_path, "f1.json", json.dumps(doc))]) == 2
+    with pytest.raises(ParseError):
+        serialize.parse_map_doc({"dom": {"size": 1}, "cod": {"size": 2},
+                                 "table": [True]})
+
+
 def test_cli_factor_and_power(tmp_path, capsys):
     two = free_arrow()
     f = id_functor(two)

@@ -1,7 +1,10 @@
 """2-limits and cartesian structure: products, pullbacks, powers, coproducts,
 the free arrow, copowers, and internal homs with their oracles."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product as iproduct
 
 import pytest
@@ -10,7 +13,7 @@ from fincat import finset
 from fincat.audit import diagonal_equaliser_holds
 from fincat.corpus import category_from_tables
 from fincat.ends import brute_families, check_family, end_families
-from fincat.errors import SizeBound
+from fincat.errors import CertificateFailure, SizeBound
 from fincat.finset import FinMap, FinObj, compose, identity
 from fincat.internal import (compose_functors, id_functor, level_size,
                              validate_category, validate_functor,
@@ -134,6 +137,91 @@ def test_internal_hom_higher_levels_match_end(corpus):
         ih = internal_hom(x, y)
         assert ih.carrier.pairs.apex.size == len(end_families(x, y, 2))
         assert ih.carrier.triples.apex.size == len(end_families(x, y, 3))
+
+
+def _level_two_m(ih, x, y):
+    """Composition read off the level-2 end: each family's edges (1, 2) and
+    (0, 1) compose to its edge (0, 2), and the Segal map is a bijection."""
+    idx1 = {f.key(): i for i, f in enumerate(ih.level1)}
+
+    def edge_key(fam, s, t):
+        return (fam.eta0[(s,)], fam.eta0[(t,)],
+                fam.eta1[(s, s)], fam.eta1[(s, t)], fam.eta1[(t, t)])
+
+    seen = {}
+    for fam in end_families(x, y, 2):
+        pair = (idx1[edge_key(fam, 1, 2)], idx1[edge_key(fam, 0, 1)])
+        assert pair not in seen
+        seen[pair] = idx1[edge_key(fam, 0, 2)]
+    assert len(seen) == ih.carrier.pairs.apex.size
+    return tuple(seen[t] for t in ih.carrier.pairs.tuples)
+
+
+def test_internal_hom_join_matches_level_two_end(corpus):
+    two = free_arrow()
+    i2 = indisc(FinObj(2))
+    cases = [(two, two), (two, i2), (i2, two), (terminal_cat(), two)]
+    cases += [(corpus[i], corpus[j])
+              for i, j in [(0, 3), (13, 19), (22, 13), (22, 22)]]
+    for x, y in cases:
+        ih = internal_hom(x, y)
+        assert ih.carrier.m.table == _level_two_m(ih, x, y)
+
+
+def test_internal_hom_bound_caps_composable_triples():
+    # [2, indisc 2] has 4 functors, 16 cells and 256 composable triples;
+    # the end search and the object tables stay under that count
+    x, y = free_arrow(), indisc(FinObj(2))
+    ih = internal_hom(x, y, bound=256)
+    assert ih.carrier.triples.apex.size == 256
+    with pytest.raises(SizeBound, match="triples"):
+        internal_hom(x, y, bound=255)
+
+
+def test_internal_hom_missing_join_is_certificate_failure(monkeypatch):
+    # drop from the level-1 end a cell w = u . v with u, v kept: the join of
+    # u after v then has nowhere to go
+    import fincat.limits as limits
+    two = free_arrow()
+    hom = internal_hom(two, two).carrier
+    w = next(hom.m.table[p] for p, (u, v) in enumerate(hom.pairs.tuples)
+             if hom.m.table[p] not in (u, v))
+    real = limits.end_families
+
+    def without_w(x, y, k, bound):
+        fams = real(x, y, k, bound)
+        return [f for i, f in enumerate(fams) if k != 1 or i != w]
+
+    monkeypatch.setattr(limits, "end_families", without_w)
+    with pytest.raises(CertificateFailure) as err:
+        internal_hom(two, two)
+    assert not isinstance(err.value, (KeyError, SizeBound))
+
+
+def test_internal_hom_certificates_survive_optimised_python():
+    # each failed validation raises CertificateFailure even under -O
+    script = """
+import fincat.limits as limits
+from fincat.errors import CertificateFailure
+from fincat.internal import ValidationReport, Violation
+bad = ValidationReport((Violation("planted", 0, "planted failure"),))
+x = limits.free_arrow()
+for name in ("validate_category", "validate_functor"):
+    real = getattr(limits, name)
+    setattr(limits, name, lambda _value: bad)
+    try:
+        limits.internal_hom(x, x)
+    except CertificateFailure:
+        pass
+    else:
+        raise SystemExit(name + " failure was not raised")
+    setattr(limits, name, real)
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 def test_coproduct_with_empty():
