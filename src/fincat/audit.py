@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import finset
 from .classifiers import (categorified_choice_audit, full_subobject_classifier,
                           is_boolean, is_two_valued)
-from .errors import ShapeMismatch, SizeBound
+from .errors import CertificateFailure, ShapeMismatch, SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        compose_functors, is_epi_on_objects, is_fully_faithful,
@@ -261,7 +261,7 @@ def run_audit(config: AuditConfig) -> dict:
     """Execute the per-axiom suites at the configured scale and assemble the
     report; deterministic for a fixed config."""
     from .corpus import CorpusSpec, generate_corpus, generate_functor_corpus
-    from .limits import internal_hom, hom_category
+    from .limits import hom_category, hom_iso_with_oracle, internal_hom
 
     report = {"config": {
         "seed": config.seed, "max_objects": config.max_objects,
@@ -307,7 +307,11 @@ def run_audit(config: AuditConfig) -> dict:
                 except SizeBound:
                     continue
                 tried += 1
-                if (ih.carrier.C0.size, ih.carrier.C1.size) == (len(hc.objects), len(hc.arrows)):
+                try:
+                    hom_iso_with_oracle(ih, hc)
+                except CertificateFailure:
+                    pass
+                else:
                     agree += 1
                 if tried >= 10:
                     break

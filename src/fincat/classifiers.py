@@ -12,7 +12,7 @@ re-verified per instance and the outcome is part of the certificate.
 from dataclasses import dataclass
 
 from . import finset
-from .errors import NotBiSieve, NotFFEpi, NotFullMono
+from .errors import CertificateFailure, NotBiSieve, NotFFEpi, NotFullMono
 from .finset import FinMap, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        compose_functors, fiber_arrow, id_functor, id_nat_trans,
@@ -161,20 +161,25 @@ def section_of_ff_epi(e: InternalFunctor) -> SectionCertificate:
         for arrow in range(b.C1.size))
     s = InternalFunctor(b, a, s0, FinMap(b.C1, a.C1, s1_table))
     rep = validate_functor(s)
-    assert rep.ok, f"section failed validation: {rep}"
-    assert compose_functors(e, s) == id_functor(b), "e . s is not the identity"
+    _certify(rep.ok, f"section failed validation: {rep}")
+    _certify(compose_functors(e, s) == id_functor(b), "e . s is not the identity")
     eta_table = tuple(
         fiber_arrow(e, b.i.table[e.f0.table[x]], x, s0.table[e.f0.table[x]])
         for x in range(a.C0.size))
     eta = InternalNatTrans(id_functor(a), compose_functors(s, e),
                            FinMap(a.C0, a.C1, eta_table))
     rep = validate_nat_trans(eta)
-    assert rep.ok, f"unit failed validation: {rep}"
-    assert _invertible_cell(eta), "unit is not invertible"
+    _certify(rep.ok, f"unit failed validation: {rep}")
+    _certify(_invertible_cell(eta), "unit is not invertible")
     # triangle identities for the adjunction e -| s with identity counit
-    assert whisker_left(e, eta) == id_nat_trans(e), "triangle on e fails"
-    assert whisker_right(eta, s) == id_nat_trans(s), "triangle on s fails"
+    _certify(whisker_left(e, eta) == id_nat_trans(e), "triangle on e fails")
+    _certify(whisker_right(eta, s) == id_nat_trans(s), "triangle on s fails")
     return SectionCertificate(s, eta)
+
+
+def _certify(holds: bool, failure: str):
+    if not holds:
+        raise CertificateFailure(failure)
 
 
 def _invertible_cell(t: InternalNatTrans) -> bool:
@@ -212,6 +217,6 @@ def categorified_choice_audit(functors) -> list:
         try:
             cert = section_of_ff_epi(e)
             out.append(ChoiceAuditEntry("certificate", certificate=cert))
-        except AssertionError as exc:  # pragma: no cover - would be a real refutation
+        except CertificateFailure as exc:  # a real refutation
             out.append(ChoiceAuditEntry("counterexample", str(exc)))
     return out

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import finset
+from .errors import SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, compose_functors,
                        id_functor, validate_category, validate_functor)
@@ -235,7 +236,7 @@ def generate_functor_corpus(corpus, seed=7, per_pair=3):
         for b in small:
             try:
                 fs = enumerate_functors(a, b, bound=20000)
-            except Exception:
+            except SizeBound:
                 continue
             if fs:
                 picks = sorted(rng.sample(range(len(fs)), min(per_pair, len(fs))))

@@ -28,8 +28,7 @@ feasible only at tiny sizes, and the fidelity oracle for the solver.
 from itertools import product as iproduct
 
 from .errors import SizeBound
-from .internal import (InternalCategory, level_size, monotone_maps,
-                       simplicial_map, simplex_of_spine, spine, vertices)
+from .internal import InternalCategory, monotone_maps
 
 
 def slot_list(k: int):
@@ -64,15 +63,11 @@ class Family:
             return self.eta0[psi]
         if n == 1:
             return self.eta1[psi]
-        out = []
-        for x in range(level_size(x_cat, n)):
-            vs = vertices(x_cat, n, x)
-            sp = spine(x_cat, n, x)
-            arrows = [self.eta1[(psi[j - 1], psi[j])][sp[j - 1]]
-                      for j in range(1, n + 1)]
-            v0 = self.eta0[(psi[0],)][vs[0]]
-            out.append(simplex_of_spine(y_cat, v0, arrows))
-        return tuple(out)
+        xn, simplex = x_cat.nerve, y_cat.nerve.simplex
+        v0 = self.eta0[(psi[0],)]
+        cols = [self.eta1[(psi[j - 1], psi[j])] for j in range(1, n + 1)]
+        return tuple(simplex(v0[first], [col[a] for col, a in zip(cols, sp)])
+                     for first, sp in zip(xn.first[n], xn.spines[n]))
 
 
 class _Budget:
@@ -212,32 +207,19 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     return solutions
 
 
-def reindex_key(fam: Family, x_cat, y_cat, theta, k_to: int):
-    """Canonical key of the family obtained by reindexing along theta: [k_to] -> [k]."""
-    theta = tuple(theta)
-    eta0 = {}
-    for psi in monotone_maps(0, k_to):
-        eta0[psi] = fam.table(x_cat, y_cat, 0, tuple(theta[j] for j in psi))
-    eta1 = {}
-    for psi in monotone_maps(1, k_to):
-        eta1[psi] = fam.table(x_cat, y_cat, 1, tuple(theta[j] for j in psi))
-    return Family(k_to, eta0, eta1).key()
-
-
 def check_family(x_cat, y_cat, fam: Family, levels=range(4)) -> bool:
     """Full naturality sweep: every theta and psi in the stated range."""
+    xn, yn = x_cat.nerve, y_cat.nerve
     for n in levels:
         for m in range(4):
             for theta in monotone_maps(m, n):
-                x_theta = simplicial_map(x_cat, list(theta), n, m)
-                y_theta = simplicial_map(y_cat, list(theta), n, m)
+                x_theta = xn.act(theta, n, m).table
+                y_theta = yn.act(theta, n, m).table
                 for psi in monotone_maps(n, fam.k):
                     top = fam.table(x_cat, y_cat, n, psi)
-                    psi_theta = tuple(psi[j] for j in theta)
-                    low = fam.table(x_cat, y_cat, m, psi_theta)
-                    for x in range(level_size(x_cat, n)):
-                        if low[x_theta.table[x]] != y_theta.table[top[x]]:
-                            return False
+                    low = fam.table(x_cat, y_cat, m, tuple(psi[j] for j in theta))
+                    if any(low[a] != y_theta[b] for a, b in zip(x_theta, top)):
+                        return False
     return True
 
 
@@ -246,40 +228,26 @@ def brute_families(x_cat, y_cat, k: int, limit: int = 200000):
 
     Only feasible at tiny sizes; used as the fidelity oracle for end_families.
     """
+    xn, yn = x_cat.nerve, y_cat.nerve
     slots = [(n, psi) for n in range(4) for psi in monotone_maps(n, k)]
     total = 1
     for n, _psi in slots:
-        total *= level_size(y_cat, n) ** level_size(x_cat, n)
+        total *= yn.levels[n].size ** xn.levels[n].size
         if total > limit:
             raise SizeBound("brute-force product too large")
-    tables_per_slot = [
-        list(iproduct(range(level_size(y_cat, n)), repeat=level_size(x_cat, n)))
-        for n, _psi in slots]
-    actions = {}
-    for n in range(4):
-        for m in range(4):
-            for theta in monotone_maps(m, n):
-                actions[(theta, n, m)] = (simplicial_map(x_cat, list(theta), n, m),
-                                          simplicial_map(y_cat, list(theta), n, m))
-    out = []
-    for combo in iproduct(*tables_per_slot):
-        fam = {slots[i]: combo[i] for i in range(len(slots))}
-        ok = True
-        for (n, psi) in slots:
+
+    def natural(fam):
+        for n, psi in slots:
             for m in range(4):
                 for theta in monotone_maps(m, n):
-                    x_theta, y_theta = actions[(theta, n, m)]
-                    psi_theta = tuple(psi[j] for j in theta)
-                    low = fam[(m, psi_theta)]
-                    top = fam[(n, psi)]
-                    if any(low[x_theta.table[x]] != y_theta.table[top[x]]
-                           for x in range(level_size(x_cat, n))):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(fam)
-    return out
+                    low, top = fam[(m, tuple(psi[j] for j in theta))], fam[(n, psi)]
+                    y_theta = yn.act(theta, n, m).table
+                    if any(low[a] != y_theta[b]
+                           for a, b in zip(xn.act(theta, n, m).table, top)):
+                        return False
+        return True
+
+    tables_per_slot = [list(iproduct(range(yn.levels[n].size), repeat=xn.levels[n].size))
+                       for n, _psi in slots]
+    families = (dict(zip(slots, combo)) for combo in iproduct(*tables_per_slot))
+    return [fam for fam in families if natural(fam)]

@@ -12,8 +12,9 @@ The objects of composable pairs/triples are derived on demand from (d0, d1)
 via the chosen pullbacks of the base; they are never independent state.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations_with_replacement
 
 from . import finset
 from .errors import DomainMismatch, ShapeMismatch
@@ -76,6 +77,11 @@ class InternalCategory:
         """Chosen object of composable triples ((u, v), w) with d1(v) = d0(w)."""
         inner_src = compose(self.d1, self.pairs.projections[1])
         return finset.pullback(inner_src, self.d0)
+
+    @cached_property
+    def nerve(self):
+        """Levels 0..3 of the nerve, with every action table built once."""
+        return Nerve(self)
 
     def comp(self, u, v):
         """Composite u . v of arrows with d1(u) = d0(v)."""
@@ -362,83 +368,86 @@ def fiber_arrow(f: InternalFunctor, target_arrow, src_obj, tgt_obj):
 # spine of a simplex lists its arrows in diagram order (first applied first).
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def monotone_maps(m: int, n: int):
     """All monotone maps [m] -> [n], lexicographic by value sequence."""
-    out = []
-
-    def rec(prefix, low):
-        if len(prefix) == m + 1:
-            out.append(tuple(prefix))
-            return
-        for v in range(low, n + 1):
-            rec(prefix + [v], v)
-
-    rec([], 0)
-    return out
+    return tuple(combinations_with_replacement(range(n + 1), m + 1))
 
 
-def level_size(c: InternalCategory, n: int) -> int:
-    return [c.C0.size, c.C1.size, c.pairs.apex.size, c.triples.apex.size][n]
+class Nerve:
+    """Levels 0..3 of the nerve of a category, with its simplicial action.
 
+    levels[n] is the object of n-simplices; spines[n][k] and first[n][k] are
+    the spine and first vertex of simplex k, and simplex() encodes one back.
+    Each action table is built on first use and kept, so repeated reads
+    return the same FinMap.
 
-def spine(c: InternalCategory, n: int, k: int):
-    """Arrows of the n-simplex k in diagram order."""
-    if n == 0:
-        return []
-    if n == 1:
-        return [k]
-    if n == 2:
-        u, v = c.pairs.decode(k)
-        return [v, u]
-    pair, w = c.triples.decode(k)
-    u, v = c.pairs.decode(pair)
-    return [w, v, u]
+    faces[(n, k)] : level n -> level n-1 (0 <= k <= n, 1 <= n <= 3)
+    degeneracies[(n, k)] : level n -> level n+1 (0 <= k <= n, 0 <= n <= 2)
+    """
 
+    def __init__(self, c: InternalCategory):
+        self.c = c
+        pairs = c.pairs.tuples
+        self.spines = (((),) * c.C0.size,
+                       tuple((a,) for a in range(c.C1.size)),
+                       tuple((v, u) for u, v in pairs),
+                       tuple((w,) + pairs[p][::-1] for p, w in c.triples.tuples))
+        self.levels = tuple(FinObj(len(sp)) for sp in self.spines)
+        self.first = (tuple(range(c.C0.size)),) + tuple(
+            tuple(c.d1.table[sp[0]] for sp in spines) for spines in self.spines[1:])
+        self._acts = {}
 
-def simplex_of_spine(c: InternalCategory, vertex0, arrows):
-    """Encode the simplex with the given first vertex and spine arrows."""
-    n = len(arrows)
-    if n == 0:
-        return vertex0
-    if n == 1:
-        return arrows[0]
-    if n == 2:
-        v, u = arrows
-        return c.pairs.encode((u, v))
-    w, v, u = arrows
-    return c.triples.encode((c.pairs.encode((u, v)), w))
+    def simplex(self, vertex0, arrows):
+        """Encode the simplex with the given first vertex and spine arrows."""
+        c = self.c
+        if not arrows:
+            return vertex0
+        if len(arrows) == 1:
+            return arrows[0]
+        if len(arrows) == 2:
+            v, u = arrows
+            return c.pairs.index[(u, v)]
+        w, v, u = arrows
+        return c.triples.index[(c.pairs.index[(u, v)], w)]
 
+    def act(self, phi, n_from: int, n_to: int) -> FinMap:
+        """The action N_{n_from} -> N_{n_to} of a monotone phi: [n_to] -> [n_from]."""
+        phi = tuple(phi)
+        table = self._acts.get((phi, n_from, n_to))
+        if table is not None:
+            return table
+        if len(phi) != n_to + 1 or (phi and phi[-1] > n_from):
+            raise ShapeMismatch("monotone map has wrong shape")
+        c = self.c
 
-def vertices(c: InternalCategory, n: int, k: int):
-    if n == 0:
-        return [k]
-    sp = spine(c, n, k)
-    out = [c.d1.table[sp[0]]]
-    for a in sp:
-        out.append(c.d0.table[a])
-    return out
+        def run(vertex, arrows):
+            # composite of consecutive spine arrows, identity if there are none
+            if not arrows:
+                return c.i.table[vertex]
+            return reduce(lambda acc, a: c.comp(a, acc), arrows[1:], arrows[0])
 
+        out = []
+        for v0, sp in zip(self.first[n_from], self.spines[n_from]):
+            vs = (v0,) + tuple(c.d0.table[a] for a in sp)
+            out.append(self.simplex(vs[phi[0]], [
+                run(vs[phi[j - 1]], sp[phi[j - 1]:phi[j]]) for j in range(1, n_to + 1)]))
+        table = FinMap(self.levels[n_from], self.levels[n_to], tuple(out))
+        self._acts[(phi, n_from, n_to)] = table
+        return table
 
-def _compose_run(c: InternalCategory, vertex, arrows):
-    """Composite of a run of consecutive spine arrows (identity if empty)."""
-    if not arrows:
-        return c.i.table[vertex]
-    acc = arrows[0]
-    for a in arrows[1:]:
-        acc = c.comp(a, acc)
-    return acc
+    @cached_property
+    def faces(self):
+        return {(n, k): self.act([j for j in range(n + 1) if j != k], n, n - 1)
+                for n in range(1, 4) for k in range(n + 1)}
+
+    @cached_property
+    def degeneracies(self):
+        return {(n, k): self.act([min(j, k) if j <= k else j - 1
+                                  for j in range(n + 2)], n, n + 1)
+                for n in range(3) for k in range(n + 1)}
 
 
 def simplicial_map(c: InternalCategory, phi, n_from: int, n_to: int) -> FinMap:
     """The nerve's action N_{n_from} -> N_{n_to} of a monotone phi: [n_to] -> [n_from]."""
-    if len(phi) != n_to + 1 or (phi and phi[-1] > n_from):
-        raise ShapeMismatch("monotone map has wrong shape")
-    sizes = [FinObj(level_size(c, n)) for n in range(4)]
-    table = []
-    for k in range(level_size(c, n_from)):
-        vs = vertices(c, n_from, k)
-        sp = spine(c, n_from, k)
-        new_arrows = [_compose_run(c, vs[phi[j - 1]], sp[phi[j - 1]:phi[j]])
-                      for j in range(1, n_to + 1)]
-        table.append(simplex_of_spine(c, vs[phi[0]], new_arrows))
-    return FinMap(sizes[n_from], sizes[n_to], tuple(table))
+    return c.nerve.act(phi, n_from, n_to)

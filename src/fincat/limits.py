@@ -18,8 +18,8 @@ from .ends import Family, end_families
 from .errors import CertificateFailure, DomainMismatch, SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
-                       derived_unit_maps, validate_category, validate_functor,
-                       validate_nat_trans)
+                       derived_unit_maps, monotone_maps, validate_category,
+                       validate_functor, validate_nat_trans)
 from .transfer import disc
 
 
@@ -285,17 +285,17 @@ class InternalHom:
             raise DomainMismatch("curry needs a functor Z x X -> Y")
         idx0 = {f.key(): i for i, f in enumerate(self.level0)}
         idx1 = {f.key(): i for i, f in enumerate(self.level1)}
-        from .internal import monotone_maps, simplicial_map
+        zn = z.nerve
 
         def family_for(z_simplex, k):
             eta0 = {}
             eta1 = {}
             for psi in monotone_maps(0, k):
-                zs = simplicial_map(z, list(psi), k, 0).table[z_simplex]
+                zs = zn.act(psi, k, 0).table[z_simplex]
                 eta0[psi] = tuple(h.f0.table[prod_zx.l0.encode((zs, xv))]
                                   for xv in range(x.C0.size))
             for psi in monotone_maps(1, k):
-                za = simplicial_map(z, list(psi), k, 1).table[z_simplex]
+                za = zn.act(psi, k, 1).table[z_simplex]
                 eta1[psi] = tuple(h.f1.table[prod_zx.l1.encode((za, aa))]
                                   for aa in range(x.C1.size))
             return Family(k, eta0, eta1)
@@ -521,25 +521,30 @@ def hom_iso_with_oracle(ih: InternalHom, hc: HomCategory) -> InternalFunctor:
 
     Each end family decodes to functor tables; the map is located by search in
     the oracle's lists and verified to be an invertible internal functor.
+    CertificateFailure if a family is missing from the lists or the map is not
+    an invertible functor.
     """
     obj_index = {(h.f0.table, h.f1.table): i for i, h in enumerate(hc.objects)}
     arr_index = {(s, t, c.alpha.table): i for i, (s, t, c) in enumerate(hc.arrows)}
-    table0 = []
-    for fam in ih.level0:
-        key = (fam.eta0[(0,)], fam.eta1[(0, 0)])
-        table0.append(obj_index[key])
-    table1 = []
-    for fam in ih.level1:
-        s = obj_index[(fam.eta0[(0,)], fam.eta1[(0, 0)])]
-        t = obj_index[(fam.eta0[(1,)], fam.eta1[(1, 1)])]
-        alpha = tuple(fam.eta1[(0, 1)][ih.dom.i.table[xx]]
-                      for xx in range(ih.dom.C0.size))
-        table1.append(arr_index[(s, t, alpha)])
-    oracle_cat = hom_category_as_internal(hc)
-    iso = InternalFunctor(ih.carrier, oracle_cat,
-                          FinMap(ih.carrier.C0, oracle_cat.C0, tuple(table0)),
-                          FinMap(ih.carrier.C1, oracle_cat.C1, tuple(table1)))
+    try:
+        table0 = []
+        for fam in ih.level0:
+            key = (fam.eta0[(0,)], fam.eta1[(0, 0)])
+            table0.append(obj_index[key])
+        table1 = []
+        for fam in ih.level1:
+            s = obj_index[(fam.eta0[(0,)], fam.eta1[(0, 0)])]
+            t = obj_index[(fam.eta0[(1,)], fam.eta1[(1, 1)])]
+            alpha = tuple(fam.eta1[(0, 1)][ih.dom.i.table[xx]]
+                          for xx in range(ih.dom.C0.size))
+            table1.append(arr_index[(s, t, alpha)])
+        oracle_cat = hom_category_as_internal(hc)
+        iso = InternalFunctor(ih.carrier, oracle_cat,
+                              FinMap(ih.carrier.C0, oracle_cat.C0, tuple(table0)),
+                              FinMap(ih.carrier.C1, oracle_cat.C1, tuple(table1)))
+    except (KeyError, DomainMismatch) as exc:
+        raise CertificateFailure(f"hom comparison failed: {exc!r}") from exc
     if not (finset.is_iso(iso.f0) and finset.is_iso(iso.f1)
             and validate_functor(iso).ok):
-        raise DomainMismatch("hom comparison is not an isomorphism")
+        raise CertificateFailure("hom comparison is not an isomorphism")
     return iso

@@ -9,8 +9,8 @@ but lawless data raises ValidationError carrying the validator report.
 """
 
 import json
+from collections import Counter
 
-from . import finset
 from .errors import ParseError, ValidationError
 from .finset import FinMap, FinObj
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
@@ -145,8 +145,11 @@ def parse_category_doc(doc, field="category", validate=True):
     d0 = FinMap(c1, c0, _table(doc, "d0", c1.size, c0.size))
     d1 = FinMap(c1, c0, _table(doc, "d1", c1.size, c0.size))
     i = FinMap(c0, c1, _table(doc, "i", c0.size, c1.size))
-    pairs = finset.pullback(d1, d0)
-    m = FinMap(pairs.apex, c1, _table(doc, "m", pairs.apex.size, c1.size))
+    # count the composable pairs before listing them: a short document can
+    # describe millions of pairs, and then its m cannot match
+    into = Counter(d0.table)
+    n_pairs = sum(into[s] for s in d1.table)
+    m = FinMap(FinObj(n_pairs), c1, _table(doc, "m", n_pairs, c1.size))
     cat = InternalCategory(c0, c1, d0, d1, i, m)
     if validate:
         report = validate_category(cat)

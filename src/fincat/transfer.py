@@ -13,7 +13,7 @@ from . import finset
 from .errors import NotInHomSet
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
-                       id_functor, level_size, monotone_maps, simplicial_map)
+                       Nerve)
 
 
 def disc(x: FinObj) -> InternalCategory:
@@ -175,37 +175,9 @@ def adjunction_pi0_disc() -> AdjunctionWitness:
     return AdjunctionWitness("pi0", "disc", forward, backward, unit, counit)
 
 
-@dataclass(frozen=True)
-class TruncatedSimplicial:
-    """Levels 0..3 of a simplicial object with all face and degeneracy maps.
-
-    faces[(n, k)] : level n -> level n-1 (0 <= k <= n, 1 <= n <= 3)
-    degeneracies[(n, k)] : level n -> level n+1 (0 <= k <= n, 0 <= n <= 2)
-    """
-
-    levels: tuple
-    faces: dict
-    degeneracies: dict
-
-    def act(self, phi, n_from: int, n_to: int) -> FinMap:
-        return self._act(tuple(phi), n_from, n_to)
-
-
-def nerve(c: InternalCategory) -> TruncatedSimplicial:
-    levels = tuple(FinObj(level_size(c, n)) for n in range(4))
-    faces = {}
-    degeneracies = {}
-    for n in range(1, 4):
-        for k in range(n + 1):
-            delta = [j for j in range(n + 1) if j != k]
-            faces[(n, k)] = simplicial_map(c, delta, n, n - 1)
-    for n in range(3):
-        for k in range(n + 1):
-            sigma = [min(j, k) if j <= k else j - 1 for j in range(n + 2)]
-            degeneracies[(n, k)] = simplicial_map(c, sigma, n, n + 1)
-    ts = TruncatedSimplicial(levels, faces, degeneracies)
-    object.__setattr__(ts, "_act", lambda phi, a, b: simplicial_map(c, list(phi), a, b))
-    return ts
+def nerve(c: InternalCategory) -> Nerve:
+    """The truncated nerve of c, cached on c."""
+    return c.nerve
 
 
 def discrete_nat_trans_bijection(x: FinObj, a: InternalCategory):

@@ -258,6 +258,29 @@ def test_run_audit_default_expectations():
             assert data["verdict"] == "verified-at-scale", name
 
 
+def test_cartesian_closed_checks_the_isomorphism(monkeypatch):
+    from fincat import limits
+    real = limits.hom_category
+
+    def one_cell_repeated(a, b, bound):
+        # as many cells as the true hom, but one of them listed twice
+        hc = real(a, b, bound)
+        if len(hc.arrows) < 2:
+            return hc
+        arrows = hc.arrows[:-2] + (hc.arrows[-1],) * 2
+        return limits.HomCategory(hc.objects, arrows, hc.identity, hc.comp)
+
+    config = AuditConfig(corpus_size=6, suites=("cartesianClosed",))
+    honest = run_audit(config)["entries"]["cartesianClosed"]
+    assert honest["verdict"] == "verified-at-scale"
+    monkeypatch.setattr(limits, "hom_category", one_cell_repeated)
+    entry = run_audit(config)["entries"]["cartesianClosed"]
+    assert entry["verdict"] == "refuted"
+    compared = entry["witnesses"]["pairs_compared"]
+    assert compared == honest["witnesses"]["pairs_compared"]
+    assert entry["witnesses"]["agreements"] < compared
+
+
 def test_run_audit_zero_corpus_skips():
     report = run_audit(AuditConfig(corpus_size=0, suites=(
         "finiteLimits", "cartesianClosed", "wellPointed2",

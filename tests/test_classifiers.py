@@ -1,6 +1,9 @@
 """Full subobject classifiers, strict bi-sieves, boolean/two-valued
 diagnostics, sections and the categorified choice audit."""
 
+import os
+import subprocess
+import sys
 from itertools import product as iproduct
 
 import pytest
@@ -250,6 +253,41 @@ def test_choice_audit_outcomes(functor_corpus):
     planted = categorified_choice_audit([bang_functor_not_ff()])
     assert planted[0].outcome == "skipped"
     assert "faithful" in planted[0].reason
+
+
+def test_section_certificate_survives_optimised_python():
+    # each failed check of the certificate is a counterexample even under -O
+    script = """
+import fincat.classifiers as classifiers
+from fincat.errors import CertificateFailure
+from fincat.internal import ValidationReport, Violation, id_functor
+from fincat.limits import free_arrow
+bad = ValidationReport((Violation("planted", 0, "planted failure"),))
+e = id_functor(free_arrow())
+planted = {"validate_functor": lambda _value: bad,
+           "validate_nat_trans": lambda _value: bad,
+           "_invertible_cell": lambda _cell: False,
+           "whisker_left": lambda _f, _cell: None,
+           "whisker_right": lambda _cell, _f: None}
+for name, fake in planted.items():
+    real = getattr(classifiers, name)
+    setattr(classifiers, name, fake)
+    entry, = classifiers.categorified_choice_audit([e])
+    if entry.outcome != "counterexample":
+        raise SystemExit(name + " failure gave " + entry.outcome)
+    try:
+        classifiers.section_of_ff_epi(e)
+    except CertificateFailure:
+        pass
+    else:
+        raise SystemExit(name + " failure was not raised")
+    setattr(classifiers, name, real)
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 def bang_functor_not_ff():

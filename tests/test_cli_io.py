@@ -3,6 +3,8 @@ command-line surface with its exit-code contract."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -178,6 +180,27 @@ def test_cli_bool_table_entry_is_input_error(tmp_path):
     with pytest.raises(ParseError):
         serialize.parse_map_doc({"dom": {"size": 1}, "cod": {"size": 2},
                                  "table": [True]})
+
+
+def test_cli_pair_count_is_checked_before_pairs_are_listed(tmp_path):
+    # one object with 4,000 loops has 16 million composable pairs; a wrong
+    # m length must be an input error, not a memory blow-up listing them
+    loops = 4000
+    doc = {"C0": {"size": 1}, "C1": {"size": loops}, "d0": [0] * loops,
+           "d1": [0] * loops, "i": [0], "m": [0]}
+    path = _write(tmp_path, "loops.json", json.dumps(doc))
+    script = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from fincat.cli import main
+sys.exit(main(["validate", sys.argv[1]]))
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script, path], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2, run.stdout + run.stderr
+    assert "m: table length must be 16000000" in run.stderr
 
 
 def test_cli_factor_and_power(tmp_path, capsys):

@@ -15,10 +15,10 @@ from fincat.corpus import category_from_tables
 from fincat.ends import brute_families, check_family, end_families
 from fincat.errors import CertificateFailure, SizeBound
 from fincat.finset import FinMap, FinObj, compose, identity
-from fincat.internal import (compose_functors, id_functor, level_size,
+from fincat.internal import (compose_functors, id_functor,
                              validate_category, validate_functor,
                              validate_nat_trans)
-from fincat.limits import (bang_functor, constant_functor, coproduct_cat,
+from fincat.limits import (HomCategory, bang_functor, constant_functor, coproduct_cat,
                            copower_by_two, enumerate_cells, enumerate_functors,
                            free_arrow, hom_category, hom_category_as_internal,
                            hom_iso_with_oracle, internal_hom, power_by_two,
@@ -335,6 +335,24 @@ def test_internal_hom_matches_oracle(corpus):
             if checked >= 12:
                 return
     assert checked > 0
+
+
+def test_hom_iso_with_oracle_rejects_tampered_oracle():
+    two = free_arrow()
+    ih = internal_hom(two, two)
+    hc = hom_category(two, two)
+    assert validate_functor(hom_iso_with_oracle(ih, hc)).ok
+    # drop one non-identity arrow; the end hom's cell for it has no image
+    dropped = next(i for i in reversed(range(len(hc.arrows)))
+                   if i not in hc.identity)
+    tampered = HomCategory(hc.objects, hc.arrows[:dropped] + hc.arrows[dropped + 1:],
+                           hc.identity, hc.comp)
+    with pytest.raises(CertificateFailure):
+        hom_iso_with_oracle(ih, tampered)
+    # a permuted object list still gives a bijection, but not a functor
+    swapped = HomCategory(hc.objects[::-1], hc.arrows, hc.identity, hc.comp)
+    with pytest.raises(CertificateFailure):
+        hom_iso_with_oracle(ih, swapped)
 
 
 def test_end_families_match_literal_equalizer():

@@ -7,10 +7,10 @@ from itertools import product as iproduct
 import pytest
 
 from fincat import finset
-from fincat.errors import NotInHomSet
+from fincat.errors import NotInHomSet, ShapeMismatch
 from fincat.finset import FinMap, FinObj, compose, identity
 from fincat.internal import (compose_functors, id_functor, is_fully_faithful,
-                             level_size, monotone_maps, reflects_identities,
+                             monotone_maps, reflects_identities,
                              simplicial_map, validate_category,
                              validate_functor, validate_nat_trans)
 from fincat.limits import enumerate_cells, enumerate_functors, free_arrow
@@ -201,6 +201,43 @@ def test_nerve_of_disc_is_constant():
 def test_nerve_of_free_arrow_sizes():
     n = nerve(free_arrow())
     assert [lv.size for lv in n.levels] == [2, 3, 4, 5]
+
+
+def test_nerve_is_cached_on_its_category():
+    cat = indisc(FinObj(2))
+    assert cat.nerve is cat.nerve
+    assert nerve(cat) is cat.nerve
+    # an equal but distinct category owns its own nerve with equal tables
+    twin = indisc(FinObj(2))
+    assert twin.nerve is not cat.nerve
+    assert twin.nerve.faces[(2, 1)].table == cat.nerve.faces[(2, 1)].table
+
+
+def test_simplicial_map_is_built_once():
+    cat = free_arrow()
+    first = simplicial_map(cat, [0, 0, 1], 1, 2)
+    assert simplicial_map(cat, (0, 0, 1), 1, 2) is first
+    assert cat.nerve.act([0, 0, 1], 1, 2) is first
+    assert cat.nerve.degeneracies[(1, 0)] is first
+    assert simplicial_map(cat, [0, 1], 3, 1) is not first
+
+
+def test_simplicial_map_rejects_wrong_shape():
+    cat = free_arrow()
+    with pytest.raises(ShapeMismatch):
+        simplicial_map(cat, [0, 1], 1, 2)
+    with pytest.raises(ShapeMismatch):
+        simplicial_map(cat, [0, 2], 1, 1)
+
+
+def test_monotone_maps_are_memoised_tuples():
+    maps = monotone_maps(1, 2)
+    assert maps == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    assert monotone_maps(1, 2) is maps
+    for m in range(4):
+        for n in range(4):
+            assert monotone_maps(m, n) == tuple(
+                t for t in iproduct(range(n + 1), repeat=m + 1) if list(t) == sorted(t))
 
 
 def test_simplicial_identities_on_indisc():
