@@ -17,6 +17,14 @@ slots at levels 2 and 3 are then assembled by spines and the assembled family
 is checked. Solutions are returned in the lexicographic order of the ambient
 product encoding, and `budget` caps the search steps.
 
+The search assigns one functor block per vertex t <= k (the level-0 search
+again), then the jump slots. It runs the t = 0 block alone first and counts,
+from that block's steps and completions, exactly the steps the search spends
+before its second jump cell (`_prefix_steps`). When that prefix exceeds
+`budget` it raises SizeBound up front, before any further search; otherwise
+it runs the remaining cells from each block-0 completion in turn, so the
+steps, the verdict and the solutions are those of one depth-first search.
+
 The internal hom (limits.internal_hom) uses only levels 0 and 1: level 2 of a
 Segal category is the join of composable level-1 cells, so its composition is
 built from level 1 directly. The level-2 and level-3 ends stay available as
@@ -25,17 +33,11 @@ the full product and filters by every equation; it is the literal equalizer,
 feasible only at tiny sizes, and the fidelity oracle for the solver.
 """
 
+from collections import Counter
 from itertools import product as iproduct
 
 from .errors import SizeBound
 from .internal import InternalCategory, monotone_maps
-
-
-def slot_list(k: int):
-    """Slots (n, psi) for levels 0 and 1, in canonical (n, psi-lex) order."""
-    slots = [(0, psi) for psi in monotone_maps(0, k)]
-    slots += [(1, psi) for psi in monotone_maps(1, k)]
-    return slots
 
 
 class Family:
@@ -71,14 +73,16 @@ class Family:
 
 
 class _Budget:
-    def __init__(self, limit):
+    def __init__(self, limit, stage):
         self.limit = limit
+        self.stage = stage
         self.steps = 0
 
     def tick(self):
         self.steps += 1
         if self.steps > self.limit:
-            raise SizeBound(f"end enumeration exceeded {self.limit} steps")
+            raise SizeBound(f"{self.stage} search exceeded {self.limit} steps",
+                            stage=self.stage, steps=self.steps, bound=self.limit)
 
 
 def _hom_fibers(c: InternalCategory):
@@ -90,11 +94,16 @@ def _hom_fibers(c: InternalCategory):
 
 def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
                  budget: int = 10 ** 6):
-    """All natural families at level k, lex-ordered by product encoding."""
+    """All natural families at level k, lex-ordered by product encoding.
+
+    SizeBound (stage "level-k end") when the search would exceed `budget`
+    steps, raised up front (stage "level-k end prefix") when the steps it
+    must spend before its second jump cell already exceed it.
+    """
     slots1 = monotone_maps(1, k)
     x0, x1 = x_cat.C0.size, x_cat.C1.size
     y_fibers = _hom_fibers(y_cat)
-    budget = _Budget(budget)
+    budget = _Budget(budget, f"level-{k} end")
 
     # composition instances: equation m_Y(eta1[s12][u], eta1[s01][v]) = eta1[s02][uv]
     instances = []
@@ -173,11 +182,9 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
             return (forced,) if forced in fiber else ()
         return fiber
 
-    def rec(pos):
-        if pos == len(cells):
-            solutions.append(Family(
-                k, {p: tuple(v) for p, v in eta0.items()},
-                {p: tuple(v) for p, v in eta1.items()}))
+    def rec(pos, stop, done):
+        if pos == stop:
+            done()
             return
         kind, psi, elem = cells[pos]
         if kind == "0":
@@ -185,7 +192,7 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
             for val in candidates(kind, psi, elem):
                 budget.tick()
                 row[elem] = val
-                rec(pos + 1)
+                rec(pos + 1, stop, done)
                 row[elem] = None
             return
         row = eta1[psi]
@@ -197,28 +204,87 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
             budget.tick()
             row[elem] = val
             if complete_instances_hold(incident):
-                rec(pos + 1)
+                rec(pos + 1, stop, done)
             row[elem] = None
         for iid in incident:
             missing[iid] += 1
 
-    rec(0)
+    def emit():
+        solutions.append(Family(
+            k, {p: tuple(v) for p, v in eta0.items()},
+            {p: tuple(v) for p, v in eta1.items()}))
+
+    # the t = 0 block alone: the level-0 search, s0 steps and len(firsts)
+    # functors; no completion of it depends on the slots after it
+    block = x0 + x1
+    firsts = []
+    rec(0, block, lambda: firsts.append((tuple(eta0[(0,)]), tuple(eta1[(0, 0)]))))
+    x_star = arrows_deg_first[0] if k and arrows_deg_first else None
+    prefix = _prefix_steps(budget.steps, firsts, k, x_star, x_cat, y_fibers)
+    if prefix > budget.limit:
+        raise SizeBound(f"level-{k} end search needs {prefix} steps before its "
+                        f"second jump cell, over the bound {budget.limit}",
+                        stage=f"level-{k} end prefix", steps=prefix,
+                        bound=budget.limit)
+    # the t = 0 block's cells stay set from here on, one completion at a time
+    for a in range(x1):
+        for iid in cells_of.get(((0, 0), a), ()):
+            missing[iid] -= 1
+    for f0, f1 in firsts:
+        eta0[(0,)][:] = f0
+        eta1[(0, 0)][:] = f1
+        rec(block, len(cells), emit)
     solutions.sort(key=Family.key)
     return solutions
+
+
+def _prefix_steps(s0, firsts, k, x_star, x_cat, y_fibers):
+    """Steps the level-k search spends before its second jump cell, counted
+    from the t = 0 block's s0 steps and its completions `firsts`.
+
+    Each block t <= k repeats the t = 0 search once per completion of the
+    blocks before it. The first jump cell, slot (0, 1) at the first identity
+    arrow x_star (None when there is no jump cell), has no factor set that
+    could force it, so it tries its whole fiber once per completion of all
+    k + 1 blocks: a pair (f, g) of block-0 and block-1 completions, times
+    the F^(k-1) completions of blocks 2..k.
+    """
+    f = len(firsts)
+    steps = s0 * sum(f ** t for t in range(k + 1))
+    if x_star is None:
+        return steps
+    src = Counter(f0[x_cat.d1.table[x_star]] for f0, _f1 in firsts)
+    tgt = Counter(f0[x_cat.d0.table[x_star]] for f0, _f1 in firsts)
+    jump = sum(cp * cq * len(y_fibers.get((p, q), ()))
+               for p, cp in src.items() for q, cq in tgt.items())
+    return steps + f ** (k - 1) * jump
 
 
 def check_family(x_cat, y_cat, fam: Family, levels=range(4)) -> bool:
     """Full naturality sweep: every theta and psi in the stated range."""
     xn, yn = x_cat.nerve, y_cat.nerve
+    tables = {}  # (n, psi) -> slot table, for this sweep only
+
+    def table(n, psi):
+        """The slot table, or None where the image of a spine is not
+        composable in y, so that a face equation at level 1 already fails."""
+        if (n, psi) not in tables:
+            try:
+                tables[(n, psi)] = fam.table(x_cat, y_cat, n, psi)
+            except KeyError:
+                tables[(n, psi)] = None
+        return tables[(n, psi)]
+
     for n in levels:
         for m in range(4):
             for theta in monotone_maps(m, n):
                 x_theta = xn.act(theta, n, m).table
                 y_theta = yn.act(theta, n, m).table
                 for psi in monotone_maps(n, fam.k):
-                    top = fam.table(x_cat, y_cat, n, psi)
-                    low = fam.table(x_cat, y_cat, m, tuple(psi[j] for j in theta))
-                    if any(low[a] != y_theta[b] for a, b in zip(x_theta, top)):
+                    top = table(n, psi)
+                    low = table(m, tuple(psi[j] for j in theta))
+                    if top is None or low is None or any(
+                            low[a] != y_theta[b] for a, b in zip(x_theta, top)):
                         return False
     return True
 
@@ -234,7 +300,8 @@ def brute_families(x_cat, y_cat, k: int, limit: int = 200000):
     for n, _psi in slots:
         total *= yn.levels[n].size ** xn.levels[n].size
         if total > limit:
-            raise SizeBound("brute-force product too large")
+            raise SizeBound("brute-force product too large",
+                            stage="brute-force product", steps=total, bound=limit)
 
     def natural(fam):
         for n, psi in slots:

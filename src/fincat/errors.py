@@ -46,7 +46,17 @@ class NotInHomSet(FincatError):
 
 
 class SizeBound(FincatError):
-    """An enumeration would exceed the configured size bound."""
+    """An enumeration would exceed the configured size bound.
+
+    `stage` names what gave up, `steps` is the count it reached or predicted
+    and `bound` the limit it was held to; each is None where not recorded.
+    """
+
+    def __init__(self, message, stage=None, steps=None, bound=None):
+        super().__init__(message)
+        self.stage = stage
+        self.steps = steps
+        self.bound = bound
 
 
 class ParseError(FincatError):

@@ -185,15 +185,6 @@ def equalizer(f: FinMap, g: FinMap) -> ChosenLimit:
     return _chosen(tuples, (f.dom,))
 
 
-def pair_map(f: FinMap, g: FinMap, prod: ChosenLimit = None) -> FinMap:
-    """The map <f, g> into the chosen product of the codomains."""
-    if f.dom != g.dom:
-        raise DomainMismatch("pairing needs a common domain")
-    if prod is None:
-        prod = product(f.cod, g.cod)
-    return prod.mediate(f, g)
-
-
 def coproduct(a: FinObj, b: FinObj):
     """Disjoint union with a's elements first; returns (object, inj0, inj1)."""
     obj = FinObj(a.size + b.size)

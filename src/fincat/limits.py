@@ -5,9 +5,11 @@ extensive coproducts, copowers, and internal homs via the simplicial end.
 The internal hom is computed by the end formula (see ends.py) as the
 definitional path: its objects and cells are the level-0 and level-1 ends, and
 its composition is the Segal join of composable cells, read off level 1
-without a level-2 search. `bound` caps the end search steps and the composable
-triples of cells that validating the result lists. hom_category re-enumerates
-functors and transformations externally and serves as the anti-drift oracle.
+without a level-2 search. `bound` caps the object tables, the end search steps
+(refused up front when the level-1 search's counted prefix exceeds it) and the
+composable triples of cells that validating the result lists. hom_category
+re-enumerates functors and transformations externally and serves as the
+anti-drift oracle.
 """
 
 from dataclasses import dataclass
@@ -142,7 +144,9 @@ def free_arrow() -> InternalCategory:
         i = FinMap(c0, c1, (0, 1))
         cat = InternalCategory(c0, c1, d0, d1, i,
                                FinMap(FinObj(4), c1, (0, 1, 2, 2)))
-        assert validate_category(cat).ok
+        rep = validate_category(cat)
+        if not rep.ok:
+            raise CertificateFailure(f"free arrow failed validation: {rep}")
         _FREE_ARROW = cat
     return _FREE_ARROW
 
@@ -202,9 +206,12 @@ def power_by_two(a: InternalCategory) -> PowerByTwo:
     source_proj = InternalFunctor(carrier, a, a.d1, h_map)
     target_proj = InternalFunctor(carrier, a, a.d0, k_map)
     cell = InternalNatTrans(source_proj, target_proj, identity(a.C1))
-    assert validate_category(carrier).ok
-    assert validate_functor(source_proj).ok and validate_functor(target_proj).ok
-    assert validate_nat_trans(cell).ok
+    for what, rep in (("carrier", validate_category(carrier)),
+                      ("source projection", validate_functor(source_proj)),
+                      ("target projection", validate_functor(target_proj)),
+                      ("universal cell", validate_nat_trans(cell))):
+        if not rep.ok:
+            raise CertificateFailure(f"power by 2: {what} failed validation: {rep}")
     return PowerByTwo(carrier, source_proj, target_proj, cell, sq)
 
 
@@ -259,7 +266,9 @@ def copower_by_two(a: InternalCategory) -> CopowerByTwo:
     alpha = FinMap(a.C0, carrier.C1,
                    tuple(prod.l1.encode((2, a.i.table[x])) for x in range(a.C0.size)))
     cell = InternalNatTrans(in0, in1, alpha)
-    assert validate_nat_trans(cell).ok
+    rep = validate_nat_trans(cell)
+    if not rep.ok:
+        raise CertificateFailure(f"copower by 2: universal cell failed validation: {rep}")
     return CopowerByTwo(carrier, prod, in0, in1, cell)
 
 
@@ -324,12 +333,17 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     """The internal hom [x, y]: levels 0 and 1 are the stated ends, and
     composition is the Segal join of composable level-1 cells.
 
-    SizeBound if the end enumeration would exceed `bound` steps or the hom
-    has more than `bound` composable triples of cells; CertificateFailure if
-    the result fails its own validation.
+    SizeBound, with its `stage`, if there are more than `bound` object
+    tables, if an end search would exceed `bound` steps or the hom has more
+    than `bound` composable triples of cells. The level-1 end refuses up
+    front, before searching past its functor blocks, when the steps it must
+    spend before its second jump cell, counted exactly, exceed `bound`.
+    CertificateFailure if the result fails its own validation.
     """
     if x.C0.size and y.C0.size ** x.C0.size > bound:
-        raise SizeBound("object-table space exceeds the configured bound")
+        tables = y.C0.size ** x.C0.size
+        raise SizeBound(f"{tables} object tables, over the bound {bound}",
+                        stage="object tables", steps=tables, bound=bound)
     hom0 = end_families(x, y, 0, bound)
     hom1 = end_families(x, y, 1, bound)
     idx0 = {f.key(): i for i, f in enumerate(hom0)}
@@ -345,7 +359,8 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     triples = _composable_triples(d0, d1)
     if triples > bound:
         raise SizeBound(f"hom has {triples} composable triples of cells, "
-                        f"over the bound {bound}")
+                        f"over the bound {bound}", stage="composable triples",
+                        steps=triples, bound=bound)
     # the composite of u after v at an arrow a: p -> q of x is u at q after
     # v's diagonal at a; its other slots are v's source and u's target
     at_target = tuple(x.i.table[q] for q in x.d0.table)

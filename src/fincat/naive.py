@@ -94,7 +94,8 @@ def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
         for y in range(b.objects):
             steps += 1
             if steps > bound:
-                raise SizeBound("oracle functor enumeration exceeded the bound")
+                raise SizeBound("oracle functor enumeration exceeded the bound",
+                                stage="oracle functors", steps=steps, bound=bound)
             obj[x] = y
             obj_rec(x + 1)
             obj[x] = None
@@ -132,7 +133,8 @@ def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
         for y in cands:
             steps += 1
             if steps > bound:
-                raise SizeBound("oracle functor enumeration exceeded the bound")
+                raise SizeBound("oracle functor enumeration exceeded the bound",
+                                stage="oracle functors", steps=steps, bound=bound)
             arr[k] = y
             if ok_so_far(k):
                 arr_rec(k + 1)
@@ -193,7 +195,9 @@ def oracle_hom_category(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6
             for comp in oracle_nat_trans(a, b, f, g):
                 arrows.append((si, ti, comp))
                 if len(arrows) > bound:
-                    raise SizeBound("oracle cell enumeration exceeded the bound")
+                    raise SizeBound("oracle cell enumeration exceeded the bound",
+                                    stage="oracle cells", steps=len(arrows),
+                                    bound=bound)
     index = {arr: i for i, arr in enumerate(arrows)}
     identities = tuple(
         index[(i, i, tuple(b.identities[f[0][x]] for x in range(a.objects)))]
@@ -201,8 +205,11 @@ def oracle_hom_category(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6
     by_target = [[] for _ in funs]
     for i1, (_s1, t1, _c1) in enumerate(arrows):
         by_target[t1].append(i1)
-    if sum(len(by_target[s2]) for s2, _t2, _c2 in arrows) > bound:
-        raise SizeBound("oracle composable cell pairs exceeded the bound")
+    cell_pairs = sum(len(by_target[s2]) for s2, _t2, _c2 in arrows)
+    if cell_pairs > bound:
+        raise SizeBound("oracle composable cell pairs exceeded the bound",
+                        stage="oracle composable cell pairs", steps=cell_pairs,
+                        bound=bound)
     comp = {}
     for i2, (s2, t2, c2) in enumerate(arrows):
         for i1 in by_target[s2]:

@@ -6,6 +6,7 @@ objects and 10 arrows each, seed 7.
 
 import random
 import time
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
@@ -51,23 +52,26 @@ def test_criterion_01_oracle_hom_equivalence(corpus):
     assert len(corpus) >= 25
     assert all(c.C0.size <= 4 and c.C1.size <= 10 for c in corpus)
     start = time.time()
-    compared = skipped = 0
+    compared = 0
+    skipped = Counter()  # SizeBound stage -> pairs skipped there
     for a in corpus:
         for b in corpus:
             try:
                 ih = internal_hom(a, b, SIZE_BOUND)
                 na, nb = naive.oracle_from_internal(a), naive.oracle_from_internal(b)
                 funs, cells, oracle_cat = naive.oracle_hom_category(na, nb, SIZE_BOUND)
-            except SizeBound:
-                skipped += 1
+            except SizeBound as exc:
+                skipped[exc.stage] += 1
                 continue
             assert ih.carrier.C0.size == len(funs), (a, b)
             assert ih.carrier.C1.size == len(cells), (a, b)
             _assert_hom_iso(ih, funs, cells, oracle_cat)
             compared += 1
     elapsed = time.time() - start
+    causes = ", ".join(f"{n} at {stage}" for stage, n in sorted(skipped.items()))
     _verdict("criterion 1: oracle hom equivalence", compared > 0 and elapsed < 120,
-             f"{compared} pairs agreed, {skipped} skipped by bound, {elapsed:.1f}s")
+             f"{compared} pairs agreed, {skipped.total()} skipped by bound "
+             f"({causes or 'none'}), {elapsed:.1f}s")
 
 
 def test_criterion_01_segal_join_completes_pair_21_20(corpus):

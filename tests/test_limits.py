@@ -1,15 +1,18 @@
 """2-limits and cartesian structure: products, pullbacks, powers, coproducts,
 the free arrow, copowers, and internal homs with their oracles."""
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
+import time
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
 
-from fincat import finset
+from fincat import ends, finset
 from fincat.audit import diagonal_equaliser_holds
 from fincat.corpus import category_from_tables
 from fincat.ends import brute_families, check_family, end_families
@@ -222,6 +225,230 @@ for name in ("validate_category", "validate_functor"):
     run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_power_and_copower_certificates_survive_optimised_python():
+    # the free arrow, the power by 2 and the copower by 2 check themselves
+    # with code that -O keeps
+    script = """
+import fincat.limits as limits
+from fincat.errors import CertificateFailure
+from fincat.internal import ValidationReport, Violation
+bad = ValidationReport((Violation("planted", 0, "planted failure"),))
+x = limits.free_arrow()
+cases = [("free_arrow", "validate_category"),
+         ("power_by_two", "validate_category"),
+         ("power_by_two", "validate_functor"),
+         ("power_by_two", "validate_nat_trans"),
+         ("copower_by_two", "validate_nat_trans")]
+for build, check in cases:
+    real = getattr(limits, check)
+    setattr(limits, check, lambda _value: bad)
+    limits._FREE_ARROW = None if build == "free_arrow" else x
+    try:
+        getattr(limits, build)() if build == "free_arrow" else getattr(limits, build)(x)
+    except CertificateFailure:
+        pass
+    else:
+        raise SystemExit(build + ": " + check + " failure was not raised")
+    setattr(limits, check, real)
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
+class _CountingBudget(ends._Budget):
+    """The end search's step budget, keeping every instance made so that a
+    test can read the steps a search spent."""
+
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """end_families(x, y, k, bound) -> (families, steps spent)."""
+    monkeypatch.setattr(ends, "_Budget", _CountingBudget)
+
+    def run(x, y, k, bound=10 ** 6):
+        _CountingBudget.made.clear()
+        fams = end_families(x, y, k, bound)
+        return fams, _CountingBudget.made[-1].steps
+
+    return run
+
+
+def _counted_prefix(x, y, k, level0, s0):
+    """The steps the level-k search spends before its second jump cell,
+    from the level-0 search's s0 steps and its F functors `level0`:
+
+        S0 (1 + F + ... + F^k) + F^(k-1) sum_{p,q} cnt[p] cnt[q] |Y(p, q)|,
+
+    where cnt[p] counts the functors sending the object of x's first
+    identity arrow to p."""
+    f = len(level0)
+    steps = s0 * sum(f ** t for t in range(k + 1))
+    if not x.C0.size:
+        return steps
+    obj = x.d1.table[min(x.i.table)]
+    cnt = Counter(fam.eta0[(0,)][obj] for fam in level0)
+    fiber = Counter(zip(y.d1.table, y.d0.table))
+    return steps + f ** (k - 1) * sum(cp * cq * fiber[(p, q)]
+                                      for p, cp in cnt.items()
+                                      for q, cq in cnt.items())
+
+
+def test_level_one_prefix_bounds_every_completed_search(corpus, counted):
+    refused = set()
+    for i, a in enumerate(corpus):
+        for j, b in enumerate(corpus):
+            level0, s0 = counted(a, b, 0)
+            prefix = _counted_prefix(a, b, 1, level0, s0)
+            try:
+                _fams, steps = counted(a, b, 1)
+            except SizeBound as exc:
+                assert exc.stage == "level-1 end prefix", (i, j)
+                assert exc.steps == prefix > 10 ** 6, (i, j)
+                refused.add((i, j))
+                continue
+            assert prefix <= steps, (i, j)
+    assert refused == {(10, 4), (10, 9)}
+
+
+def _small_pairs(corpus):
+    two = free_arrow()
+    i2 = indisc(FinObj(2))
+    return ([(two, two), (two, i2), (i2, two), (terminal_cat(), two),
+             (disc(FinObj(0)), two)]
+            + [(corpus[i], corpus[j])
+               for i, j in [(0, 3), (13, 19), (22, 13), (22, 22)]])
+
+
+def test_level_one_prefix_is_exact(corpus, monkeypatch, counted):
+    # a tick made at cell position pos < J, where J is the position of the
+    # second jump cell, belongs to the prefix; the search ticks inside its
+    # recursive step, whose `pos` names the cell
+    positions = []
+
+    class PositionBudget(_CountingBudget):
+        def tick(self):
+            positions.append(sys._getframe(1).f_locals["pos"])
+            super().tick()
+
+    monkeypatch.setattr(ends, "_Budget", PositionBudget)
+    for x, y in _small_pairs(corpus):
+        level0, s0 = counted(x, y, 0)
+        for k in (1, 2):
+            second_jump = (k + 1) * (x.C0.size + x.C1.size) + 1
+            positions.clear()
+            _fams, steps = counted(x, y, k)
+            prefix = _counted_prefix(x, y, k, level0, s0)
+            assert sum(pos < second_jump for pos in positions) == prefix
+            # the search refuses up front exactly when the prefix is over
+            if prefix > s0:
+                with pytest.raises(SizeBound) as err:
+                    end_families(x, y, k, prefix - 1)
+                assert (err.value.stage, err.value.steps) == \
+                    (f"level-{k} end prefix", prefix)
+            if prefix < steps:
+                with pytest.raises(SizeBound) as err:
+                    end_families(x, y, k, prefix)
+                assert err.value.stage == f"level-{k} end"
+
+
+def test_over_budget_level_one_refused_from_its_prefix(corpus, counted):
+    for i, j in [(10, 4), (10, 9)]:
+        a, b = corpus[i], corpus[j]
+        start = time.perf_counter()
+        with pytest.raises(SizeBound) as err:
+            internal_hom(a, b, 10 ** 6)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.1, (i, j, elapsed)
+        assert err.value.stage == "level-1 end prefix"
+        level0, s0 = counted(a, b, 0)
+        assert err.value.steps == _counted_prefix(a, b, 1, level0, s0)
+        assert err.value.bound == 10 ** 6
+        assert "second jump cell" in str(err.value)
+
+
+def test_size_bound_names_its_stage(counted):
+    two, i2 = free_arrow(), indisc(FinObj(2))
+    with pytest.raises(SizeBound) as err:
+        internal_hom(indisc(FinObj(4)), indisc(FinObj(4)), bound=10)
+    assert (err.value.stage, err.value.steps, err.value.bound) == \
+        ("object tables", 256, 10)
+    with pytest.raises(SizeBound) as err:
+        internal_hom(two, i2, bound=255)
+    assert (err.value.stage, err.value.steps, err.value.bound) == \
+        ("composable triples", 256, 255)
+    # a bound that covers the counted prefix but not the whole search
+    level0, s0 = counted(two, i2, 0)
+    prefix = _counted_prefix(two, i2, 1, level0, s0)
+    _fams, steps = counted(two, i2, 1)
+    assert prefix < steps
+    with pytest.raises(SizeBound) as err:
+        counted(two, i2, 1, prefix)
+    assert (err.value.stage, err.value.steps, err.value.bound) == \
+        ("level-1 end", prefix + 1, prefix)
+    with pytest.raises(SizeBound) as err:
+        counted(two, i2, 1, prefix - 1)
+    assert (err.value.stage, err.value.steps, err.value.bound) == \
+        ("level-1 end prefix", prefix, prefix - 1)
+
+
+# steps, family count and a digest of the family keys in order, for the
+# cases of test_internal_hom_join_matches_level_two_end at levels 1 and 2,
+# as the search gave them before it counted its prefix
+_END_DIGESTS = [
+    (1, 87, 6, "c27078c1b3923d1b"), (2, 340, 10, "99024ba0c1bc729b"),
+    (1, 138, 16, "b987c8f05892f3e2"), (2, 954, 64, "c89658282439bd62"),
+    (1, 63, 3, "4727ef04fa7556bd"), (2, 175, 4, "3063df6e07324601"),
+    (1, 15, 3, "e62992c8bafabfe6"), (2, 42, 4, "4db0917518a2a907"),
+    (1, 58, 10, "7594a9049515f534"), (2, 478, 52, "254705b4f4e6f968"),
+    (1, 28, 6, "8c56095ffb5f2d5c"), (2, 144, 18, "fc2c389af56db920"),
+    (1, 61, 12, "e7389b02d69188a0"), (2, 585, 72, "dd3d8e920e10c804"),
+    (1, 244, 21, "476af954f06cccc6"), (2, 2171, 95, "6265130672c7d17e"),
+]
+
+
+def test_end_families_steps_and_order_unchanged(corpus, counted):
+    pairs = [p for p in _small_pairs(corpus) if p[0].C0.size]
+    got = []
+    for x, y in pairs:
+        for k in (1, 2):
+            fams, steps = counted(x, y, k)
+            keys = repr([f.key() for f in fams]).encode()
+            got.append((k, steps, len(fams), hashlib.sha256(keys).hexdigest()[:16]))
+    assert got == _END_DIGESTS
+
+
+def test_memoised_check_family_rejects_every_perturbation():
+    # every single-entry change to a natural family either gives another
+    # solution of the end or must fail the sweep
+    two, i2 = free_arrow(), indisc(FinObj(2))
+    for x, y in [(two, two), (two, i2)]:
+        fams = end_families(x, y, 1)
+        natural = {f.key() for f in fams}
+        for fam in fams:
+            assert check_family(x, y, fam)
+            for level, tables, size in [(0, fam.eta0, y.C0.size),
+                                        (1, fam.eta1, y.C1.size)]:
+                for psi, row in tables.items():
+                    for a, val in enumerate(row):
+                        for new in range(size):
+                            if new == val:
+                                continue
+                            eta = dict(tables)
+                            eta[psi] = row[:a] + (new,) + row[a + 1:]
+                            bad = (ends.Family(1, eta, fam.eta1) if level == 0
+                                   else ends.Family(1, fam.eta0, eta))
+                            assert check_family(x, y, bad) == (bad.key() in natural)
 
 
 def test_coproduct_with_empty():
