@@ -131,8 +131,9 @@ def refute_finite_nno(max_size: int):
             g = FinMap(x_obj, x_obj,
                        tuple((k + 1) % (cycle + 1) for k in range(cycle + 1)))
         verdict = recursor_search(n_obj, z, s, x_obj, f, g)
-        assert verdict.outcome in ("noRecursor", "multipleRecursors"), \
-            f"counterexample failed to refute candidate {s.table}"
+        if verdict.outcome not in ("noRecursor", "multipleRecursors"):
+            raise CertificateFailure(
+                f"counterexample failed to refute candidate {s.table}")
         out.append(NNORefutation((n_obj, z, s), (x_obj, f, g), verdict))
     return out
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import finset
-from .errors import SizeBound
+from .errors import CertificateFailure, SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, compose_functors,
                        id_functor, validate_category, validate_functor)
@@ -171,7 +171,9 @@ def generate_corpus(spec: CorpusSpec):
             continue
         if cat.C0.size > spec.max_objects or cat.C1.size > spec.max_arrows:
             continue
-        assert validate_category(cat).ok
+        rep = validate_category(cat)
+        if not rep.ok:
+            raise CertificateFailure(f"corpus category failed validation: {rep}")
         out.append(cat)
     return out
 
@@ -242,5 +244,7 @@ def generate_functor_corpus(corpus, seed=7, per_pair=3):
                 picks = sorted(rng.sample(range(len(fs)), min(per_pair, len(fs))))
                 out += [fs[k] for k in picks]
     for f in out:
-        assert validate_functor(f).ok
+        rep = validate_functor(f)
+        if not rep.ok:
+            raise CertificateFailure(f"corpus functor failed validation: {rep}")
     return out

@@ -15,7 +15,7 @@ and (iso, all).
 from dataclasses import dataclass
 
 from . import finset
-from .errors import NonCommuting, NotInClass
+from .errors import CertificateFailure, NonCommuting, NotInClass
 from .finset import FinMap, compose, identity, inverse
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        fiber_arrow, is_epi_on_objects, is_fully_faithful,
@@ -95,9 +95,11 @@ def factor_internal(f: InternalFunctor, ofs: BaseOFS) -> LiftedFactorisation:
     l1 = pb.mediate(prod_c.mediate(compose(l0, x.d0), compose(l0, x.d1)), f.f1)
     left = InternalFunctor(x, middle, l0, l1)
     right = InternalFunctor(middle, y, r0, r1)
-    rep = validate_category(middle)
-    assert rep.ok, f"middle category failed validation: {rep}"
-    assert validate_functor(left).ok and validate_functor(right).ok
+    for what, rep in (("middle category", validate_category(middle)),
+                      ("left factor", validate_functor(left)),
+                      ("right factor", validate_functor(right))):
+        if not rep.ok:
+            raise CertificateFailure(f"factorisation: {what} failed validation: {rep}")
     return LiftedFactorisation(middle, left, right)
 
 
@@ -126,7 +128,9 @@ def lift_square(s: InternalFunctor, f: InternalFunctor, p: InternalFunctor,
                          u0.table[b.d0.table[arrow]])
              for arrow in range(b.C1.size)]
     u = InternalFunctor(b, x, u0, FinMap(b.C1, x.C1, tuple(table)))
-    assert validate_functor(u).ok
+    rep = validate_functor(u)
+    if not rep.ok:
+        raise CertificateFailure(f"square lift failed validation: {rep}")
     return u
 
 
@@ -153,7 +157,9 @@ def lift_two_cell(s: InternalFunctor, f: InternalFunctor,
              for obj in range(b.C0.size)]
     gamma = InternalNatTrans(u0_functor, u1_functor,
                              FinMap(b.C0, f.dom.C1, tuple(table)))
-    assert validate_nat_trans(gamma).ok
+    rep = validate_nat_trans(gamma)
+    if not rep.ok:
+        raise CertificateFailure(f"2-cell lift failed validation: {rep}")
     return gamma
 
 

@@ -8,8 +8,8 @@ its composition is the Segal join of composable cells, read off level 1
 without a level-2 search. `bound` caps the object tables, the end search steps
 (refused up front when the level-1 search's counted prefix exceeds it) and the
 composable triples of cells that validating the result lists. hom_category
-re-enumerates functors and transformations externally and serves as the
-anti-drift oracle.
+reads the hom-category off the naive oracle, which shares no code with the end
+path, and hom_iso_with_oracle checks the end hom against it.
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        derived_unit_maps, monotone_maps, validate_category,
                        validate_functor, validate_nat_trans)
+from .naive import oracle_from_internal, oracle_hom_category, oracle_nat_trans
 from .transfer import disc
 
 
@@ -399,20 +400,23 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
 
 
 # ---------------------------------------------------------------------------
-# External hom-category enumeration: the anti-drift oracle for the end path.
+# The enumerated hom-category: a typed view over the naive oracle, against
+# which the end path is checked.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HomCategory:
-    objects: tuple      # InternalFunctor list
-    arrows: tuple       # (src_index, tgt_index, InternalNatTrans)
+    objects: tuple      # functors as (f0 table, f1 table)
+    arrows: tuple       # cells as (src_index, tgt_index, component tuple)
     identity: tuple     # arrow index per object
     comp: dict          # (later, earlier) -> arrow index
 
 
 def enumerate_functors(a: InternalCategory, b: InternalCategory,
                        bound: int = 10 ** 6):
-    """All internal functors a -> b, ordered by (f0, f1) tables."""
+    """All internal functors a -> b, ordered by (f0, f1) tables.
+
+    SizeBound, with stage "functors", past `bound` search steps."""
     out = []
     steps = 0
     fibers = {}
@@ -427,7 +431,8 @@ def enumerate_functors(a: InternalCategory, b: InternalCategory,
     for f0 in iproduct(range(b.C0.size), repeat=a.C0.size):
         steps += 1
         if steps > bound:
-            raise SizeBound("functor enumeration exceeded the bound")
+            raise SizeBound("functor enumeration exceeded the bound",
+                            stage="functors", steps=steps, bound=bound)
         f1 = [None] * a.C1.size
 
         def assign(idx):
@@ -444,7 +449,8 @@ def enumerate_functors(a: InternalCategory, b: InternalCategory,
             for val in cands:
                 steps += 1
                 if steps > bound:
-                    raise SizeBound("functor enumeration exceeded the bound")
+                    raise SizeBound("functor enumeration exceeded the bound",
+                                    stage="functors", steps=steps, bound=bound)
                 f1[idx] = val
                 ok = True
                 for (u, v, w) in comp_checks[idx]:
@@ -464,102 +470,57 @@ def enumerate_functors(a: InternalCategory, b: InternalCategory,
 
 
 def enumerate_cells(f: InternalFunctor, g: InternalFunctor):
-    """All 2-cells f => g, ordered by assigner table."""
-    b = f.cod
-    a = f.dom
-    cands = []
-    for xx in range(a.C0.size):
-        fiber = [u for u in range(b.C1.size)
-                 if b.d1.table[u] == f.f0.table[xx]
-                 and b.d0.table[u] == g.f0.table[xx]]
-        if not fiber:
-            return []
-        cands.append(fiber)
-    out = []
-    for combo in iproduct(*cands):
-        alpha = FinMap(a.C0, b.C1, combo)
-        ok = True
-        for u in range(a.C1.size):
-            xx, yy = a.d1.table[u], a.d0.table[u]
-            if b.comp(g.f1.table[u], combo[xx]) != b.comp(combo[yy], f.f1.table[u]):
-                ok = False
-                break
-        if ok:
-            out.append(InternalNatTrans(f, g, alpha))
-    return out
+    """All 2-cells f => g, ordered by component table, as found by the naive
+    oracle."""
+    a, b = f.dom, f.cod
+    comps = oracle_nat_trans(oracle_from_internal(a), oracle_from_internal(b),
+                             (f.f0.table, f.f1.table), (g.f0.table, g.f1.table))
+    return [InternalNatTrans(f, g, FinMap(a.C0, b.C1, c)) for c in comps]
 
 
 def hom_category(a: InternalCategory, b: InternalCategory,
                  bound: int = 10 ** 6) -> HomCategory:
-    """Exhaustively enumerated hom-category with its composition table;
-    `bound` caps the functor search steps, the cells and the composable pairs
-    of cells."""
-    from .internal import id_nat_trans, vcomp
-    objects = enumerate_functors(a, b, bound)
-    arrows = []
-    for si, f in enumerate(objects):
-        for ti, g in enumerate(objects):
-            for cell in enumerate_cells(f, g):
-                arrows.append((si, ti, cell))
-                if len(arrows) > bound:
-                    raise SizeBound("cell enumeration exceeded the bound")
-    index = {(s, t, c.alpha.table): i for i, (s, t, c) in enumerate(arrows)}
-    ident = tuple(index[(i, i, id_nat_trans(f).alpha.table)]
-                  for i, f in enumerate(objects))
-    by_target = [[] for _ in objects]
-    for i1, (_s1, t1, _c1) in enumerate(arrows):
-        by_target[t1].append(i1)
-    if sum(len(by_target[s2]) for s2, _t2, _c2 in arrows) > bound:
-        raise SizeBound("composable cell pairs exceed the bound")
-    comp = {}
-    for i2, (s2, t2, c2) in enumerate(arrows):
-        for i1 in by_target[s2]:
-            s1, _t1, c1 = arrows[i1]
-            c = vcomp(c2, c1)
-            comp[(i2, i1)] = index[(s1, t2, c.alpha.table)]
-    return HomCategory(tuple(objects), tuple(arrows), ident, comp)
+    """The hom-category of a and b as the naive oracle enumerates it, with its
+    composition table; `bound` caps the functor search steps, the cells and
+    the composable pairs of cells."""
+    funs, arrows, cat = oracle_hom_category(
+        oracle_from_internal(a), oracle_from_internal(b), bound)
+    return HomCategory(tuple(funs), tuple(arrows), cat.identities, cat.comp)
 
 
-def hom_category_as_internal(hc: HomCategory) -> InternalCategory:
-    c0 = FinObj(len(hc.objects))
-    c1 = FinObj(len(hc.arrows))
-    d1 = FinMap(c1, c0, tuple(s for s, _t, _c in hc.arrows))
-    d0 = FinMap(c1, c0, tuple(t for _s, t, _c in hc.arrows))
-    i = FinMap(c0, c1, hc.identity)
-    pairs = finset.pullback(d1, d0)
-    m = FinMap(pairs.apex, c1, tuple(hc.comp[(u, v)] for u, v in pairs.tuples))
-    return InternalCategory(c0, c1, d0, d1, i, m)
+def hom_iso_with_oracle(ih: InternalHom, hc: HomCategory):
+    """An explicit isomorphism from the end-computed hom onto the enumerated
+    one, as its object table and its cell table.
 
-
-def hom_iso_with_oracle(ih: InternalHom, hc: HomCategory) -> InternalFunctor:
-    """An explicit isomorphism from the end-computed hom to the enumerated one.
-
-    Each end family decodes to functor tables; the map is located by search in
-    the oracle's lists and verified to be an invertible internal functor.
-    CertificateFailure if a family is missing from the lists or the map is not
-    an invertible functor.
+    Each end family decodes to functor tables, or to a cell's endpoints and
+    components, located by search in the oracle's lists. The tables must be
+    bijections that preserve endpoints, identities and composition, checked
+    against hc's own tables. CertificateFailure if a family is missing from
+    the lists or any of these checks fails.
     """
-    obj_index = {(h.f0.table, h.f1.table): i for i, h in enumerate(hc.objects)}
-    arr_index = {(s, t, c.alpha.table): i for i, (s, t, c) in enumerate(hc.arrows)}
+    obj_index = {h: i for i, h in enumerate(hc.objects)}
+    arr_index = {arr: i for i, arr in enumerate(hc.arrows)}
+    x, carrier = ih.dom, ih.carrier
     try:
-        table0 = []
-        for fam in ih.level0:
-            key = (fam.eta0[(0,)], fam.eta1[(0, 0)])
-            table0.append(obj_index[key])
-        table1 = []
-        for fam in ih.level1:
-            s = obj_index[(fam.eta0[(0,)], fam.eta1[(0, 0)])]
-            t = obj_index[(fam.eta0[(1,)], fam.eta1[(1, 1)])]
-            alpha = tuple(fam.eta1[(0, 1)][ih.dom.i.table[xx]]
-                          for xx in range(ih.dom.C0.size))
-            table1.append(arr_index[(s, t, alpha)])
-        oracle_cat = hom_category_as_internal(hc)
-        iso = InternalFunctor(ih.carrier, oracle_cat,
-                              FinMap(ih.carrier.C0, oracle_cat.C0, tuple(table0)),
-                              FinMap(ih.carrier.C1, oracle_cat.C1, tuple(table1)))
-    except (KeyError, DomainMismatch) as exc:
+        table0 = tuple(obj_index[(fam.eta0[(0,)], fam.eta1[(0, 0)])]
+                       for fam in ih.level0)
+        table1 = tuple(
+            arr_index[(obj_index[(fam.eta0[(0,)], fam.eta1[(0, 0)])],
+                       obj_index[(fam.eta0[(1,)], fam.eta1[(1, 1)])],
+                       tuple(fam.eta1[(0, 1)][x.i.table[xx]]
+                             for xx in range(x.C0.size)))]
+            for fam in ih.level1)
+        iso = (sorted(table0) == list(range(len(hc.objects)))
+               and sorted(table1) == list(range(len(hc.arrows)))
+               and all(hc.arrows[table1[u]][:2] == (table0[s], table0[t])
+                       for u, (s, t) in enumerate(zip(carrier.d1.table,
+                                                      carrier.d0.table)))
+               and all(table1[e] == hc.identity[table0[xx]]
+                       for xx, e in enumerate(carrier.i.table))
+               and all(table1[w] == hc.comp.get((table1[u], table1[v]))
+                       for (u, v), w in zip(carrier.pairs.tuples, carrier.m.table)))
+    except (KeyError, IndexError) as exc:
         raise CertificateFailure(f"hom comparison failed: {exc!r}") from exc
-    if not (finset.is_iso(iso.f0) and finset.is_iso(iso.f1)
-            and validate_functor(iso).ok):
+    if not iso:
         raise CertificateFailure("hom comparison is not an isomorphism")
-    return iso
+    return table0, table1

@@ -11,7 +11,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from fincat import finset, naive, serialize
+from fincat import finset, serialize
 from fincat.audit import (AuditConfig, recursor_search, refute_finite_nno,
                           run_audit, two_well_pointed_check)
 from fincat.classifiers import (categorified_choice_audit, classify_full_mono,
@@ -31,8 +31,8 @@ from fincat.internal import (InternalNatTrans, compose_functors, id_functor,
                              validate_functor, validate_nat_trans,
                              whisker_left, whisker_right)
 from fincat.limits import (enumerate_cells, enumerate_functors, free_arrow,
-                           hom_category, internal_hom, power_by_two,
-                           pullback_cat, terminal_cat)
+                           hom_category, hom_iso_with_oracle, internal_hom,
+                           power_by_two, pullback_cat, terminal_cat)
 from fincat.transfer import (adjunction_disc_objects, adjunction_objects_indisc,
                              adjunction_pi0_disc, disc, disc_map,
                              functor_to_indisc, indisc, indisc_map, pi0,
@@ -58,14 +58,13 @@ def test_criterion_01_oracle_hom_equivalence(corpus):
         for b in corpus:
             try:
                 ih = internal_hom(a, b, SIZE_BOUND)
-                na, nb = naive.oracle_from_internal(a), naive.oracle_from_internal(b)
-                funs, cells, oracle_cat = naive.oracle_hom_category(na, nb, SIZE_BOUND)
+                hc = hom_category(a, b, SIZE_BOUND)
             except SizeBound as exc:
                 skipped[exc.stage] += 1
                 continue
-            assert ih.carrier.C0.size == len(funs), (a, b)
-            assert ih.carrier.C1.size == len(cells), (a, b)
-            _assert_hom_iso(ih, funs, cells, oracle_cat)
+            assert ih.carrier.C0.size == len(hc.objects), (a, b)
+            assert ih.carrier.C1.size == len(hc.arrows), (a, b)
+            hom_iso_with_oracle(ih, hc)
             compared += 1
     elapsed = time.time() - start
     causes = ", ".join(f"{n} at {stage}" for stage, n in sorted(skipped.items()))
@@ -79,42 +78,10 @@ def test_criterion_01_segal_join_completes_pair_21_20(corpus):
     # join composes it from level 1 alone
     a, b = corpus[21], corpus[20]
     ih = internal_hom(a, b, SIZE_BOUND)
-    na, nb = naive.oracle_from_internal(a), naive.oracle_from_internal(b)
-    funs, cells, oracle_cat = naive.oracle_hom_category(na, nb, SIZE_BOUND)
+    hc = hom_category(a, b, SIZE_BOUND)
     assert (ih.carrier.C0.size, ih.carrier.C1.size) == (64, 343)
-    assert (len(funs), len(cells)) == (64, 343)
-    _assert_hom_iso(ih, funs, cells, oracle_cat)
-
-
-def _assert_hom_iso(ih, funs, cells, oracle_cat):
-    """Explicit isomorphism from the end-computed hom onto the oracle
-    hom-category, located by search and verified against the naive tables."""
-    fun_index = {f: i for i, f in enumerate(funs)}
-    cell_index = {c: i for i, c in enumerate(cells)}
-    x = ih.dom
-    table0 = []
-    for fam in ih.level0:
-        key = (fam.eta0[(0,)], fam.eta1[(0, 0)])
-        table0.append(fun_index[key])
-    table1 = []
-    for fam in ih.level1:
-        s = fun_index[(fam.eta0[(0,)], fam.eta1[(0, 0)])]
-        t = fun_index[(fam.eta0[(1,)], fam.eta1[(1, 1)])]
-        comp = tuple(fam.eta1[(0, 1)][x.i.table[xx]] for xx in range(x.C0.size))
-        table1.append(cell_index[(s, t, comp)])
-    # bijectivity
-    assert sorted(table0) == list(range(len(funs)))
-    assert sorted(table1) == list(range(len(cells)))
-    # functoriality against the oracle's own composition tables
-    carrier = ih.carrier
-    for u in range(carrier.C1.size):
-        assert oracle_cat.arrows[table1[u]] == (table0[carrier.d1.table[u]],
-                                                table0[carrier.d0.table[u]])
-    for xx in range(carrier.C0.size):
-        assert table1[carrier.i.table[xx]] == oracle_cat.identities[table0[xx]]
-    for p, (u, v) in enumerate(carrier.pairs.tuples):
-        assert table1[carrier.m.table[p]] == \
-            oracle_cat.comp[(table1[u], table1[v])]
+    assert (len(hc.objects), len(hc.arrows)) == (64, 343)
+    hom_iso_with_oracle(ih, hc)
 
 
 def test_criterion_02_power_by_two(corpus):
@@ -145,30 +112,30 @@ def test_criterion_02_power_by_two(corpus):
 def _assert_power_iso(a, p, hc):
     """Explicit isomorphism from the power onto the enumerated functor
     category [2, A]: an object of the power is an arrow of a, which picks a
-    functor from the free arrow; a square picks a 2-cell."""
+    functor from the free arrow; a square picks a 2-cell. Checked against the
+    oracle's own identity and composition tables."""
     from fincat.audit import arrow_functor
-    from fincat.internal import InternalFunctor, validate_functor
-    from fincat.limits import hom_category_as_internal
-    obj_index = {(h.f0.table, h.f1.table): i for i, h in enumerate(hc.objects)}
-    cell_index = {(s, t, c.alpha.table): i for i, (s, t, c) in enumerate(hc.arrows)}
+    obj_index = {h: i for i, h in enumerate(hc.objects)}
+    cell_index = {c: i for i, c in enumerate(hc.arrows)}
     table0 = []
     for u in range(a.C1.size):
         h = arrow_functor(a, u)
         table0.append(obj_index[(h.f0.table, h.f1.table)])
+    carrier = p.carrier
     table1 = []
-    for sq in range(p.carrier.C1.size):
-        u = p.carrier.d1.table[sq]
-        v = p.carrier.d0.table[sq]
+    for sq in range(carrier.C1.size):
+        u = carrier.d1.table[sq]
+        v = carrier.d0.table[sq]
         h_comp = p.source_proj.f1.table[sq]
         k_comp = p.target_proj.f1.table[sq]
         # the 2-cell between the picked functors has components (h, k)
         table1.append(cell_index[(table0[u], table0[v], (h_comp, k_comp))])
-    oracle_cat = hom_category_as_internal(hc)
-    iso = InternalFunctor(p.carrier, oracle_cat,
-                          FinMap(p.carrier.C0, oracle_cat.C0, tuple(table0)),
-                          FinMap(p.carrier.C1, oracle_cat.C1, tuple(table1)))
-    assert finset.is_iso(iso.f0) and finset.is_iso(iso.f1)
-    assert validate_functor(iso).ok
+    assert sorted(table0) == list(range(len(hc.objects)))
+    assert sorted(table1) == list(range(len(hc.arrows)))
+    for u in range(carrier.C0.size):
+        assert table1[carrier.i.table[u]] == hc.identity[table0[u]]
+    for q, (s2, s1) in enumerate(carrier.pairs.tuples):
+        assert table1[carrier.m.table[q]] == hc.comp[(table1[s2], table1[s1])]
 
 
 def test_criterion_03_factorisation_suite(corpus, functor_corpus):

@@ -223,6 +223,27 @@ def test_cli_hom_and_oracle_compare(capsys):
     assert "match" in capsys.readouterr().out
 
 
+def test_cli_oracle_compare_certifies_the_isomorphism(monkeypatch, capsys):
+    from fincat import cli, limits
+    a = os.path.join(FIXTURES, "walking_arrow.json")
+    b = os.path.join(FIXTURES, "indisc2.json")
+
+    def comp_moved(x, y, bound):
+        # the true lists, so the sizes agree, with one composite moved
+        hc = limits.hom_category(x, y, bound)
+        comp = dict(hc.comp)
+        key = next(iter(comp))
+        comp[key] = (comp[key] + 1) % len(hc.arrows)
+        return limits.HomCategory(hc.objects, hc.arrows, hc.identity, comp)
+
+    monkeypatch.setattr(cli, "hom_category", comp_moved)
+    assert main(["oracle-compare", a, b]) == 1
+    out = capsys.readouterr().out
+    assert "end formula: 4 functors, 16 cells" in out
+    assert "oracle:      4 functors, 16 cells" in out
+    assert out.rstrip().endswith("MISMATCH")
+
+
 def test_cli_classify_and_section(tmp_path, capsys):
     from fincat.transfer import functor_to_indisc, indisc_map
     one = terminal_cat()

@@ -1,7 +1,10 @@
 """Lifted orthogonal factorisation: both base instances, square and 2-cell
 lifting with exhaustive uniqueness, acuteness."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -236,3 +239,54 @@ def test_pullback_stability_of_left_class(functor_corpus):
             assert is_epi_on_objects(pb.proj1)
             checked += 1
     assert checked > 0
+
+
+def test_certificates_survive_optimised_python():
+    # the self-checks of the factorisation, both lifts, both corpora and the
+    # NNO refutation raise CertificateFailure with code that -O keeps
+    script = """
+import types
+import fincat.audit as audit
+import fincat.corpus as corpus
+import fincat.factorisation as fac
+from fincat.errors import CertificateFailure
+from fincat.internal import ValidationReport, Violation, id_functor, id_nat_trans
+from fincat.limits import free_arrow
+bad = ValidationReport((Violation("planted", 0, "planted failure"),))
+e = id_functor(free_arrow())
+cell = id_nat_trans(e)
+ofs = fac.epi_mono_ofs()
+cases = [
+    (fac, "validate_category", lambda: fac.factor_internal(e, ofs)),
+    (fac, "validate_functor", lambda: fac.factor_internal(e, ofs)),
+    (fac, "validate_functor", lambda: fac.lift_square(e, e, e, e, ofs)),
+    (fac, "validate_nat_trans",
+     lambda: fac.lift_two_cell(e, e, cell, cell, e, e, ofs)),
+    (corpus, "validate_category",
+     lambda: corpus.generate_corpus(corpus.CorpusSpec(count=3))),
+    (corpus, "validate_functor",
+     lambda: corpus.generate_functor_corpus([free_arrow()])),
+]
+for module, name, run in cases:
+    real = getattr(module, name)
+    setattr(module, name, lambda *_args: bad)
+    try:
+        run()
+    except CertificateFailure:
+        pass
+    else:
+        raise SystemExit(module.__name__ + "." + name + " failure was not raised")
+    setattr(module, name, real)
+audit.recursor_search = lambda *_args: types.SimpleNamespace(outcome="unique")
+try:
+    audit.refute_finite_nno(1)
+except CertificateFailure:
+    pass
+else:
+    raise SystemExit("refute_finite_nno failure was not raised")
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr

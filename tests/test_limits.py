@@ -23,9 +23,9 @@ from fincat.internal import (compose_functors, id_functor,
                              validate_nat_trans)
 from fincat.limits import (HomCategory, bang_functor, constant_functor, coproduct_cat,
                            copower_by_two, enumerate_cells, enumerate_functors,
-                           free_arrow, hom_category, hom_category_as_internal,
-                           hom_iso_with_oracle, internal_hom, power_by_two,
-                           product_cat, pullback_cat, terminal_cat)
+                           free_arrow, hom_category, hom_iso_with_oracle,
+                           internal_hom, power_by_two, product_cat, pullback_cat,
+                           terminal_cat)
 from fincat.transfer import disc, indisc
 
 
@@ -400,6 +400,12 @@ def test_size_bound_names_its_stage(counted):
         counted(two, i2, 1, prefix - 1)
     assert (err.value.stage, err.value.steps, err.value.bound) == \
         ("level-1 end prefix", prefix, prefix - 1)
+    # the object-table step and the first arrow candidate of the functor search
+    for bound in (0, 1):
+        with pytest.raises(SizeBound) as err:
+            enumerate_functors(two, i2, bound)
+        assert (err.value.stage, err.value.steps, err.value.bound) == \
+            ("functors", bound + 1, bound)
 
 
 # steps, family count and a digest of the family keys in order, for the
@@ -556,8 +562,7 @@ def test_internal_hom_matches_oracle(corpus):
             hc = hom_category(a, b)
             assert ih.carrier.C0.size == len(hc.objects)
             assert ih.carrier.C1.size == len(hc.arrows)
-            iso = hom_iso_with_oracle(ih, hc)
-            assert validate_functor(iso).ok
+            hom_iso_with_oracle(ih, hc)
             checked += 1
             if checked >= 12:
                 return
@@ -568,7 +573,7 @@ def test_hom_iso_with_oracle_rejects_tampered_oracle():
     two = free_arrow()
     ih = internal_hom(two, two)
     hc = hom_category(two, two)
-    assert validate_functor(hom_iso_with_oracle(ih, hc)).ok
+    hom_iso_with_oracle(ih, hc)
     # drop one non-identity arrow; the end hom's cell for it has no image
     dropped = next(i for i in reversed(range(len(hc.arrows)))
                    if i not in hc.identity)
@@ -580,6 +585,17 @@ def test_hom_iso_with_oracle_rejects_tampered_oracle():
     swapped = HomCategory(hc.objects[::-1], hc.arrows, hc.identity, hc.comp)
     with pytest.raises(CertificateFailure):
         hom_iso_with_oracle(ih, swapped)
+    # the same lists with one composite or one identity moved: bijective and
+    # endpoint-preserving still, but not a functor onto the oracle's tables
+    key = next(iter(hc.comp))
+    comp = dict(hc.comp)
+    comp[key] = (comp[key] + 1) % len(hc.arrows)
+    with pytest.raises(CertificateFailure):
+        hom_iso_with_oracle(ih, HomCategory(hc.objects, hc.arrows, hc.identity, comp))
+    identity_moved = ((hc.identity[0] + 1) % len(hc.arrows),) + hc.identity[1:]
+    with pytest.raises(CertificateFailure):
+        hom_iso_with_oracle(ih, HomCategory(hc.objects, hc.arrows, identity_moved,
+                                            hc.comp))
 
 
 def test_end_families_match_literal_equalizer():
