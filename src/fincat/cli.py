@@ -14,7 +14,6 @@ from .classifiers import classify_full_mono, section_of_ff_epi
 from .errors import (CertificateFailure, FincatError, NotFFEpi, NotFullMono,
                      ParseError, SizeBound, ValidationError)
 from .factorisation import epi_mono_ofs, factor_internal, iso_all_ofs
-from .internal import validate_category
 from .limits import (copower_by_two, hom_category, hom_iso_with_oracle,
                      internal_hom, power_by_two)
 
@@ -105,11 +104,11 @@ def cmd_audit(args):
     bad = False
     for name, data in sorted(report["entries"].items()):
         verdict = data["verdict"]
-        expected = "refuted" if name == "nno" else ("verified-at-scale", "skipped")
-        ok = verdict == "refuted" if name == "nno" else verdict in expected
+        # nno is refuted by design; a skipped suite never fails the run
+        expected = "refuted" if name == "nno" else "verified-at-scale"
         if args.format != "structured":
             print(f"{name}: {verdict}")
-        if not ok:
+        if verdict not in (expected, "skipped"):
             bad = True
     return 1 if bad else 0
 
@@ -128,6 +127,14 @@ def cmd_oracle_compare(args):
     print(f"oracle:      {len(hc.objects)} functors, {len(hc.arrows)} cells")
     print("match" if match else "MISMATCH")
     return 0 if match else 1
+
+
+def count(text):
+    """A non-negative integer option value: sizes, counts and bounds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def build_parser():
@@ -153,7 +160,7 @@ def build_parser():
     p = add("hom", help="internal hom of two categories")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--size-bound", type=int, default=10 ** 6)
+    p.add_argument("--size-bound", type=count, default=10 ** 6)
     p.set_defaults(fn=cmd_hom)
 
     p = add("power", help="power by the free arrow")
@@ -174,18 +181,19 @@ def build_parser():
 
     p = add("audit", help="run the model-axiom audit")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-objects", type=int, default=4)
-    p.add_argument("--max-arrows", type=int, default=10)
-    p.add_argument("--corpus-size", type=int, default=12)
-    p.add_argument("--size-bound", type=int, default=10 ** 6)
-    p.add_argument("--suite", action="append",
+    p.add_argument("--max-objects", type=count, default=4)
+    p.add_argument("--max-arrows", type=count, default=10)
+    p.add_argument("--corpus-size", type=count, default=12)
+    p.add_argument("--size-bound", type=count, default=10 ** 6)
+    p.add_argument("--suite", action="append", choices=AuditConfig.suites,
+                   metavar="SUITE",
                    help="restrict to a named suite (repeatable)")
     p.set_defaults(fn=cmd_audit)
 
     p = add("oracle-compare", help="compare the end formula with the oracle")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--size-bound", type=int, default=10 ** 6)
+    p.add_argument("--size-bound", type=count, default=10 ** 6)
     p.set_defaults(fn=cmd_oracle_compare)
 
     return parser

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 from . import finset
 from .errors import CertificateFailure, SizeBound
-from .finset import FinMap, FinObj, compose, identity
-from .internal import (InternalCategory, InternalFunctor, compose_functors,
-                       id_functor, validate_category, validate_functor)
-from .limits import (CoproductCone, coproduct_cat, free_arrow, product_cat,
-                     enumerate_functors)
-from .transfer import disc, disc_map, indisc, indisc_map
+from .finset import FinMap, FinObj
+from .internal import (InternalCategory, InternalFunctor, id_functor,
+                       validate_category, validate_functor)
+from .limits import coproduct_cat, enumerate_functors, free_arrow, product_cat
+from .transfer import disc, indisc, indisc_map
 
 
 DEFAULT_CONSTRUCTORS = ("freeOnDAG", "monoidDelooping", "preorder", "product",
@@ -137,24 +136,31 @@ def _random_preorder(rng, n):
 
 
 def generate_corpus(spec: CorpusSpec):
-    """Deterministic under seed; every item passes the validator."""
+    """Deterministic under seed; every item passes the validator and fits
+    the caps, so the free arrow leads the list only where it fits."""
     rng = random.Random(spec.seed)
-    out = [free_arrow()] if spec.count > 0 else []
+
+    def fits(cat):
+        return cat.C0.size <= spec.max_objects and cat.C1.size <= spec.max_arrows
+
+    two = free_arrow()
+    out = [two] if spec.count > 0 and fits(two) else []
     attempts = 0
     while len(out) < spec.count and attempts < spec.count * 40:
         attempts += 1
         name = rng.choice([c for c in spec.constructors])
         cat = None
+        # a constructor whose smallest item cannot fit draws nothing
         if name == "disc":
             cat = disc(FinObj(rng.randint(0, spec.max_objects)))
         elif name == "indisc":
             cat = indisc(FinObj(rng.randint(1, max(1, spec.max_objects // 2))))
-        elif name == "monoidDelooping":
+        elif name == "monoidDelooping" and spec.max_arrows >= 2:
             cat = monoid_delooping(_monoid_tables(rng, spec.max_arrows))
-        elif name == "preorder":
+        elif name == "preorder" and spec.max_objects >= 1:
             n = rng.randint(1, spec.max_objects)
             cat = preorder_category(_random_preorder(rng, n), n)
-        elif name == "freeOnDAG":
+        elif name == "freeOnDAG" and spec.max_objects >= 1:
             n = rng.randint(1, spec.max_objects)
             edges = [(a, b) for a in range(n) for b in range(a + 1, n)
                      if rng.random() < 0.5]
@@ -167,9 +173,7 @@ def generate_corpus(spec: CorpusSpec):
             cat = coproduct_cat(a, b).category
         elif name == "opposite" and out:
             cat = opposite(rng.choice(out))
-        if cat is None:
-            continue
-        if cat.C0.size > spec.max_objects or cat.C1.size > spec.max_arrows:
+        if cat is None or not fits(cat):
             continue
         rep = validate_category(cat)
         if not rep.ok:

@@ -7,13 +7,15 @@ definitional path: its objects and cells are the level-0 and level-1 ends, and
 its composition is the Segal join of composable cells, read off level 1
 without a level-2 search. `bound` caps the object tables, the end search steps
 (refused up front when the level-1 search's counted prefix exceeds it) and the
-composable triples of cells that validating the result lists. hom_category
-reads the hom-category off the naive oracle, which shares no code with the end
-path, and hom_iso_with_oracle checks the end hom against it.
+composable triples of cells that validating the result lists.
+
+The functor, cell and hom-category searches all live in naive.py, which shares
+no code with the end path: enumerate_functors, enumerate_cells and
+hom_category are typed views over them, and hom_iso_with_oracle checks the
+end hom against the oracle's hom-category.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from . import finset
 from .ends import Family, end_families
@@ -22,7 +24,8 @@ from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        derived_unit_maps, monotone_maps, validate_category,
                        validate_functor, validate_nat_trans)
-from .naive import oracle_from_internal, oracle_hom_category, oracle_nat_trans
+from .naive import (oracle_from_internal, oracle_functors, oracle_hom_category,
+                    oracle_nat_trans)
 from .transfer import disc
 
 
@@ -400,8 +403,8 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
 
 
 # ---------------------------------------------------------------------------
-# The enumerated hom-category: a typed view over the naive oracle, against
-# which the end path is checked.
+# Functors, cells and the hom-category: typed views over the naive oracle's
+# searches, against which the end path is checked.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -414,59 +417,13 @@ class HomCategory:
 
 def enumerate_functors(a: InternalCategory, b: InternalCategory,
                        bound: int = 10 ** 6):
-    """All internal functors a -> b, ordered by (f0, f1) tables.
+    """All internal functors a -> b, ordered by (f0, f1) tables, as found by
+    the naive oracle's functor search.
 
-    SizeBound, with stage "functors", past `bound` search steps."""
-    out = []
-    steps = 0
-    fibers = {}
-    for u in range(b.C1.size):
-        fibers.setdefault((b.d1.table[u], b.d0.table[u]), []).append(u)
-    ids = {a.i.table[xx]: xx for xx in range(a.C0.size)}
-    comp_checks = [[] for _ in range(a.C1.size)]
-    for p, (u, v) in enumerate(a.pairs.tuples):
-        w = a.m.table[p]
-        last = max(u, v, w)
-        comp_checks[last].append((u, v, w))
-    for f0 in iproduct(range(b.C0.size), repeat=a.C0.size):
-        steps += 1
-        if steps > bound:
-            raise SizeBound("functor enumeration exceeded the bound",
-                            stage="functors", steps=steps, bound=bound)
-        f1 = [None] * a.C1.size
-
-        def assign(idx):
-            nonlocal steps
-            if idx == a.C1.size:
-                out.append(InternalFunctor(
-                    a, b, FinMap(a.C0, b.C0, f0), FinMap(a.C1, b.C1, tuple(f1))))
-                return
-            if idx in ids:
-                cands = [b.i.table[f0[ids[idx]]]]
-            else:
-                cands = fibers.get(
-                    (f0[a.d1.table[idx]], f0[a.d0.table[idx]]), [])
-            for val in cands:
-                steps += 1
-                if steps > bound:
-                    raise SizeBound("functor enumeration exceeded the bound",
-                                    stage="functors", steps=steps, bound=bound)
-                f1[idx] = val
-                ok = True
-                for (u, v, w) in comp_checks[idx]:
-                    bu, bv, bw = f1[u], f1[v], f1[w]
-                    if bu is None or bv is None or bw is None:
-                        continue
-                    if b.comp(bu, bv) != bw:
-                        ok = False
-                        break
-                if ok:
-                    assign(idx + 1)
-                f1[idx] = None
-
-        assign(0)
-    out.sort(key=lambda h: (h.f0.table, h.f1.table))
-    return out
+    SizeBound, with stage "oracle functors", past `bound` search steps."""
+    funs = oracle_functors(oracle_from_internal(a), oracle_from_internal(b), bound)
+    return [InternalFunctor(a, b, FinMap(a.C0, b.C0, f0), FinMap(a.C1, b.C1, f1))
+            for f0, f1 in funs]
 
 
 def enumerate_cells(f: InternalFunctor, g: InternalFunctor):

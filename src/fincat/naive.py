@@ -2,6 +2,10 @@
 enumerators. This is the independent oracle: it shares no code with the
 internal-category validators or the end-formula path, so a shared bug cannot
 silently confirm itself.
+
+Its searches for functors, natural transformations and hom-categories are the
+package's only ones; limits.enumerate_functors, enumerate_cells and
+hom_category are typed views over them.
 """
 
 from dataclasses import dataclass
@@ -80,48 +84,40 @@ def oracle_from_internal(cat) -> NaiveCategory:
 
 def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
     """All functors a -> b as (object table, arrow table) pairs, enumerated by
-    backtracking over arrow assignments in arrow order."""
+    backtracking over object tables and then arrow assignments in arrow order.
+
+    An identity goes to the identity of its object's image. Each composition
+    triangle of a is checked once, at the arrow that completes it: the
+    largest of its two factors and its composite. `bound` caps the search
+    steps, one per object or arrow candidate tried."""
     results = []
     steps = 0
     obj = [None] * a.objects
     arr = [None] * len(a.arrows)
+    completes = [[] for _ in a.arrows]
+    for (g, f), gf in a.comp.items():
+        completes[max(g, f, gf)].append((g, f, gf))
+    hom_b = {}
+    for y, (s, t) in enumerate(b.arrows):
+        hom_b.setdefault((s, t), []).append(y)
+
+    def step():
+        nonlocal steps
+        steps += 1
+        if steps > bound:
+            raise SizeBound("oracle functor enumeration exceeded the bound",
+                            stage="oracle functors", steps=steps, bound=bound)
 
     def obj_rec(x):
-        nonlocal steps
         if x == a.objects:
             arr_rec(0)
             return
         for y in range(b.objects):
-            steps += 1
-            if steps > bound:
-                raise SizeBound("oracle functor enumeration exceeded the bound",
-                                stage="oracle functors", steps=steps, bound=bound)
+            step()
             obj[x] = y
             obj_rec(x + 1)
-            obj[x] = None
-
-    def ok_so_far(k):
-        # identities and all complete composition triangles through k
-        s, t = a.arrows[k]
-        if a.identities[s] == k and arr[k] != b.identities[obj[s]]:
-            return False
-        if a.identities[t] == k and arr[k] != b.identities[obj[t]]:
-            return False
-        for g in range(len(a.arrows)):
-            if arr[g] is None:
-                continue
-            for f in range(len(a.arrows)):
-                if arr[f] is None:
-                    continue
-                cf = a.comp.get((g, f))
-                if cf is None or arr[cf] is None:
-                    continue
-                if b.comp[(arr[g], arr[f])] != arr[cf]:
-                    return False
-        return True
 
     def arr_rec(k):
-        nonlocal steps
         if k == len(a.arrows):
             results.append((tuple(obj), tuple(arr)))
             return
@@ -129,16 +125,13 @@ def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
         if a.identities[s] == k:
             cands = [b.identities[obj[s]]]
         else:
-            cands = b.hom(obj[s], obj[t])
+            cands = hom_b.get((obj[s], obj[t]), ())
         for y in cands:
-            steps += 1
-            if steps > bound:
-                raise SizeBound("oracle functor enumeration exceeded the bound",
-                                stage="oracle functors", steps=steps, bound=bound)
+            step()
             arr[k] = y
-            if ok_so_far(k):
+            if all(b.comp[(arr[g], arr[f])] == arr[gf]
+                   for g, f, gf in completes[k]):
                 arr_rec(k + 1)
-            arr[k] = None
 
     obj_rec(0)
     results.sort()

@@ -138,7 +138,7 @@ def _table(doc, field, length, cod_size):
     return tuple(table)
 
 
-def parse_category_doc(doc, field="category", validate=True):
+def parse_category_doc(doc, field="category"):
     _object(doc, field)
     c0 = parse_obj_doc(_require(doc, "C0"), field=f"{field}.C0")
     c1 = parse_obj_doc(_require(doc, "C1"), field=f"{field}.C1")
@@ -151,52 +151,49 @@ def parse_category_doc(doc, field="category", validate=True):
     n_pairs = sum(into[s] for s in d1.table)
     m = FinMap(FinObj(n_pairs), c1, _table(doc, "m", n_pairs, c1.size))
     cat = InternalCategory(c0, c1, d0, d1, i, m)
-    if validate:
-        report = validate_category(cat)
-        if not report.ok:
-            raise ValidationError(report)
+    report = validate_category(cat)
+    if not report.ok:
+        raise ValidationError(report)
     return cat
 
 
-def parse_functor_doc(doc, field="functor", validate=True):
+def parse_functor_doc(doc, field="functor"):
     _object(doc, field)
-    dom = parse_category_doc(_require(doc, "dom"), field=f"{field}.dom", validate=validate)
-    cod = parse_category_doc(_require(doc, "cod"), field=f"{field}.cod", validate=validate)
+    dom = parse_category_doc(_require(doc, "dom"), field=f"{field}.dom")
+    cod = parse_category_doc(_require(doc, "cod"), field=f"{field}.cod")
     f0 = FinMap(dom.C0, cod.C0, _table(doc, "f0", dom.C0.size, cod.C0.size))
     f1 = FinMap(dom.C1, cod.C1, _table(doc, "f1", dom.C1.size, cod.C1.size))
     fun = InternalFunctor(dom, cod, f0, f1)
-    if validate:
-        report = validate_functor(fun)
-        if not report.ok:
-            raise ValidationError(report)
+    report = validate_functor(fun)
+    if not report.ok:
+        raise ValidationError(report)
     return fun
 
 
-def parse_nat_trans_doc(doc, field="cell", validate=True):
+def parse_nat_trans_doc(doc, field="cell"):
     _object(doc, field)
-    src = parse_functor_doc(_require(doc, "src"), field=f"{field}.src", validate=validate)
-    tgt = parse_functor_doc(_require(doc, "tgt"), field=f"{field}.tgt", validate=validate)
+    src = parse_functor_doc(_require(doc, "src"), field=f"{field}.src")
+    tgt = parse_functor_doc(_require(doc, "tgt"), field=f"{field}.tgt")
     alpha = FinMap(src.dom.C0, src.cod.C1,
                    _table(doc, "alpha", src.dom.C0.size, src.cod.C1.size))
     cell = InternalNatTrans(src, tgt, alpha)
-    if validate:
-        report = validate_nat_trans(cell)
-        if not report.ok:
-            raise ValidationError(report)
+    report = validate_nat_trans(cell)
+    if not report.ok:
+        raise ValidationError(report)
     return cell
 
 
-def parse(text, validate=True):
+def parse(text):
     """Dispatch on the document's keys: category, functor, cell, map or set."""
     doc = _load(text)
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object at top level")
     if "alpha" in doc:
-        return parse_nat_trans_doc(doc, validate=validate)
+        return parse_nat_trans_doc(doc)
     if "f0" in doc:
-        return parse_functor_doc(doc, validate=validate)
+        return parse_functor_doc(doc)
     if "C0" in doc:
-        return parse_category_doc(doc, validate=validate)
+        return parse_category_doc(doc)
     if "table" in doc:
         return parse_map_doc(doc)
     if "size" in doc:
@@ -204,13 +201,13 @@ def parse(text, validate=True):
     raise ParseError("unrecognised document shape")
 
 
-def parse_category(text, validate=True):
-    return parse_category_doc(_load(text), validate=validate)
+def parse_category(text):
+    return parse_category_doc(_load(text))
 
 
-def parse_functor(text, validate=True):
-    return parse_functor_doc(_load(text), validate=validate)
+def parse_functor(text):
+    return parse_functor_doc(_load(text))
 
 
-def parse_nat_trans(text, validate=True):
-    return parse_nat_trans_doc(_load(text), validate=validate)
+def parse_nat_trans(text):
+    return parse_nat_trans_doc(_load(text))

@@ -15,7 +15,7 @@ from fincat.errors import ParseError, ValidationError
 from fincat.finset import FinMap, FinObj
 from fincat.internal import id_functor, id_nat_trans, validate_category
 from fincat.limits import enumerate_functors, free_arrow, terminal_cat
-from fincat.transfer import disc, indisc
+from fincat.transfer import disc
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -271,6 +271,55 @@ def test_cli_audit_exit_code_and_determinism(capsys):
     main(["audit", "--seed", "7", "--corpus-size", "6", "--format", "structured"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cli_audit_suite_selection(capsys):
+    # a suite left out is skipped, and a skipped suite, nno included, never
+    # fails the run
+    assert main(["audit", "--suite", "boolean", "--format", "structured"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert entries["boolean"]["verdict"] == "verified-at-scale"
+    assert {v["verdict"] for k, v in entries.items() if k != "boolean"} == \
+        {"skipped"}
+    # an unknown suite is refused by the parser
+    with pytest.raises(SystemExit) as err:
+        main(["audit", "--suite", "nosuch"])
+    assert err.value.code == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
+def test_cli_audit_nothing_compared_is_skipped(capsys):
+    code = main(["audit", "--size-bound", "0", "--corpus-size", "4",
+                 "--format", "structured"])
+    entry = json.loads(capsys.readouterr().out)["entries"]["cartesianClosed"]
+    assert code == 0
+    assert entry == {"verdict": "skipped",
+                     "witnesses": {"pairs_compared": 0, "agreements": 0}}
+
+
+@pytest.mark.parametrize("option", ["--max-objects", "--max-arrows"])
+def test_cli_audit_small_sizes_run(option, capsys):
+    for size in (0, 1):
+        argv = ["audit", option, str(size), "--corpus-size", "4"]
+        assert main(argv + ["--format", "structured"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert entries["nno"]["verdict"] == "refuted"
+    # the corpus keeps to the caps: with 0 or 1 object no free arrow
+    for max_objects, max_arrows in ((0, 10), (1, 10), (4, 0), (4, 1)):
+        spec = CorpusSpec(seed=7, max_objects=max_objects,
+                          max_arrows=max_arrows, count=6)
+        for cat in generate_corpus(spec):
+            assert cat.C0.size <= max_objects and cat.C1.size <= max_arrows
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--max-objects", "-1"), ("--max-arrows", "-2"), ("--corpus-size", "-1"),
+    ("--size-bound", "-1")])
+def test_cli_audit_negative_sizes_are_input_errors(option, value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["audit", option, value])
+    assert err.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
 
 
 def test_cli_structured_output_parses_back(capsys):

@@ -7,8 +7,8 @@ from itertools import product as iproduct
 import pytest
 
 from fincat import finset, naive
-from fincat.corpus import category_from_tables, free_on_dag
-from fincat.errors import DomainMismatch
+from fincat.corpus import category_from_tables, free_on_dag, monoid_delooping
+from fincat.errors import SizeBound
 from fincat.finset import FinMap, FinObj, compose, identity
 from fincat.internal import (InternalCategory, InternalFunctor,
                              InternalNatTrans, compose_functors, hcomp,
@@ -19,7 +19,7 @@ from fincat.internal import (InternalCategory, InternalFunctor,
                              validate_nat_trans, vcomp, whisker_left,
                              whisker_right)
 from fincat.limits import enumerate_cells, enumerate_functors, free_arrow
-from fincat.transfer import disc, disc_map
+from fincat.transfer import disc, disc_map, indisc
 
 
 def walking_arrow_by_hand():
@@ -235,3 +235,51 @@ def test_oracle_equivalence_with_naive_categories(corpus):
             assert len(fs) == len(oracle)
             cells = sum(len(enumerate_cells(f, g)) for f in fs for g in fs)
             assert cells == naive.count_all_nat_trans(na, nb, oracle)
+
+
+def _functors_by_brute_force(a, b):
+    """Every (f0, f1) table pair that validate_functor accepts, in table order."""
+    out = []
+    for f0 in iproduct(range(b.C0.size), repeat=a.C0.size):
+        for f1 in iproduct(range(b.C1.size), repeat=a.C1.size):
+            fun = InternalFunctor(a, b, FinMap(a.C0, b.C0, f0),
+                                  FinMap(a.C1, b.C1, f1))
+            if validate_functor(fun).ok:
+                out.append(fun)
+    return out
+
+
+def _cyclic(n):
+    return monoid_delooping([[(u + v) % n for v in range(n)] for u in range(n)])
+
+
+def _path3():
+    return free_on_dag(3, [(0, 1), (1, 2)])
+
+
+def test_functor_search_matches_brute_force(corpus):
+    # composites that more than one arrow of b could take: a missed
+    # composition check lets through a table that is no functor
+    pairs = [(_path3(), _cyclic(2)), (_cyclic(2), _cyclic(3)),
+             (free_arrow(), indisc(FinObj(2)))]
+    pairs += [(a, b) for a in corpus for b in corpus
+              if b.C0.size ** a.C0.size * b.C1.size ** a.C1.size <= 256]
+    for a, b in pairs:
+        assert enumerate_functors(a, b) == _functors_by_brute_force(a, b)
+
+
+def test_functor_search_step_counts():
+    # the search's step counts, one per object or arrow candidate tried, as
+    # the search that rescanned every assigned pair gave them: each
+    # composition triangle is checked once, when its last arrow is assigned,
+    # so every search node keeps its verdict
+    two, i2, path3 = free_arrow(), indisc(FinObj(2)), _path3()
+    cases = [(two, two, 17), (two, i2, 18), (path3, _cyclic(2), 26),
+             (_cyclic(2), _cyclic(3), 5), (i2, path3, 33), (path3, path3, 132)]
+    for a, b, steps in cases:
+        na, nb = naive.oracle_from_internal(a), naive.oracle_from_internal(b)
+        with pytest.raises(SizeBound) as err:
+            naive.oracle_functors(na, nb, steps - 1)
+        assert (err.value.stage, err.value.steps, err.value.bound) == \
+            ("oracle functors", steps, steps - 1)
+        assert naive.oracle_functors(na, nb, steps) == naive.oracle_functors(na, nb)

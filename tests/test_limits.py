@@ -405,7 +405,7 @@ def test_size_bound_names_its_stage(counted):
         with pytest.raises(SizeBound) as err:
             enumerate_functors(two, i2, bound)
         assert (err.value.stage, err.value.steps, err.value.bound) == \
-            ("functors", bound + 1, bound)
+            ("oracle functors", bound + 1, bound)
 
 
 # steps, family count and a digest of the family keys in order, for the
