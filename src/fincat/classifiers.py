@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 from . import finset
 from .errors import CertificateFailure, NotBiSieve, NotFFEpi, NotFullMono
-from .finset import FinMap, compose, identity
+from .finset import FinMap, compose
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        compose_functors, fiber_arrow, id_functor, id_nat_trans,
                        is_epi_on_objects, is_full_mono, is_fully_faithful,
-                       validate_functor, validate_nat_trans, vcomp,
-                       whisker_left, whisker_right)
-from .transfer import (disc, functor_from_disc, functor_to_disc,
-                       functor_to_indisc, indisc, pi0, pi0_map, pi0_quotient)
+                       validate_functor, validate_nat_trans, whisker_left,
+                       whisker_right)
+from .limits import free_arrow, hom_category, terminal_cat
+from .transfer import (disc, functor_to_disc, functor_to_indisc, indisc,
+                       pi0_map, pi0_quotient)
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,17 @@ def classify_full_mono(f: InternalFunctor) -> InternalFunctor:
 def classifying_square_is_pullback(f: InternalFunctor, chi: InternalFunctor,
                                    fsc: FullSubobjectClassifier) -> bool:
     """Levelwise pullback check of the square (f, !) over (chi, top)."""
+    return _square_is_pullback(f, chi, fsc.top)
+
+
+def _square_is_pullback(f: InternalFunctor, chi: InternalFunctor,
+                        top: InternalFunctor) -> bool:
+    """Levelwise pullback check of the square (f, !) over (chi, top), for top
+    out of the terminal category."""
     a = f.dom
-    bang0 = finset.bang(a.C0)
-    bang1 = FinMap(a.C1, fsc.top.dom.C1, (0,) * a.C1.size)
-    ok0 = finset.is_pullback_square(f.f0, bang0, chi.f0, fsc.top.f0)
-    ok1 = finset.is_pullback_square(f.f1, bang1, chi.f1, fsc.top.f1)
-    return ok0 and ok1
+    bang1 = FinMap(a.C1, top.dom.C1, (0,) * a.C1.size)
+    return (finset.is_pullback_square(f.f0, finset.bang(a.C0), chi.f0, top.f0)
+            and finset.is_pullback_square(f.f1, bang1, chi.f1, top.f1))
 
 
 def is_strict_bi_sieve(f: InternalFunctor) -> bool:
@@ -90,19 +96,12 @@ def classify_strict_bi_sieve(f: InternalFunctor) -> BiSieveCertificate:
         chi_pi0 = finset.characteristic_map(image)
     chi0 = compose(chi_pi0, pi0_quotient(f.cod))
     chi = functor_to_disc(f.cod, chi0)
-    a = f.dom
-    one = disc(finset.terminal())
-    omega = disc(omega_base)
-    top = InternalFunctor(one, omega, top_base, top_base)
-    ok0 = finset.is_pullback_square(f.f0, finset.bang(a.C0), chi.f0, top.f0)
-    ok1 = finset.is_pullback_square(f.f1, FinMap(a.C1, one.C1, (0,) * a.C1.size),
-                                    chi.f1, top.f1)
-    return BiSieveCertificate(chi, pi0_mono, ok0 and ok1)
+    top = InternalFunctor(disc(finset.terminal()), disc(omega_base), top_base, top_base)
+    return BiSieveCertificate(chi, pi0_mono, _square_is_pullback(f, chi, top))
 
 
 def endpoint_functors():
     """The two full monos terminal -> free arrow picking the endpoints."""
-    from .limits import free_arrow, terminal_cat
     two = free_arrow()
     one = terminal_cat()
     left = InternalFunctor(one, two, FinMap(one.C0, two.C0, (0,)),
@@ -127,7 +126,6 @@ def is_two_valued():
     Returns (verdict, report) where the report carries the counts and whether
     the hom-category is the free-living isomorphism.
     """
-    from .limits import hom_category, terminal_cat
     fsc = full_subobject_classifier()
     hc = hom_category(terminal_cat(), fsc.omega)
     n_obj = len(hc.objects)
@@ -160,16 +158,14 @@ def section_of_ff_epi(e: InternalFunctor) -> SectionCertificate:
         fiber_arrow(e, arrow, s0.table[b.d1.table[arrow]], s0.table[b.d0.table[arrow]])
         for arrow in range(b.C1.size))
     s = InternalFunctor(b, a, s0, FinMap(b.C1, a.C1, s1_table))
-    rep = validate_functor(s)
-    _certify(rep.ok, f"section failed validation: {rep}")
+    validate_functor(s).certify("section")
     _certify(compose_functors(e, s) == id_functor(b), "e . s is not the identity")
     eta_table = tuple(
         fiber_arrow(e, b.i.table[e.f0.table[x]], x, s0.table[e.f0.table[x]])
         for x in range(a.C0.size))
     eta = InternalNatTrans(id_functor(a), compose_functors(s, e),
                            FinMap(a.C0, a.C1, eta_table))
-    rep = validate_nat_trans(eta)
-    _certify(rep.ok, f"unit failed validation: {rep}")
+    validate_nat_trans(eta).certify("unit")
     _certify(_invertible_cell(eta), "unit is not invertible")
     # triangle identities for the adjunction e -| s with identity counit
     _certify(whisker_left(e, eta) == id_nat_trans(e), "triangle on e fails")
@@ -185,13 +181,10 @@ def _certify(holds: bool, failure: str):
 def _invertible_cell(t: InternalNatTrans) -> bool:
     """Each component has a two-sided inverse arrow."""
     b = t.src.cod
-    for x in range(t.alpha.dom.size):
-        u = t.alpha.table[x]
+    for u in t.alpha.table:
         src, tgt = b.d1.table[u], b.d0.table[u]
-        if not any(b.d1.table[v] == tgt and b.d0.table[v] == src
-                   and b.comp(v, u) == b.i.table[src]
-                   and b.comp(u, v) == b.i.table[tgt]
-                   for v in range(b.C1.size)):
+        if not any(b.comp(v, u) == b.i.table[src] and b.comp(u, v) == b.i.table[tgt]
+                   for v in b.homs.get((tgt, src), ())):
             return False
     return True
 

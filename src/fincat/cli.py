@@ -19,8 +19,11 @@ from .limits import (copower_by_two, hom_category, hom_iso_with_oracle,
 
 
 def _read(path):
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(args, structured, *summary):
@@ -209,9 +212,6 @@ def main(argv=None):
         return 2
     except FincatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import finset
-from .errors import CertificateFailure, SizeBound
+from .errors import SizeBound
 from .finset import FinMap, FinObj
 from .internal import (InternalCategory, InternalFunctor, id_functor,
                        validate_category, validate_functor)
@@ -175,9 +175,7 @@ def generate_corpus(spec: CorpusSpec):
             cat = opposite(rng.choice(out))
         if cat is None or not fits(cat):
             continue
-        rep = validate_category(cat)
-        if not rep.ok:
-            raise CertificateFailure(f"corpus category failed validation: {rep}")
+        validate_category(cat).certify("corpus category")
         out.append(cat)
     return out
 
@@ -248,7 +246,5 @@ def generate_functor_corpus(corpus, seed=7, per_pair=3):
                 picks = sorted(rng.sample(range(len(fs)), min(per_pair, len(fs))))
                 out += [fs[k] for k in picks]
     for f in out:
-        rep = validate_functor(f)
-        if not rep.ok:
-            raise CertificateFailure(f"corpus functor failed validation: {rep}")
+        validate_functor(f).certify("corpus functor")
     return out

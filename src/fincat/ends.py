@@ -85,13 +85,6 @@ class _Budget:
                             stage=self.stage, steps=self.steps, bound=self.limit)
 
 
-def _hom_fibers(c: InternalCategory):
-    fibers = {}
-    for a in range(c.C1.size):
-        fibers.setdefault((c.d1.table[a], c.d0.table[a]), []).append(a)
-    return fibers
-
-
 def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
                  budget: int = 10 ** 6):
     """All natural families at level k, lex-ordered by product encoding.
@@ -102,7 +95,7 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     """
     slots1 = monotone_maps(1, k)
     x0, x1 = x_cat.C0.size, x_cat.C1.size
-    y_fibers = _hom_fibers(y_cat)
+    y_fibers = y_cat.homs
     budget = _Budget(budget, f"level-{k} end")
 
     # composition instances: equation m_Y(eta1[s12][u], eta1[s01][v]) = eta1[s02][uv]

@@ -15,12 +15,13 @@ and (iso, all).
 from dataclasses import dataclass
 
 from . import finset
-from .errors import CertificateFailure, NonCommuting, NotInClass
+from .errors import NonCommuting, NotInClass
 from .finset import FinMap, compose, identity, inverse
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
-                       fiber_arrow, is_epi_on_objects, is_fully_faithful,
-                       is_iso_on_objects, validate_category, validate_functor,
-                       validate_nat_trans)
+                       compose_functors, endpoint_pullback, fiber_arrow,
+                       is_epi_on_objects, is_fully_faithful, validate_category,
+                       validate_functor, validate_nat_trans)
+from .limits import enumerate_functors
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,7 @@ def factor_internal(f: InternalFunctor, ofs: BaseOFS) -> LiftedFactorisation:
     x, y = f.dom, f.cod
     l0, r0 = ofs.factor(f.f0)
     c0 = l0.cod
-    prod_c = finset.product(c0, c0)
-    prod_y = finset.product(y.C0, y.C0)
-    r0xr0 = prod_y.mediate(compose(r0, prod_c.projections[0]),
-                           compose(r0, prod_c.projections[1]))
-    endpoints_y = prod_y.mediate(y.d0, y.d1)
-    pb = finset.pullback(r0xr0, endpoints_y)
+    prod_c, pb = endpoint_pullback(r0, y)
     pair_proj, r1 = pb.projections
     c1 = pb.apex
     d0 = compose(prod_c.projections[0], pair_proj)
@@ -95,11 +91,9 @@ def factor_internal(f: InternalFunctor, ofs: BaseOFS) -> LiftedFactorisation:
     l1 = pb.mediate(prod_c.mediate(compose(l0, x.d0), compose(l0, x.d1)), f.f1)
     left = InternalFunctor(x, middle, l0, l1)
     right = InternalFunctor(middle, y, r0, r1)
-    for what, rep in (("middle category", validate_category(middle)),
-                      ("left factor", validate_functor(left)),
-                      ("right factor", validate_functor(right))):
-        if not rep.ok:
-            raise CertificateFailure(f"factorisation: {what} failed validation: {rep}")
+    validate_category(middle).certify("factorisation: middle category")
+    validate_functor(left).certify("factorisation: left factor")
+    validate_functor(right).certify("factorisation: right factor")
     return LiftedFactorisation(middle, left, right)
 
 
@@ -118,7 +112,6 @@ def lift_square(s: InternalFunctor, f: InternalFunctor, p: InternalFunctor,
         raise NotInClass(f"s is not {ofs.name}-left-on-objects")
     if not in_lifted_right(f, ofs):
         raise NotInClass(f"f is not in the lifted right class of {ofs.name}")
-    from .internal import compose_functors
     if compose_functors(f, p) != compose_functors(q, s):
         raise NonCommuting("the square does not commute")
     u0 = ofs.lift(s.f0, f.f0, p.f0, q.f0)
@@ -128,9 +121,7 @@ def lift_square(s: InternalFunctor, f: InternalFunctor, p: InternalFunctor,
                          u0.table[b.d0.table[arrow]])
              for arrow in range(b.C1.size)]
     u = InternalFunctor(b, x, u0, FinMap(b.C1, x.C1, tuple(table)))
-    rep = validate_functor(u)
-    if not rep.ok:
-        raise CertificateFailure(f"square lift failed validation: {rep}")
+    validate_functor(u).certify("square lift")
     return u
 
 
@@ -157,9 +148,7 @@ def lift_two_cell(s: InternalFunctor, f: InternalFunctor,
              for obj in range(b.C0.size)]
     gamma = InternalNatTrans(u0_functor, u1_functor,
                              FinMap(b.C0, f.dom.C1, tuple(table)))
-    rep = validate_nat_trans(gamma)
-    if not rep.ok:
-        raise CertificateFailure(f"2-cell lift failed validation: {rep}")
+    validate_nat_trans(gamma).certify("2-cell lift")
     return gamma
 
 
@@ -178,8 +167,6 @@ def bo_ff_factorisation(f: InternalFunctor) -> LiftedFactorisation:
 def left_orthogonal_to(f: InternalFunctor, r: InternalFunctor) -> bool:
     """Direct orthogonality test: every commuting square from f to r has
     exactly one diagonal filler, checked by exhaustive enumeration."""
-    from .limits import enumerate_functors
-    from .internal import compose_functors
     ps = enumerate_functors(f.dom, r.dom)
     qs = enumerate_functors(f.cod, r.cod)
     fillers = enumerate_functors(f.cod, r.dom)

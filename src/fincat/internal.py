@@ -17,7 +17,8 @@ from functools import cached_property, lru_cache, reduce
 from itertools import combinations_with_replacement
 
 from . import finset
-from .errors import DomainMismatch, ShapeMismatch
+from .errors import (CertificateFailure, DomainMismatch, FiberNotSingleton,
+                     ShapeMismatch)
 from .finset import FinMap, FinObj, compose, identity
 
 
@@ -43,6 +44,11 @@ class ValidationReport:
         if self.ok:
             return "valid"
         return "; ".join(str(v) for v in self.violations)
+
+    def certify(self, what):
+        """Raise CertificateFailure naming `what` unless the report is clean."""
+        if not self.ok:
+            raise CertificateFailure(f"{what} failed validation: {self}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +93,18 @@ class InternalCategory:
         """Composite u . v of arrows with d1(u) = d0(v)."""
         return self.m.table[self.pairs.encode((u, v))]
 
+    @cached_property
+    def homs(self):
+        """Arrow indices keyed by (source, target), in arrow order; a pair
+        with no arrow between them is absent."""
+        out = {}
+        for a, key in enumerate(zip(self.d1.table, self.d0.table)):
+            out.setdefault(key, []).append(a)
+        return {key: tuple(arrows) for key, arrows in out.items()}
+
     def hom(self, x, y):
         """Arrow indices from x to y."""
-        return [a for a in range(self.C1.size)
-                if self.d1.table[a] == x and self.d0.table[a] == y]
+        return list(self.homs.get((x, y), ()))
 
     def __repr__(self):
         return f"InternalCategory(|C0|={self.C0.size}, |C1|={self.C1.size})"
@@ -296,19 +310,25 @@ def hcomp(beta: InternalNatTrans, alpha: InternalNatTrans) -> InternalNatTrans:
     return vcomp(whisker_right(beta, alpha.tgt), whisker_left(beta.src, alpha))
 
 
-def ff_pullback(f: InternalFunctor):
-    """The chosen pullback of (d0, d1): B1 -> B0 x B0 along f0 x f0, together
-    with the canonical map A1 into it. Fully faithful = that map is bijective."""
-    a, b = f.dom, f.cod
+def endpoint_pullback(t: FinMap, b: InternalCategory):
+    """The chosen product X x X of the domain of t: X -> B0, and the chosen
+    pullback of b's endpoint map (d0, d1): B1 -> B0 x B0 along t x t.
+
+    An element of the pullback is a (target, source) pair of X with an arrow
+    of b between their images."""
+    prod_x = finset.product(t.dom, t.dom)
     prod_b = finset.product(b.C0, b.C0)
-    endpoints_b = prod_b.mediate(b.d0, b.d1)
-    prod_a = finset.product(a.C0, a.C0)
-    f0xf0 = prod_b.mediate(compose(f.f0, prod_a.projections[0]),
-                           compose(f.f0, prod_a.projections[1]))
-    pb = finset.pullback(f0xf0, endpoints_b)
-    endpoints_a = prod_a.mediate(a.d0, a.d1)
-    induced = pb.mediate(endpoints_a, f.f1)
-    return pb, induced
+    txt = prod_b.mediate(compose(t, prod_x.projections[0]),
+                         compose(t, prod_x.projections[1]))
+    return prod_x, finset.pullback(txt, prod_b.mediate(b.d0, b.d1))
+
+
+def ff_pullback(f: InternalFunctor):
+    """The endpoint pullback of f0, together with the canonical map A1 into
+    it. Fully faithful = that map is bijective."""
+    a = f.dom
+    prod_a, pb = endpoint_pullback(f.f0, f.cod)
+    return pb, pb.mediate(prod_a.mediate(a.d0, a.d1), f.f1)
 
 
 def is_fully_faithful(f: InternalFunctor) -> bool:
@@ -346,18 +366,13 @@ def reflects_identities(f: InternalFunctor) -> bool:
 def fiber_arrow(f: InternalFunctor, target_arrow, src_obj, tgt_obj):
     """The unique arrow u of dom(f) with f1(u) = target_arrow, d1(u) = src_obj,
     d0(u) = tgt_obj; requires f fully faithful (singleton fiber)."""
-    from .errors import FiberNotSingleton
-    a = f.dom
-    found = None
-    for u in range(a.C1.size):
-        if (f.f1.table[u] == target_arrow and a.d1.table[u] == src_obj
-                and a.d0.table[u] == tgt_obj):
-            if found is not None:
-                raise FiberNotSingleton("fiber has more than one element")
-            found = u
-    if found is None:
+    fiber = [u for u in f.dom.homs.get((src_obj, tgt_obj), ())
+             if f.f1.table[u] == target_arrow]
+    if not fiber:
         raise FiberNotSingleton("fiber is empty")
-    return found
+    if len(fiber) > 1:
+        raise FiberNotSingleton("fiber has more than one element")
+    return fiber[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from .ends import Family, end_families
 from .errors import CertificateFailure, DomainMismatch, SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
-                       derived_unit_maps, monotone_maps, validate_category,
-                       validate_functor, validate_nat_trans)
+                       compose_functors, derived_unit_maps, id_functor,
+                       monotone_maps, validate_category, validate_functor,
+                       validate_nat_trans, whisker_left)
 from .naive import (oracle_from_internal, oracle_functors, oracle_hom_category,
                     oracle_nat_trans)
 from .transfer import disc
@@ -148,9 +149,7 @@ def free_arrow() -> InternalCategory:
         i = FinMap(c0, c1, (0, 1))
         cat = InternalCategory(c0, c1, d0, d1, i,
                                FinMap(FinObj(4), c1, (0, 1, 2, 2)))
-        rep = validate_category(cat)
-        if not rep.ok:
-            raise CertificateFailure(f"free arrow failed validation: {rep}")
+        validate_category(cat).certify("free arrow")
         _FREE_ARROW = cat
     return _FREE_ARROW
 
@@ -168,7 +167,6 @@ class PowerByTwo:
 
     def functor_to_cell(self, h: InternalFunctor) -> InternalNatTrans:
         """A functor X -> a^2 corresponds to a 2-cell between functors X -> a."""
-        from .internal import compose_functors
         if h.cod != self.carrier:
             raise DomainMismatch("expected a functor into the power")
         return InternalNatTrans(compose_functors(self.source_proj, h),
@@ -210,12 +208,10 @@ def power_by_two(a: InternalCategory) -> PowerByTwo:
     source_proj = InternalFunctor(carrier, a, a.d1, h_map)
     target_proj = InternalFunctor(carrier, a, a.d0, k_map)
     cell = InternalNatTrans(source_proj, target_proj, identity(a.C1))
-    for what, rep in (("carrier", validate_category(carrier)),
-                      ("source projection", validate_functor(source_proj)),
-                      ("target projection", validate_functor(target_proj)),
-                      ("universal cell", validate_nat_trans(cell))):
-        if not rep.ok:
-            raise CertificateFailure(f"power by 2: {what} failed validation: {rep}")
+    validate_category(carrier).certify("power by 2: carrier")
+    validate_functor(source_proj).certify("power by 2: source projection")
+    validate_functor(target_proj).certify("power by 2: target projection")
+    validate_nat_trans(cell).certify("power by 2: universal cell")
     return PowerByTwo(carrier, source_proj, target_proj, cell, sq)
 
 
@@ -257,7 +253,6 @@ class CopowerByTwo:
                                FinMap(self.carrier.C1, b.C1, tuple(table1)))
 
     def functor_to_cell(self, h: InternalFunctor) -> InternalNatTrans:
-        from .internal import whisker_left
         return whisker_left(h, self.universal_cell)
 
 
@@ -265,14 +260,12 @@ def copower_by_two(a: InternalCategory) -> CopowerByTwo:
     two = free_arrow()
     prod = product_cat(two, a)
     carrier = prod.category
-    in0 = prod.mediate(constant_functor(a, two, 0), InternalFunctor(a, a, identity(a.C0), identity(a.C1)))
-    in1 = prod.mediate(constant_functor(a, two, 1), InternalFunctor(a, a, identity(a.C0), identity(a.C1)))
+    in0 = prod.mediate(constant_functor(a, two, 0), id_functor(a))
+    in1 = prod.mediate(constant_functor(a, two, 1), id_functor(a))
     alpha = FinMap(a.C0, carrier.C1,
                    tuple(prod.l1.encode((2, a.i.table[x])) for x in range(a.C0.size)))
     cell = InternalNatTrans(in0, in1, alpha)
-    rep = validate_nat_trans(cell)
-    if not rep.ok:
-        raise CertificateFailure(f"copower by 2: universal cell failed validation: {rep}")
+    validate_nat_trans(cell).certify("copower by 2: universal cell")
     return CopowerByTwo(carrier, prod, in0, in1, cell)
 
 
@@ -387,18 +380,14 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
             f"hom cell join missing from level 1: {exc.args[0]}") from exc
     m = FinMap(pairs.apex, c1, tuple(table))
     carrier = InternalCategory(c0, c1, d0, d1, i, m)
-    rep = validate_category(carrier)
-    if not rep.ok:
-        raise CertificateFailure(f"hom carrier failed validation: {rep}")
+    validate_category(carrier).certify("hom carrier")
     prod = product_cat(carrier, x)
     ev0 = FinMap(prod.l0.apex, y.C0,
                  tuple(hom0[fi].eta0[(0,)][xv] for fi, xv in prod.l0.tuples))
     ev1 = FinMap(prod.l1.apex, y.C1,
                  tuple(hom1[ci].eta1[(0, 1)][a] for ci, a in prod.l1.tuples))
     evaluation = InternalFunctor(prod.category, y, ev0, ev1)
-    rep = validate_functor(evaluation)
-    if not rep.ok:
-        raise CertificateFailure(f"evaluation failed validation: {rep}")
+    validate_functor(evaluation).certify("evaluation")
     return InternalHom(carrier, x, y, prod, evaluation, tuple(hom0), tuple(hom1))
 
 

@@ -84,6 +84,8 @@ def _load(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno}", field=None) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
 
 
 def _object(doc, field):

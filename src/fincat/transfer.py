@@ -45,8 +45,7 @@ def arrows_part(c: InternalCategory) -> FinObj:
 
 def pi0(c: InternalCategory) -> FinObj:
     """Connected components: the coequalizer of target and source."""
-    _, q = finset.coequalizer(c.d0, c.d1)
-    return q.cod
+    return pi0_quotient(c).cod
 
 
 def pi0_quotient(c: InternalCategory) -> FinMap:
@@ -64,15 +63,12 @@ def pi0_map(f: InternalFunctor) -> FinMap:
 
 def disc_map(t: FinMap) -> InternalFunctor:
     """disc applied to a base map."""
-    return InternalFunctor(disc(t.dom), disc(t.cod), t, t)
+    return functor_to_disc(disc(t.dom), t)
 
 
 def indisc_map(t: FinMap) -> InternalFunctor:
     """indisc applied to a base map."""
-    a, b = indisc(t.dom), indisc(t.cod)
-    prod_b = finset.product(t.cod, t.cod)
-    f1 = prod_b.mediate(compose(t, a.d0), compose(t, a.d1))
-    return InternalFunctor(a, b, t, f1)
+    return functor_to_indisc(indisc(t.dom), t)
 
 
 def functor_to_disc(a: InternalCategory, t: FinMap) -> InternalFunctor:

@@ -11,8 +11,10 @@ from fincat.audit import (AuditConfig, arrow_functor, diagonal_equaliser_holds,
                           generator_check, nno_candidates, recursor_search,
                           refute_finite_nno, run_audit,
                           two_dimensional_nno_check, two_well_pointed_check)
+from fincat.corpus import CorpusSpec, generate_corpus
 from fincat.finset import FinMap, FinObj, compose, identity
-from fincat.internal import (InternalFunctor, compose_functors, id_functor,
+from fincat.internal import (InternalFunctor, ValidationReport, Violation,
+                             compose_functors, id_functor, validate_category,
                              validate_functor)
 from fincat.limits import enumerate_functors, free_arrow, terminal_cat
 from fincat.serialize import serialize_report
@@ -279,6 +281,27 @@ def test_cartesian_closed_checks_the_isomorphism(monkeypatch):
     compared = entry["witnesses"]["pairs_compared"]
     assert compared == honest["witnesses"]["pairs_compared"]
     assert entry["witnesses"]["agreements"] < compared
+
+
+def test_finite_limits_reports_the_first_failing_product(monkeypatch):
+    from fincat import audit
+    bad = ValidationReport((Violation("planted", 0, "planted failure"),))
+    calls = []
+
+    def third_fails(cat):
+        calls.append(cat)
+        return bad if len(calls) == 3 else validate_category(cat)
+
+    monkeypatch.setattr(audit, "validate_category", third_fails)
+    config = AuditConfig(suites=("finiteLimits",))
+    corpus = generate_corpus(CorpusSpec(
+        seed=config.seed, max_objects=config.max_objects,
+        max_arrows=config.max_arrows, count=config.corpus_size))
+    entry = run_audit(config)["entries"]["finiteLimits"]
+    # the third product is corpus[0] x corpus[2], and the suite stops there
+    assert entry == {"verdict": "refuted",
+                     "witnesses": {"pair": (corpus[0].C0.size, corpus[2].C0.size)}}
+    assert len(calls) == 3
 
 
 def test_run_audit_zero_corpus_skips():

@@ -182,6 +182,20 @@ def test_cli_bool_table_entry_is_input_error(tmp_path):
                                  "table": [True]})
 
 
+@pytest.mark.parametrize("kind", ["missing", "non_utf8", "directory",
+                                  "deep_nesting"])
+def test_cli_unreadable_input_is_input_error(kind, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    if kind == "non_utf8":
+        path.write_bytes(b'{"C0": "\xff"}')
+    elif kind == "directory":
+        path = tmp_path
+    elif kind == "deep_nesting":
+        path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_cli_pair_count_is_checked_before_pairs_are_listed(tmp_path):
     # one object with 4,000 loops has 16 million composable pairs; a wrong
     # m length must be an input error, not a memory blow-up listing them

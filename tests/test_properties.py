@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fincat import serialize
 from fincat.cli import main
 from fincat.corpus import CorpusSpec, generate_corpus, generate_functor_corpus
+from fincat.errors import FincatError
 from fincat.internal import id_nat_trans
 from fincat.limits import enumerate_cells
 
@@ -72,19 +73,24 @@ def _category_fields(doc, path):
     return fields, tables, [path]
 
 
-def _fields(doc):
-    """Required fields, tables and category paths of a category or functor
-    document."""
-    if "f0" not in doc:
-        return _category_fields(doc, ())
-    fields, tables, cats = [((), dict)], [], []
-    for part in ("dom", "cod"):
-        f, t, c = _category_fields(doc[part], (part,))
+def _fields(doc, path=()):
+    """Required fields, tables and category paths of a category, functor or
+    cell document."""
+    if "alpha" in doc:
+        parts, part_fields = ("src", "tgt"), _fields
+        own = [(path + ("alpha",), doc["src"]["cod"]["C1"]["size"])]
+    elif "f0" in doc:
+        parts, part_fields = ("dom", "cod"), _category_fields
+        cod = doc["cod"]
+        own = [(path + ("f0",), cod["C0"]["size"]),
+               (path + ("f1",), cod["C1"]["size"])]
+    else:
+        return _category_fields(doc, path)
+    fields, tables, cats = [(path, dict)], [], []
+    for part in parts:
+        f, t, c = part_fields(doc[part], path + (part,))
         fields, tables, cats = fields + f, tables + t, cats + c
-    cod = doc["cod"]
-    fields += [(("f0",), list), (("f1",), list)]
-    tables += [(("f0",), cod["C0"]["size"]), (("f1",), cod["C1"]["size"])]
-    return fields, tables, cats
+    return fields + [(p, list) for p, _n in own], tables + own, cats
 
 
 def _get(doc, path):
@@ -186,3 +192,20 @@ def test_malformed_documents_are_input_errors(tmp_path_factory, mutation, spec,
                            tmp_path_factory.mktemp("doc") / "doc.json")
     assert code == 2, (mutation.__name__, bad, err)
     assert "error" in err
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.__name__[1:])
+@settings(PROPERTY, max_examples=20)
+@given(spec=specs_with_arrow, data=st.data())
+def test_malformed_cell_documents_raise_only_fincat_errors(mutation, spec, data):
+    # no command reads a cell document, so the parser is the surface
+    corpus = generate_corpus(spec)
+    functors = generate_functor_corpus(corpus, seed=spec.seed)
+    cells = [cell for f in functors[:6] if f.dom.C0.size
+             for cell in enumerate_cells(f, f)]
+    doc = serialize.nat_trans_doc(data.draw(st.sampled_from(cells)))
+    bad = mutation(data, copy.deepcopy(doc), *_fields(doc))
+    try:
+        serialize.parse(json.dumps(bad))
+    except FincatError:
+        pass
