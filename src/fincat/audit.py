@@ -375,9 +375,15 @@ def run_audit(config: AuditConfig) -> dict:
 
 
 def _parallel_pairs(functors):
+    """Pairs (f, g) of distinct parallel functors, f listed before g, whose
+    domain has an object; functors are grouped by (dom, cod) first."""
+    groups, place = {}, []
+    for f in functors:
+        group = groups.setdefault((f.dom, f.cod), [])
+        place.append((group, len(group)))
+        group.append(f)
     pairs = []
-    for i, f in enumerate(functors):
-        for g in functors[i + 1:]:
-            if f.dom == g.dom and f.cod == g.cod and f != g and f.dom.C0.size:
-                pairs.append((f, g))
+    for f, (group, k) in zip(functors, place):
+        if f.dom.C0.size:
+            pairs.extend((f, g) for g in group[k + 1:] if f != g)
     return pairs

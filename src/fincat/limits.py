@@ -7,7 +7,7 @@ definitional path: its objects and cells are the level-0 and level-1 ends, and
 its composition is the Segal join of composable cells, read off level 1
 without a level-2 search. `bound` caps the object tables, the end search steps
 (refused up front when the level-1 search's counted prefix exceeds it) and the
-composable triples of cells that validating the result lists.
+composable triples of cells that validating the result visits.
 
 The functor, cell and hom-category searches all live in naive.py, which shares
 no code with the end path: enumerate_functors, enumerate_cells and

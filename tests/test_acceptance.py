@@ -9,16 +9,14 @@ import time
 from collections import Counter
 from itertools import product as iproduct
 
-import pytest
-
 from fincat import finset, serialize
 from fincat.audit import (AuditConfig, recursor_search, refute_finite_nno,
                           run_audit, two_well_pointed_check)
-from fincat.classifiers import (categorified_choice_audit, classify_full_mono,
+from fincat.classifiers import (classify_full_mono,
                                 classifying_square_is_pullback,
                                 full_subobject_classifier, is_boolean,
                                 is_two_valued, section_of_ff_epi)
-from fincat.corpus import CorpusSpec, generate_corpus, generate_functor_corpus
+from fincat.corpus import CorpusSpec, generate_corpus
 from fincat.errors import SizeBound
 from fincat.factorisation import (epi_mono_ofs, factor_internal,
                                   in_lifted_left, in_lifted_right, is_acute,
@@ -32,11 +30,10 @@ from fincat.internal import (InternalNatTrans, compose_functors, id_functor,
                              whisker_left, whisker_right)
 from fincat.limits import (enumerate_cells, enumerate_functors, free_arrow,
                            hom_category, hom_iso_with_oracle, internal_hom,
-                           power_by_two, pullback_cat, terminal_cat)
-from fincat.transfer import (adjunction_disc_objects, adjunction_objects_indisc,
-                             adjunction_pi0_disc, disc, disc_map,
-                             functor_to_indisc, indisc, indisc_map, pi0,
-                             pi0_quotient)
+                           power_by_two)
+from fincat.transfer import (adjunction_disc_objects,
+                             adjunction_objects_indisc, adjunction_pi0_disc,
+                             functor_to_indisc, indisc_map, pi0, pi0_quotient)
 from fincat.internal import reflects_identities
 
 

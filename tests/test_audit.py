@@ -4,19 +4,17 @@ aggregate audit report."""
 import random
 from itertools import product as iproduct
 
-import pytest
-
 from fincat import finset
-from fincat.audit import (AuditConfig, arrow_functor, diagonal_equaliser_holds,
-                          generator_check, nno_candidates, recursor_search,
-                          refute_finite_nno, run_audit,
-                          two_dimensional_nno_check, two_well_pointed_check)
+from fincat.audit import (AuditConfig, arrow_functor, generator_check,
+                          nno_candidates, recursor_search, refute_finite_nno,
+                          run_audit, two_dimensional_nno_check,
+                          two_well_pointed_check)
 from fincat.corpus import CorpusSpec, generate_corpus
-from fincat.finset import FinMap, FinObj, compose, identity
+from fincat.finset import FinMap, FinObj, identity
 from fincat.internal import (InternalFunctor, ValidationReport, Violation,
                              compose_functors, id_functor, validate_category,
                              validate_functor)
-from fincat.limits import enumerate_functors, free_arrow, terminal_cat
+from fincat.limits import enumerate_functors, free_arrow
 from fincat.serialize import serialize_report
 from fincat.transfer import disc
 

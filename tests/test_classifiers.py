@@ -9,19 +9,17 @@ from itertools import product as iproduct
 import pytest
 
 from fincat import finset
-from fincat.classifiers import (BiSieveCertificate, categorified_choice_audit,
-                                classify_full_mono, classify_strict_bi_sieve,
+from fincat.classifiers import (categorified_choice_audit, classify_full_mono,
+                                classify_strict_bi_sieve,
                                 classifying_square_is_pullback,
                                 endpoint_functors, full_subobject_classifier,
                                 is_boolean, is_strict_bi_sieve, is_two_valued,
                                 section_of_ff_epi)
-from fincat.corpus import full_subcategory_inclusion
 from fincat.errors import NotBiSieve, NotFFEpi, NotFullMono
-from fincat.finset import FinMap, FinObj, compose, identity
+from fincat.finset import FinMap, FinObj, compose
 from fincat.internal import (InternalFunctor, compose_functors, id_functor,
                              id_nat_trans, is_full_mono, is_fully_faithful,
-                             validate_functor, validate_nat_trans,
-                             whisker_left, whisker_right)
+                             validate_nat_trans, whisker_left, whisker_right)
 from fincat.limits import (coproduct_cat, enumerate_cells, enumerate_functors,
                            free_arrow, terminal_cat)
 from fincat.transfer import disc, functor_to_indisc, indisc, indisc_map
@@ -103,7 +101,6 @@ def test_classifying_square_pullback_and_uniqueness(functor_corpus):
 def test_classifying_square_decomposes_through_ff_pullback(functor_corpus):
     # the arrows-level classifying square is the paste of the
     # fully-faithfulness square with the product of two object-level squares
-    from fincat.internal import ff_pullback
     checked = 0
     for f in functor_corpus:
         if not is_full_mono(f) or f.cod.C0.size > 4:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from fincat import finset, naive, serialize
+from fincat import naive, serialize
 from fincat.cli import main
 from fincat.corpus import CorpusSpec, generate_corpus, generate_functor_corpus
 from fincat.errors import ParseError, ValidationError

@@ -9,13 +9,13 @@ import sys
 import pytest
 
 from fincat import finset
-from fincat.errors import NonCommuting, NotInClass
+from fincat.errors import NotInClass
 from fincat.factorisation import (bo_ff_factorisation, epi_mono_ofs,
                                   factor_internal, in_lifted_left,
                                   in_lifted_right, is_acute, iso_all_ofs,
                                   left_orthogonal_to, lift_square,
                                   lift_two_cell)
-from fincat.finset import FinMap, FinObj, compose, identity
+from fincat.finset import FinMap, FinObj, compose
 from fincat.internal import (compose_functors, id_functor, id_nat_trans,
                              InternalFunctor, InternalNatTrans,
                              is_epi_on_objects, is_full_mono,
@@ -25,7 +25,7 @@ from fincat.internal import (compose_functors, id_functor, id_nat_trans,
 from fincat.limits import (bang_functor, coproduct_cat, enumerate_cells,
                            enumerate_functors, free_arrow, terminal_cat)
 from fincat.corpus import full_subcategory_inclusion
-from fincat.transfer import disc, indisc, indisc_map
+from fincat.transfer import indisc, indisc_map
 
 
 BOTH = (epi_mono_ofs(), iso_all_ofs())

@@ -2,7 +2,6 @@
 factorisation, sections."""
 
 import random
-from itertools import product as iproduct
 
 import pytest
 

@@ -2,6 +2,7 @@
 predicates, and the naive-category oracle equivalence."""
 
 import random
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
@@ -9,15 +10,15 @@ import pytest
 from fincat import finset, naive
 from fincat.corpus import category_from_tables, free_on_dag, monoid_delooping
 from fincat.errors import SizeBound
-from fincat.finset import FinMap, FinObj, compose, identity
+from fincat.finset import FinMap, FinObj, compose
 from fincat.internal import (InternalCategory, InternalFunctor,
-                             InternalNatTrans, compose_functors, hcomp,
-                             id_functor, id_nat_trans, is_epi_on_objects,
-                             is_full_mono, is_fully_faithful,
-                             is_iso_on_objects, is_mono_functor,
-                             validate_category, validate_functor,
-                             validate_nat_trans, vcomp, whisker_left,
-                             whisker_right)
+                             InternalNatTrans, Violation, compose_functors,
+                             hcomp, id_functor, id_nat_trans,
+                             is_epi_on_objects, is_full_mono,
+                             is_fully_faithful, is_iso_on_objects,
+                             is_mono_functor, validate_category,
+                             validate_functor, validate_nat_trans, vcomp,
+                             whisker_left, whisker_right)
 from fincat.limits import enumerate_cells, enumerate_functors, free_arrow
 from fincat.transfer import disc, disc_map, indisc
 
@@ -50,6 +51,86 @@ def test_corrupt_composition_names_broken_axiom():
     axioms = {v.axiom for v in report.violations}
     assert axioms & {"left-unit", "right-unit", "associativity",
                      "composite-target", "composite-source"}
+
+
+def _reference_violations(c):
+    """validate_category's report, written as plain loops over arrows: the
+    composable pairs are listed in lexicographic (u, v) order, the order of
+    the table of m."""
+    d0, d1, i = c.d0.table, c.d1.table, c.i.table
+    arrows = range(c.C1.size)
+    pairs = [(u, v) for u in arrows for v in arrows if d1[u] == d0[v]]
+    comp = dict(zip(pairs, c.m.table))
+    out = []
+    for x in range(c.C0.size):
+        if d0[i[x]] != x:
+            out.append(Violation("identity-target", x, "d0(i(x)) != x"))
+        if d1[i[x]] != x:
+            out.append(Violation("identity-source", x, "d1(i(x)) != x"))
+    for u, v in pairs:
+        if d0[comp[(u, v)]] != d0[u]:
+            out.append(Violation("composite-target", (u, v),
+                                 "d0(u.v) != d0(u)"))
+        if d1[comp[(u, v)]] != d1[v]:
+            out.append(Violation("composite-source", (u, v),
+                                 "d1(u.v) != d1(v)"))
+    if out:
+        return tuple(out)
+    for a in arrows:
+        if comp[(i[d0[a]], a)] != a:
+            out.append(Violation("left-unit", a, "id . a != a"))
+        if comp[(a, i[d1[a]])] != a:
+            out.append(Violation("right-unit", a, "a . id != a"))
+    for u in arrows:
+        for v in arrows:
+            for w in arrows:
+                if d1[u] != d0[v] or d1[v] != d0[w]:
+                    continue
+                if comp[(comp[(u, v)], w)] != comp[(u, comp[(v, w)])]:
+                    out.append(Violation("associativity", (u, v, w),
+                                         "(u.v).w != u.(v.w)"))
+    return tuple(out)
+
+
+def _corrupted(c, rng, count, same_hom):
+    """c with `count` entries of m replaced: by any arrow, or, with
+    `same_hom`, by an arrow with the composite's endpoints, so that the unit
+    and associativity checks are reached."""
+    m = list(c.m.table)
+    for _ in range(count):
+        k = rng.randrange(len(m))
+        u, v = c.pairs.tuples[k]
+        if same_hom:
+            m[k] = rng.choice(c.homs[(c.d1.table[v], c.d0.table[u])])
+        else:
+            m[k] = rng.randrange(c.C1.size)
+    return InternalCategory(c.C0, c.C1, c.d0, c.d1, c.i,
+                            FinMap(c.m.dom, c.C1, tuple(m)))
+
+
+def test_validate_category_matches_reference_on_corrupted_corpus(corpus):
+    rng = random.Random(10)
+    axioms = Counter()
+    for c in corpus:
+        assert validate_category(c).violations == _reference_violations(c) == ()
+        if not c.m.table:
+            continue
+        for count in (1, 2, 3):
+            for same_hom in (False, True):
+                bad = _corrupted(c, rng, count, same_hom)
+                report = validate_category(bad)
+                assert report.violations == _reference_violations(bad)
+                axioms.update({v.axiom for v in report.violations})
+    assert axioms["associativity"] and axioms["left-unit"]
+    assert axioms["composite-target"] or axioms["composite-source"]
+
+
+def test_validate_category_does_not_build_triples():
+    for c in (_path3(), _cyclic(3), indisc(FinObj(3))):
+        assert validate_category(c).ok
+        assert "triples" not in c.__dict__
+        # the nerve still builds its level of composable triples on demand
+        assert c.nerve.levels[3].size == c.triples.apex.size
 
 
 def test_identity_functor_and_cell_are_valid():

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import product as iproduct
 
 import pytest
 
@@ -17,14 +16,13 @@ from fincat.audit import diagonal_equaliser_holds
 from fincat.corpus import category_from_tables
 from fincat.ends import brute_families, check_family, end_families
 from fincat.errors import CertificateFailure, SizeBound
-from fincat.finset import FinMap, FinObj, compose, identity
-from fincat.internal import (compose_functors, id_functor,
-                             validate_category, validate_functor,
-                             validate_nat_trans)
-from fincat.limits import (HomCategory, bang_functor, constant_functor, coproduct_cat,
-                           copower_by_two, enumerate_cells, enumerate_functors,
-                           free_arrow, hom_category, hom_iso_with_oracle,
-                           internal_hom, power_by_two, product_cat, pullback_cat,
+from fincat.finset import FinMap, FinObj, identity
+from fincat.internal import (compose_functors, id_functor, validate_category,
+                             validate_functor)
+from fincat.limits import (HomCategory, coproduct_cat, copower_by_two,
+                           enumerate_cells, enumerate_functors, free_arrow,
+                           hom_category, hom_iso_with_oracle, internal_hom,
+                           power_by_two, product_cat, pullback_cat,
                            terminal_cat)
 from fincat.transfer import disc, indisc
 

@@ -9,17 +9,17 @@ import pytest
 from fincat import finset
 from fincat.errors import NotInHomSet, ShapeMismatch
 from fincat.finset import FinMap, FinObj, compose, identity
-from fincat.internal import (compose_functors, id_functor, is_fully_faithful,
+from fincat.internal import (compose_functors, is_fully_faithful,
                              monotone_maps, reflects_identities,
                              simplicial_map, validate_category,
                              validate_functor, validate_nat_trans)
-from fincat.limits import enumerate_cells, enumerate_functors, free_arrow
-from fincat.transfer import (adjunction_disc_objects, adjunction_objects_indisc,
-                             adjunction_pi0_disc, arrows_part, disc, disc_map,
+from fincat.limits import enumerate_functors, free_arrow
+from fincat.transfer import (adjunction_disc_objects,
+                             adjunction_objects_indisc, adjunction_pi0_disc,
+                             arrows_part, disc, disc_map,
                              discrete_nat_trans_bijection, functor_from_disc,
-                             functor_to_disc, functor_to_indisc, indisc,
-                             indisc_map, nerve, objects_part, pi0, pi0_map,
-                             pi0_quotient)
+                             functor_to_indisc, indisc, indisc_map, nerve,
+                             objects_part, pi0, pi0_map, pi0_quotient)
 
 
 def test_disc_basics():
