@@ -12,7 +12,6 @@ indiscrete factors (fully faithful and epi-on-objects).
 import random
 from dataclasses import dataclass
 
-from . import finset
 from .errors import SizeBound
 from .finset import FinMap, FinObj
 from .internal import (InternalCategory, InternalFunctor, id_functor,
@@ -45,9 +44,9 @@ def category_from_tables(n_objects, arrows, comp_pairs, identities):
     d1 = FinMap(c1, c0, tuple(s for s, _t in arrows))
     d0 = FinMap(c1, c0, tuple(t for _s, t in arrows))
     i = FinMap(c0, c1, tuple(identities))
-    pairs = finset.pullback(d1, d0)
-    m = FinMap(pairs.apex, c1, tuple(comp_pairs[(u, v)] for u, v in pairs.tuples))
-    return InternalCategory(c0, c1, d0, d1, i, m)
+    return InternalCategory.with_composition(
+        c0, c1, d0, d1, i, lambda pairs: FinMap(
+            pairs.apex, c1, tuple(comp_pairs[(u, v)] for u, v in pairs.tuples)))
 
 
 def free_on_dag(n_nodes, edges):
@@ -101,10 +100,9 @@ def preorder_category(relation, n):
 
 
 def opposite(c: InternalCategory) -> InternalCategory:
-    pairs_op = finset.pullback(c.d0, c.d1)
-    table = tuple(c.comp(v, u) for u, v in pairs_op.tuples)
-    return InternalCategory(c.C0, c.C1, c.d1, c.d0, c.i,
-                            FinMap(pairs_op.apex, c.C1, table))
+    return InternalCategory.with_composition(
+        c.C0, c.C1, c.d1, c.d0, c.i, lambda pairs: FinMap(
+            pairs.apex, c.C1, tuple(c.comp(v, u) for u, v in pairs.tuples)))
 
 
 def _monoid_tables(rng, max_arrows):
@@ -192,11 +190,10 @@ def full_subcategory_inclusion(c: InternalCategory, objects):
     d1 = FinMap(c1, c0, tuple(obj_index[c.d1.table[a]] for a in arrows))
     d0 = FinMap(c1, c0, tuple(obj_index[c.d0.table[a]] for a in arrows))
     i = FinMap(c0, c1, tuple(arr_index[c.i.table[x]] for x in objects))
-    pairs = finset.pullback(d1, d0)
-    m = FinMap(pairs.apex, c1,
-               tuple(arr_index[c.comp(arrows[u], arrows[v])]
-                     for u, v in pairs.tuples))
-    sub = InternalCategory(c0, c1, d0, d1, i, m)
+    sub = InternalCategory.with_composition(
+        c0, c1, d0, d1, i, lambda pairs: FinMap(
+            pairs.apex, c1, tuple(arr_index[c.comp(arrows[u], arrows[v])]
+                                  for u, v in pairs.tuples)))
     inc = InternalFunctor(sub, c,
                           FinMap(c0, c.C0, tuple(objects)),
                           FinMap(c1, c.C1, tuple(arrows)))

@@ -82,12 +82,14 @@ def factor_internal(f: InternalFunctor, ofs: BaseOFS) -> LiftedFactorisation:
     d1 = compose(prod_c.projections[1], pair_proj)
     i = pb.mediate(prod_c.mediate(identity(c0), identity(c0)),
                    compose(y.i, r0))
-    pairs = finset.pullback(d1, d0)
-    pr_u, pr_v = pairs.projections
-    ru, rv = compose(r1, pr_u), compose(r1, pr_v)
-    m_y = compose(y.m, y.pairs.mediate(ru, rv))
-    m = pb.mediate(prod_c.mediate(compose(d0, pr_u), compose(d1, pr_v)), m_y)
-    middle = InternalCategory(c0, c1, d0, d1, i, m)
+
+    def composition(pairs):
+        pr_u, pr_v = pairs.projections
+        ru, rv = compose(r1, pr_u), compose(r1, pr_v)
+        m_y = compose(y.m, y.pairs.mediate(ru, rv))
+        return pb.mediate(prod_c.mediate(compose(d0, pr_u), compose(d1, pr_v)), m_y)
+
+    middle = InternalCategory.with_composition(c0, c1, d0, d1, i, composition)
     l1 = pb.mediate(prod_c.mediate(compose(l0, x.d0), compose(l0, x.d1)), f.f1)
     left = InternalFunctor(x, middle, l0, l1)
     right = InternalFunctor(middle, y, r0, r1)

@@ -5,6 +5,14 @@ element encoding (lexicographic tuple enumeration) so that derived structure
 maps are bit-exact and diagrams commute on the nose. All values are immutable
 after construction and every operation is a pure function.
 
+Maps built by callers or parsed from input go through the public FinMap
+constructor, which checks the table's length and range. The maps this module
+builds in range by construction skip those checks: `identity`, `compose`,
+every limit projection and `ChosenLimit.mediate`. A limit is stored as its
+projections; its `tuples` and `index` are built on first read. The chosen
+product numbers (x, y) as x·|B| + y, so its projections and `mediate` are
+arithmetic.
+
 Determinism conventions:
   * chosen-limit apexes enumerate solution tuples lexicographically,
   * quotient classes are numbered by least representative,
@@ -12,8 +20,11 @@ Determinism conventions:
   * images are ordered by increasing codomain index.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from itertools import product as iproduct
+from operator import add, mul
 
 from .errors import DomainMismatch, NotEpi, NotMono
 
@@ -62,6 +73,15 @@ class FinMap:
         if self.table and (min(self.table) < 0 or max(self.table) >= self.cod.size):
             raise DomainMismatch("table entry outside codomain")
 
+    @classmethod
+    def _trusted(cls, dom, cod, table):
+        """A map whose table is a tuple of length dom.size with entries in
+        range(cod.size) by construction; nothing is checked."""
+        f = object.__new__(cls)
+        attrs = f.__dict__
+        attrs["dom"], attrs["cod"], attrs["table"] = dom, cod, table
+        return f
+
     def __call__(self, x):
         return self.table[x]
 
@@ -69,15 +89,18 @@ class FinMap:
         return f"FinMap({self.dom.size}->{self.cod.size}, {list(self.table)})"
 
 
+_trusted = FinMap._trusted
+
+
 def identity(a: FinObj) -> FinMap:
-    return FinMap(a, a, tuple(range(a.size)))
+    return _trusted(a, a, tuple(range(a.size)))
 
 
 def compose(g: FinMap, f: FinMap) -> FinMap:
     """g after f; defined iff f.cod = g.dom."""
-    if f.cod != g.dom:
+    if f.cod.size != g.dom.size:
         raise DomainMismatch(f"cannot compose: f.cod={f.cod.size}, g.dom={g.dom.size}")
-    return FinMap(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
+    return _trusted(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
 def is_mono(f: FinMap) -> bool:
@@ -105,14 +128,21 @@ def inverse(f: FinMap) -> FinMap:
 class ChosenLimit:
     """A chosen limit: apex indices biject with solution tuples, lex ordered.
 
-    `tuples[k]` decodes apex element k; `index[t]` encodes tuple t back.
-    Projections commute with the defining cone exactly.
+    Apex element k is the tuple of `projections[i].table[k]`. `tuples[k]`
+    decodes apex element k and `index[t]` encodes tuple t back; both are built
+    on first read. Projections commute with the defining cone exactly.
     """
 
     apex: FinObj
     projections: tuple
-    tuples: tuple
-    index: dict = field(compare=False, repr=False)
+
+    @cached_property
+    def tuples(self):
+        return tuple(zip(*(p.table for p in self.projections)))
+
+    @cached_property
+    def index(self):
+        return dict(zip(self.tuples, range(self.apex.size)))
 
     def decode(self, k):
         return self.tuples[k]
@@ -120,36 +150,51 @@ class ChosenLimit:
     def encode(self, t):
         return self.index[tuple(t)]
 
+    def _legs_domain(self, legs):
+        """The common domain of legs, one into each projection's codomain."""
+        if len(legs) != len(self.projections):
+            raise DomainMismatch("wrong number of legs")
+        dom = legs[0].dom
+        for leg, proj in zip(legs, self.projections):
+            if leg.dom.size != dom.size:
+                raise DomainMismatch("legs must share one domain")
+            if leg.cod.size != proj.cod.size:
+                raise DomainMismatch("leg does not land in its projection's codomain")
+        return dom
+
     def mediate(self, *legs):
         """The unique map into the apex commuting with the projections.
 
         `legs[i]` must be a FinMap into projections[i].cod, all from one domain,
         and the legs must satisfy the defining equations of the limit.
         """
-        if len(legs) != len(self.projections):
-            raise DomainMismatch("wrong number of legs")
-        dom = legs[0].dom
+        dom = self._legs_domain(legs)
         try:
-            if len(legs) == 2:
-                table = tuple(map(self.index.__getitem__,
-                                  zip(legs[0].table, legs[1].table)))
-            else:
-                table = tuple(map(self.index.__getitem__,
-                                  zip(*(leg.table for leg in legs))))
+            table = tuple(map(self.index.__getitem__,
+                              zip(*(leg.table for leg in legs))))
         except KeyError as exc:
             raise DomainMismatch(
                 f"legs do not satisfy the limit equations at {exc.args[0]}") from exc
-        return FinMap(dom, self.apex, table)
+        return _trusted(dom, self.apex, table)
 
 
-def _chosen(tuples, projections_data):
-    tuples = tuple(tuples)
-    apex = FinObj(len(tuples))
-    projections = tuple(
-        FinMap(apex, cod, tuple(t[i] for t in tuples))
-        for i, cod in enumerate(projections_data))
-    return ChosenLimit(apex, projections, tuples,
-                       {t: k for k, t in enumerate(tuples)})
+class _Product(ChosenLimit):
+    """The chosen product A x B, with (x, y) numbered x·|B| + y."""
+
+    def mediate(self, *legs):
+        dom = self._legs_domain(legs)
+        f, g = legs
+        width = self.projections[1].cod.size
+        return _trusted(dom, self.apex,
+                        tuple(map(add, map(mul, f.table, repeat(width)), g.table)))
+
+
+def _chosen(cods, columns):
+    """The limit whose apex element k has components column[k], one column
+    per projection, into the matching entry of cods."""
+    apex = FinObj(len(columns[0]))
+    return ChosenLimit(apex, tuple(_trusted(apex, cod, column)
+                                   for cod, column in zip(cods, columns)))
 
 
 def terminal() -> FinObj:
@@ -162,7 +207,11 @@ def bang(a: FinObj) -> FinMap:
 
 
 def product(a: FinObj, b: FinObj) -> ChosenLimit:
-    return _chosen(iproduct(range(a.size), range(b.size)), (a, b))
+    """Pairs (x, y), lexicographic; (x, y) is apex element x·|B| + y."""
+    apex = FinObj(a.size * b.size)
+    left = tuple(chain.from_iterable(repeat(x, b.size) for x in range(a.size)))
+    return _Product(apex, (_trusted(apex, a, left),
+                           _trusted(apex, b, tuple(range(b.size)) * a.size)))
 
 
 def pullback(f: FinMap, g: FinMap) -> ChosenLimit:
@@ -172,17 +221,21 @@ def pullback(f: FinMap, g: FinMap) -> ChosenLimit:
     buckets = {}
     for y, c in enumerate(g.table):
         buckets.setdefault(c, []).append(y)
-    tuples = [(x, y) for x in range(f.dom.size)
-              for y in buckets.get(f.table[x], ())]
-    return _chosen(tuples, (f.dom, g.dom))
+    left, right = [], []
+    for x, c in enumerate(f.table):
+        ys = buckets.get(c)
+        if ys:
+            left += repeat(x, len(ys))
+            right += ys
+    return _chosen((f.dom, g.dom), (tuple(left), tuple(right)))
 
 
 def equalizer(f: FinMap, g: FinMap) -> ChosenLimit:
     """Solutions x with f(x) = g(x); single projection into the common domain."""
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainMismatch("equalizer needs a parallel pair")
-    tuples = [(x,) for x in range(f.dom.size) if f.table[x] == g.table[x]]
-    return _chosen(tuples, (f.dom,))
+    column = tuple(x for x, (fx, gx) in enumerate(zip(f.table, g.table)) if fx == gx)
+    return _chosen((f.dom,), (column,))
 
 
 def coproduct(a: FinObj, b: FinObj):

@@ -8,13 +8,16 @@ Orientation convention, fixed globally:
     d1 . alpha = f0 and d0 . alpha = g0;
   * vertical composition pairs (beta_x, alpha_x).
 
-The objects of composable pairs/triples are derived on demand from (d0, d1)
-via the chosen pullbacks of the base; they are never independent state.
+The objects of composable pairs/triples are derived from (d0, d1) via the
+chosen pullbacks of the base; they are never independent state. A category
+built by `InternalCategory.with_composition` keeps the pairs pullback its
+composition was tabulated over; otherwise pairs are built on first read.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 
 from . import finset
 from .errors import (CertificateFailure, DomainMismatch, FiberNotSingleton,
@@ -70,8 +73,20 @@ class InternalCategory:
             raise ShapeMismatch("d1 must be C1 -> C0")
         if self.i.dom != self.C0 or self.i.cod != self.C1:
             raise ShapeMismatch("i must be C0 -> C1")
-        if self.m.dom != self.pairs.apex or self.m.cod != self.C1:
+        into = Counter(self.d0.table)
+        if (self.m.dom.size != sum(map(into.__getitem__, self.d1.table))
+                or self.m.cod != self.C1):
             raise ShapeMismatch("m must be C2 -> C1 over the derived pairs")
+
+    @classmethod
+    def with_composition(cls, C0, C1, d0, d1, i, composition):
+        """The category whose m is composition(pairs), for pairs the chosen
+        pullback of (d1, d0); that pullback is built once and kept as the
+        category's `pairs`."""
+        pairs = finset.pullback(d1, d0)
+        c = cls(C0, C1, d0, d1, i, composition(pairs))
+        c.__dict__["pairs"] = pairs
+        return c
 
     @cached_property
     def pairs(self):
@@ -91,7 +106,7 @@ class InternalCategory:
 
     def comp(self, u, v):
         """Composite u . v of arrows with d1(u) = d0(v)."""
-        return self.m.table[self.pairs.encode((u, v))]
+        return self.m.table[self.pairs.index[(u, v)]]
 
     @cached_property
     def homs(self):
@@ -310,12 +325,22 @@ def endpoint_pullback(t: FinMap, b: InternalCategory):
     pullback of b's endpoint map (d0, d1): B1 -> B0 x B0 along t x t.
 
     An element of the pullback is a (target, source) pair of X with an arrow
-    of b between their images."""
+    of b between their images. It is read off `b.homs`: for each pair in the
+    order of X x X, the arrows from the source's image to the target's."""
     prod_x = finset.product(t.dom, t.dom)
-    prod_b = finset.product(b.C0, b.C0)
-    txt = prod_b.mediate(compose(t, prod_x.projections[0]),
-                         compose(t, prod_x.projections[1]))
-    return prod_x, finset.pullback(txt, prod_b.mediate(b.d0, b.d1))
+    homs = b.homs
+    pair_col, arrow_col = [], []
+    k = 0
+    for tx in t.table:
+        for tsrc in t.table:
+            arrows = homs.get((tsrc, tx))
+            if arrows:
+                pair_col += repeat(k, len(arrows))
+                arrow_col += arrows
+            k += 1
+    apex = FinObj(len(arrow_col))
+    return prod_x, finset.ChosenLimit(apex, (FinMap(apex, prod_x.apex, pair_col),
+                                             FinMap(apex, b.C1, arrow_col)))
 
 
 def ff_pullback(f: InternalFunctor):

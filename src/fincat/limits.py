@@ -45,19 +45,17 @@ def _category_from_levels(l0, l1, a: InternalCategory, b: InternalCategory):
     d1 = l0.mediate(compose(a.d1, p1a), compose(b.d1, p1b))
     p0a, p0b = l0.projections
     i = l1.mediate(compose(a.i, p0a), compose(b.i, p0b))
-    return InternalCategory(l0.apex, l1.apex, d0, d1, i,
-                            _pair_m(l0, l1, a, b, d0, d1))
 
+    def composition(pairs):
+        pr_u, pr_v = pairs.projections
+        ua, va = compose(p1a, pr_u), compose(p1a, pr_v)
+        ub, vb = compose(p1b, pr_u), compose(p1b, pr_v)
+        ma = compose(a.m, a.pairs.mediate(ua, va))
+        mb = compose(b.m, b.pairs.mediate(ub, vb))
+        return l1.mediate(ma, mb)
 
-def _pair_m(l0, l1, a, b, d0, d1):
-    pairs = finset.pullback(d1, d0)
-    p1a, p1b = l1.projections
-    pr_u, pr_v = pairs.projections
-    ua, va = compose(p1a, pr_u), compose(p1a, pr_v)
-    ub, vb = compose(p1b, pr_u), compose(p1b, pr_v)
-    ma = compose(a.m, a.pairs.mediate(ua, va))
-    mb = compose(b.m, b.pairs.mediate(ub, vb))
-    return l1.mediate(ma, mb)
+    return InternalCategory.with_composition(l0.apex, l1.apex, d0, d1, i,
+                                             composition)
 
 
 @dataclass(frozen=True)
@@ -120,16 +118,18 @@ def coproduct_cat(a: InternalCategory, b: InternalCategory) -> CoproductCone:
     d0 = finset.copair(compose(i00, a.d0), compose(i01, b.d0), c1, i10, i11)
     d1 = finset.copair(compose(i00, a.d1), compose(i01, b.d1), c1, i10, i11)
     i = finset.copair(compose(i10, a.i), compose(i11, b.i), c0, i00, i01)
-    pairs = finset.pullback(d1, d0)
     na = a.C1.size
-    table = []
-    for u, v in pairs.tuples:
-        if u < na:
-            table.append(i10.table[a.comp(u, v)])
-        else:
-            table.append(i11.table[b.comp(u - na, v - na)])
-    m = FinMap(pairs.apex, c1, tuple(table))
-    cat = InternalCategory(c0, c1, d0, d1, i, m)
+
+    def composition(pairs):
+        table = []
+        for u, v in pairs.tuples:
+            if u < na:
+                table.append(i10.table[a.comp(u, v)])
+            else:
+                table.append(i11.table[b.comp(u - na, v - na)])
+        return FinMap(pairs.apex, c1, tuple(table))
+
+    cat = InternalCategory.with_composition(c0, c1, d0, d1, i, composition)
     inj0 = InternalFunctor(a, cat, i00, i10)
     inj1 = InternalFunctor(b, cat, i01, i11)
     return CoproductCone(cat, inj0, inj1)
@@ -196,15 +196,17 @@ def power_by_two(a: InternalCategory) -> PowerByTwo:
     h_map = compose(pv, pr1)           # source-side component
     i0, i1 = derived_unit_maps(a)
     i_sq = sq.mediate(i0, i1)
-    carrier_d0, carrier_d1 = v_map, u_map
-    pairs = finset.pullback(carrier_d1, carrier_d0)
-    pr_s, pr_t = pairs.projections
-    kk = compose(a.m, a.pairs.mediate(compose(k_map, pr_s), compose(k_map, pr_t)))
-    hh = compose(a.m, a.pairs.mediate(compose(h_map, pr_s), compose(h_map, pr_t)))
-    p_new = a.pairs.mediate(kk, compose(u_map, pr_t))
-    q_new = a.pairs.mediate(compose(v_map, pr_s), hh)
-    m_sq = sq.mediate(p_new, q_new)
-    carrier = InternalCategory(a.C1, sq.apex, carrier_d0, carrier_d1, i_sq, m_sq)
+
+    def composition(pairs):
+        pr_s, pr_t = pairs.projections
+        kk = compose(a.m, a.pairs.mediate(compose(k_map, pr_s), compose(k_map, pr_t)))
+        hh = compose(a.m, a.pairs.mediate(compose(h_map, pr_s), compose(h_map, pr_t)))
+        p_new = a.pairs.mediate(kk, compose(u_map, pr_t))
+        q_new = a.pairs.mediate(compose(v_map, pr_s), hh)
+        return sq.mediate(p_new, q_new)
+
+    carrier = InternalCategory.with_composition(a.C1, sq.apex, v_map, u_map, i_sq,
+                                                composition)
     source_proj = InternalFunctor(carrier, a, a.d1, h_map)
     target_proj = InternalFunctor(carrier, a, a.d0, k_map)
     cell = InternalNatTrans(source_proj, target_proj, identity(a.C1))
@@ -292,17 +294,18 @@ class InternalHom:
         idx0 = {f.key(): i for i, f in enumerate(self.level0)}
         idx1 = {f.key(): i for i, f in enumerate(self.level1)}
         zn = z.nerve
+        at0, at1 = prod_zx.l0.index, prod_zx.l1.index
 
         def family_for(z_simplex, k):
             eta0 = {}
             eta1 = {}
             for psi in monotone_maps(0, k):
                 zs = zn.act(psi, k, 0).table[z_simplex]
-                eta0[psi] = tuple(h.f0.table[prod_zx.l0.encode((zs, xv))]
+                eta0[psi] = tuple(h.f0.table[at0[(zs, xv)]]
                                   for xv in range(x.C0.size))
             for psi in monotone_maps(1, k):
                 za = zn.act(psi, k, 1).table[z_simplex]
-                eta1[psi] = tuple(h.f1.table[prod_zx.l1.encode((za, aa))]
+                eta1[psi] = tuple(h.f1.table[at1[(za, aa)]]
                                   for aa in range(x.C1.size))
             return Family(k, eta0, eta1)
 
@@ -362,11 +365,8 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     # v's diagonal at a; its other slots are v's source and u's target
     at_target = tuple(x.i.table[q] for q in x.d0.table)
     y_pair, y_m = y.pairs.index, y.m.table
-    pairs = finset.pullback(d1, d0)
-    try:
-        i = FinMap(c0, c1, tuple(
-            idx1[(f.eta0[(0,)], f.eta0[(0,)], f.eta1[(0, 0)], f.eta1[(0, 0)],
-                  f.eta1[(0, 0)])] for f in hom0))
+
+    def join(pairs):
         table = []
         for cu, cv in pairs.tuples:
             u, v = hom1[cu], hom1[cv]
@@ -375,11 +375,16 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
                          for a, t in enumerate(at_target))
             table.append(idx1[(v.eta0[(0,)], u.eta0[(1,)], v.eta1[(0, 0)],
                                diag, u.eta1[(1, 1)])])
+        return FinMap(pairs.apex, c1, tuple(table))
+
+    try:
+        i = FinMap(c0, c1, tuple(
+            idx1[(f.eta0[(0,)], f.eta0[(0,)], f.eta1[(0, 0)], f.eta1[(0, 0)],
+                  f.eta1[(0, 0)])] for f in hom0))
+        carrier = InternalCategory.with_composition(c0, c1, d0, d1, i, join)
     except KeyError as exc:
         raise CertificateFailure(
             f"hom cell join missing from level 1: {exc.args[0]}") from exc
-    m = FinMap(pairs.apex, c1, tuple(table))
-    carrier = InternalCategory(c0, c1, d0, d1, i, m)
     validate_category(carrier).certify("hom carrier")
     prod = product_cat(carrier, x)
     ev0 = FinMap(prod.l0.apex, y.C0,

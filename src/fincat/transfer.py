@@ -19,9 +19,8 @@ from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
 def disc(x: FinObj) -> InternalCategory:
     """The discrete internal category: C0 = C1 = X, all structure maps identity."""
     idx = identity(x)
-    pairs = finset.pullback(idx, idx)
-    m = FinMap(pairs.apex, x, tuple(u for (u, _v) in pairs.tuples))
-    return InternalCategory(x, x, idx, idx, idx, m)
+    return InternalCategory.with_composition(
+        x, x, idx, idx, idx, lambda pairs: pairs.projections[0])
 
 
 def indisc(x: FinObj) -> InternalCategory:
@@ -29,10 +28,12 @@ def indisc(x: FinObj) -> InternalCategory:
     prod = finset.product(x, x)
     d0, d1 = prod.projections
     i = prod.mediate(identity(x), identity(x))
-    pairs = finset.pullback(d1, d0)
-    pr_e, pr_e2 = pairs.projections
-    m = prod.mediate(compose(d0, pr_e), compose(d1, pr_e2))
-    return InternalCategory(x, prod.apex, d0, d1, i, m)
+
+    def composition(pairs):
+        pr_e, pr_e2 = pairs.projections
+        return prod.mediate(compose(d0, pr_e), compose(d1, pr_e2))
+
+    return InternalCategory.with_composition(x, prod.apex, d0, d1, i, composition)
 
 
 def objects_part(c: InternalCategory) -> FinObj:

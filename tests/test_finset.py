@@ -2,8 +2,11 @@
 factorisation, sections."""
 
 import random
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fincat import finset
 from fincat.errors import DomainMismatch, NotEpi, NotMono
@@ -248,3 +251,69 @@ def test_exponential_transpose_bijection():
                   for _ in range(20)] if exp.obj.size else []:
             f = exp.uncurry(h, prod_xa)
             assert exp.curry(f, x, prod_xa).table == h.table
+
+
+def test_public_constructor_rejects_short_and_out_of_range_tables():
+    with pytest.raises(DomainMismatch):
+        FinMap(FinObj(3), FinObj(2), (0, 1))
+    with pytest.raises(DomainMismatch):
+        FinMap(FinObj(2), FinObj(2), (0, 2))
+    with pytest.raises(DomainMismatch):
+        FinMap(FinObj(2), FinObj(2), (-1, 0))
+    with pytest.raises(DomainMismatch):
+        FinMap(FinObj(1), FinObj(0), (0,))
+
+
+def _limits_over_two_points():
+    two = FinObj(2)
+    return (finset.product(two, two),
+            finset.pullback(finset.bang(two), finset.bang(two)))
+
+
+def test_mediate_rejects_legs_from_different_domains():
+    f = FinMap(FinObj(2), FinObj(2), (0, 1))
+    g = FinMap(FinObj(3), FinObj(2), (0, 1, 1))
+    for limit in _limits_over_two_points():
+        with pytest.raises(DomainMismatch):
+            limit.mediate(f, g)
+        with pytest.raises(DomainMismatch):
+            limit.mediate(g, f)
+
+
+def test_mediate_rejects_legs_into_the_wrong_codomain():
+    f = FinMap(FinObj(2), FinObj(2), (0, 1))
+    g = FinMap(FinObj(2), FinObj(3), (1, 0))
+    for limit in _limits_over_two_points():
+        with pytest.raises(DomainMismatch):
+            limit.mediate(f, g)
+        with pytest.raises(DomainMismatch):
+            limit.mediate(g, f)
+
+
+@st.composite
+def products_with_legs(draw):
+    """Sizes 0..6 of A and B, and legs D -> A and D -> B."""
+    a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    d = draw(st.integers(0, 6)) if a and b else 0
+    f = draw(st.lists(st.integers(0, a - 1), min_size=d, max_size=d)) if d else []
+    g = draw(st.lists(st.integers(0, b - 1), min_size=d, max_size=d)) if d else []
+    return a, b, d, tuple(f), tuple(g)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(products_with_legs())
+def test_product_agrees_with_lexicographic_enumeration(case):
+    a, b, d, f, g = case
+    lex = list(iproduct(range(a), range(b)))
+    prod = finset.product(FinObj(a), FinObj(b))
+    assert prod.apex.size == len(lex)
+    assert prod.projections[0].table == tuple(x for x, _ in lex)
+    assert prod.projections[1].table == tuple(y for _, y in lex)
+    assert prod.tuples == tuple(lex)
+    assert prod.index == {t: k for k, t in enumerate(lex)}
+    assert [prod.decode(k) for k in range(len(lex))] == lex
+    assert [prod.encode(t) for t in lex] == list(range(len(lex)))
+    dom = FinObj(d)
+    med = prod.mediate(FinMap(dom, FinObj(a), f), FinMap(dom, FinObj(b), g))
+    assert med.dom == dom and med.cod == prod.apex
+    assert med.table == tuple(lex.index(t) for t in zip(f, g))

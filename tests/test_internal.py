@@ -8,18 +8,23 @@ from itertools import product as iproduct
 import pytest
 
 from fincat import finset, naive
-from fincat.corpus import category_from_tables, free_on_dag, monoid_delooping
+from fincat.corpus import (category_from_tables, free_on_dag,
+                           full_subcategory_inclusion, monoid_delooping,
+                           opposite)
 from fincat.errors import SizeBound
+from fincat.factorisation import epi_mono_ofs, factor_internal, iso_all_ofs
 from fincat.finset import FinMap, FinObj, compose
 from fincat.internal import (InternalCategory, InternalFunctor,
                              InternalNatTrans, Violation, compose_functors,
-                             hcomp, id_functor, id_nat_trans,
-                             is_epi_on_objects, is_full_mono,
-                             is_fully_faithful, is_iso_on_objects,
-                             is_mono_functor, validate_category,
-                             validate_functor, validate_nat_trans, vcomp,
-                             whisker_left, whisker_right)
-from fincat.limits import enumerate_cells, enumerate_functors, free_arrow
+                             endpoint_pullback, ff_pullback, hcomp,
+                             id_functor, id_nat_trans, is_epi_on_objects,
+                             is_full_mono, is_fully_faithful,
+                             is_iso_on_objects, is_mono_functor,
+                             validate_category, validate_functor,
+                             validate_nat_trans, vcomp, whisker_left,
+                             whisker_right)
+from fincat.limits import (coproduct_cat, enumerate_cells, enumerate_functors,
+                           free_arrow, internal_hom, power_by_two, product_cat)
 from fincat.transfer import disc, disc_map, indisc
 
 
@@ -364,3 +369,79 @@ def test_functor_search_step_counts():
         assert (err.value.stage, err.value.steps, err.value.bound) == \
             ("oracle functors", steps, steps - 1)
         assert naive.oracle_functors(na, nb, steps) == naive.oracle_functors(na, nb)
+
+
+def _reference_endpoint_pullback(t, b):
+    """The endpoint pullback built from its definition: t x t and (d0, d1)
+    mediated into the chosen products, then pulled back."""
+    prod_x = finset.product(t.dom, t.dom)
+    prod_b = finset.product(b.C0, b.C0)
+    txt = prod_b.mediate(compose(t, prod_x.projections[0]),
+                         compose(t, prod_x.projections[1]))
+    return prod_x, finset.pullback(txt, prod_b.mediate(b.d0, b.d1))
+
+
+def _same_limit(p, q):
+    return (p.apex == q.apex and p.tuples == q.tuples
+            and [(r.cod, r.table) for r in p.projections]
+            == [(r.cod, r.table) for r in q.projections])
+
+
+def test_endpoint_pullback_matches_reference(functor_corpus):
+    for f in functor_corpus:
+        a, b = f.dom, f.cod
+        ref_prod, ref = _reference_endpoint_pullback(f.f0, b)
+        prod_x, pb = endpoint_pullback(f.f0, b)
+        assert _same_limit(prod_x, ref_prod) and _same_limit(pb, ref)
+        ff_pb, induced = ff_pullback(f)
+        assert _same_limit(ff_pb, ref)
+        assert induced.table == ref.mediate(ref_prod.mediate(a.d0, a.d1),
+                                            f.f1).table
+        for ofs in (epi_mono_ofs(), iso_all_ofs()):
+            _l0, r0 = ofs.factor(f.f0)
+            ref_prod, ref = _reference_endpoint_pullback(r0, b)
+            fac = factor_internal(f, ofs)
+            pair_proj, arrow_proj = ref.projections
+            assert fac.middle.C1 == ref.apex
+            assert fac.right.f1.table == arrow_proj.table
+            assert fac.middle.d0.table == compose(ref_prod.projections[0],
+                                                  pair_proj).table
+            assert fac.middle.d1.table == compose(ref_prod.projections[1],
+                                                  pair_proj).table
+
+
+def test_one_pairs_pullback_per_new_category(monkeypatch, corpus, functor_corpus):
+    """Each construction builds its category's composable pairs once, and
+    the category keeps them."""
+    seen = []
+    real_pullback = finset.pullback
+
+    def counting_pullback(f, g):
+        seen.append((f, g))
+        return real_pullback(f, g)
+
+    monkeypatch.setattr(finset, "pullback", counting_pullback)
+    arrow = free_arrow()
+    small = [c for c in corpus if c.C1.size <= 4][:3]
+    constructions = [("disc", lambda: disc(FinObj(3))),
+                     ("indisc", lambda: indisc(FinObj(3))),
+                     ("category_from_tables", walking_arrow_by_hand),
+                     ("opposite", lambda: opposite(corpus[5])),
+                     ("full subcategory",
+                      lambda: full_subcategory_inclusion(corpus[5], [0])[0]),
+                     ("coproduct_cat", lambda: coproduct_cat(arrow, arrow).category),
+                     ("internal_hom", lambda: internal_hom(arrow, arrow).carrier)]
+    constructions += [("product_cat", lambda c=c: product_cat(c, arrow).category)
+                      for c in small]
+    constructions += [("power_by_two", lambda c=c: power_by_two(c).carrier)
+                      for c in small]
+    constructions += [("factor_internal", lambda f=f, ofs=ofs: factor_internal(f, ofs).middle)
+                      for f in functor_corpus[:20]
+                      for ofs in (epi_mono_ofs(), iso_all_ofs())]
+    for name, build in constructions:
+        seen.clear()
+        cat = build()
+        assert validate_category(cat).ok, name
+        assert cat.pairs.apex == cat.m.dom, name
+        calls = sum(1 for f, g in seen if f is cat.d1 and g is cat.d0)
+        assert calls == 1, (name, calls)
