@@ -17,7 +17,7 @@ composition was tabulated over; otherwise pairs are built on first read.
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement, product, repeat
 
 from . import finset
 from .errors import (CertificateFailure, DomainMismatch, FiberNotSingleton,
@@ -343,22 +343,30 @@ def endpoint_pullback(t: FinMap, b: InternalCategory):
                                              FinMap(apex, b.C1, arrow_col)))
 
 
-def ff_pullback(f: InternalFunctor):
-    """The endpoint pullback of f0, together with the canonical map A1 into
-    it. Fully faithful = that map is bijective."""
-    a = f.dom
-    prod_a, pb = endpoint_pullback(f.f0, f.cod)
-    return pb, pb.mediate(prod_a.mediate(a.d0, a.d1), f.f1)
+def _maps_hom_sets(f: InternalFunctor, onto: bool) -> bool:
+    """Whether f1 maps each hom-set A(x, x') injectively into B(f0 x, f0 x'),
+    and with `onto` also onto it, for every pair (x, x') of A0."""
+    a, f0, f1 = f.dom, f.f0.table, f.f1.table
+    a_homs, b_homs = a.homs, f.cod.homs
+    keys = product(range(a.C0.size), repeat=2) if onto else a_homs
+    for x, x2 in keys:
+        arrows = a_homs.get((x, x2), ())
+        images = set(map(f1.__getitem__, arrows))
+        if len(images) != len(arrows):
+            return False
+        if onto and images != set(b_homs.get((f0[x], f0[x2]), ())):
+            return False
+    return True
 
 
 def is_fully_faithful(f: InternalFunctor) -> bool:
-    _, induced = ff_pullback(f)
-    return finset.is_iso(induced)
+    """Whether f1 is a bijection A(x, x') -> B(f0 x, f0 x') for all x, x'."""
+    return _maps_hom_sets(f, onto=True)
 
 
 def is_faithful(f: InternalFunctor) -> bool:
-    _, induced = ff_pullback(f)
-    return finset.is_mono(induced)
+    """Whether f1 is injective on every hom-set of A."""
+    return _maps_hom_sets(f, onto=False)
 
 
 def is_mono_functor(f: InternalFunctor) -> bool:

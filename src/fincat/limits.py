@@ -5,9 +5,13 @@ extensive coproducts, copowers, and internal homs via the simplicial end.
 The internal hom is computed by the end formula (see ends.py) as the
 definitional path: its objects and cells are the level-0 and level-1 ends, and
 its composition is the Segal join of composable cells, read off level 1
-without a level-2 search. `bound` caps the object tables, the end search steps
-(refused up front when the level-1 search's counted prefix exceeds it) and the
-composable triples of cells that validating the result visits.
+without a level-2 search. The carrier is certified by the components of its
+cells (validate_hom_carrier), in time linear in its composable pairs of cells.
+`bound` caps the object tables, the end search steps (refused up front when
+the level-1 search's counted prefix exceeds it) and the composable pairs of
+cells. The product carrier x X and the evaluation functor are built, and the
+evaluation certified, only when first read; `bound` then also caps the
+product's composable pairs.
 
 The functor, cell and hom-category searches all live in naive.py, which shares
 no code with the end path: enumerate_functors, enumerate_cells and
@@ -15,16 +19,19 @@ hom_category are typed views over them, and hom_iso_with_oracle checks the
 end hom against the oracle's hom-category.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import finset
 from .ends import Family, end_families
 from .errors import CertificateFailure, DomainMismatch, SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
-                       compose_functors, derived_unit_maps, id_functor,
-                       monotone_maps, validate_category, validate_functor,
-                       validate_nat_trans, whisker_left)
+                       ValidationReport, Violation, compose_functors,
+                       derived_unit_maps, id_functor, monotone_maps,
+                       validate_category, validate_functor, validate_nat_trans,
+                       whisker_left)
 from .naive import (oracle_from_internal, oracle_functors, oracle_hom_category,
                     oracle_nat_trans)
 from .transfer import disc
@@ -275,15 +282,55 @@ def copower_by_two(a: InternalCategory) -> CopowerByTwo:
 # Internal hom via the end formula.
 # ---------------------------------------------------------------------------
 
+def _key_index(families):
+    """Index of each family in `families`, by its key."""
+    return {f.key(): i for i, f in enumerate(families)}
+
+
 @dataclass(frozen=True)
 class InternalHom:
+    """The hom [dom, cod]: its carrier, and the level-0 and level-1 end
+    families that are the carrier's objects and cells, in index order.
+
+    `prod` and `evaluation` are built the first time they are read, and the
+    evaluation is certified then; SizeBound (stage "evaluation pairs") when
+    the product's composable pairs exceed `bound`."""
+
     carrier: InternalCategory
     dom: InternalCategory    # the exponent X
     cod: InternalCategory    # the target Y
-    prod: LimitCone          # carrier x X, domain of evaluation
-    evaluation: InternalFunctor
     level0: tuple            # Family objects for functors
     level1: tuple            # Family objects for cells
+    bound: int
+
+    @cached_property
+    def family_index(self):
+        """The carrier index of each level-0 and each level-1 family, keyed
+        by the family's key."""
+        return _key_index(self.level0), _key_index(self.level1)
+
+    @cached_property
+    def prod(self) -> LimitCone:
+        """carrier x X, the domain of evaluation."""
+        pairs = self.carrier.pairs.apex.size * self.dom.pairs.apex.size
+        if pairs > self.bound:
+            raise SizeBound(f"evaluation domain has {pairs} composable pairs, "
+                            f"over the bound {self.bound}",
+                            stage="evaluation pairs", steps=pairs, bound=self.bound)
+        return product_cat(self.carrier, self.dom)
+
+    @cached_property
+    def evaluation(self) -> InternalFunctor:
+        """ev: carrier x X -> Y, sending (cell, arrow a) to the cell's
+        diagonal at a. CertificateFailure if it is not a functor."""
+        prod, hom0, hom1 = self.prod, self.level0, self.level1
+        ev0 = FinMap(prod.l0.apex, self.cod.C0,
+                     tuple(hom0[fi].eta0[(0,)][xv] for fi, xv in prod.l0.tuples))
+        ev1 = FinMap(prod.l1.apex, self.cod.C1,
+                     tuple(hom1[ci].eta1[(0, 1)][a] for ci, a in prod.l1.tuples))
+        evaluation = InternalFunctor(prod.category, self.cod, ev0, ev1)
+        validate_functor(evaluation).certify("evaluation")
+        return evaluation
 
     def curry(self, z: InternalCategory, prod_zx: LimitCone,
               h: InternalFunctor) -> InternalFunctor:
@@ -291,8 +338,7 @@ class InternalHom:
         x, y = self.dom, self.cod
         if h.dom != prod_zx.category or h.cod != y:
             raise DomainMismatch("curry needs a functor Z x X -> Y")
-        idx0 = {f.key(): i for i, f in enumerate(self.level0)}
-        idx1 = {f.key(): i for i, f in enumerate(self.level1)}
+        idx0, idx1 = self.family_index
         zn = z.nerve
         at0, at1 = prod_zx.l0.index, prod_zx.l1.index
 
@@ -316,16 +362,52 @@ class InternalHom:
         return InternalFunctor(z, self.carrier, f0, f1)
 
 
-def _composable_triples(d0: FinMap, d1: FinMap) -> int:
-    """Number of composable triples of arrows with targets d0 and sources d1,
-    counted from in- and out-degrees without listing them."""
-    into = [0] * d0.cod.size
-    out_of = [0] * d0.cod.size
-    for t in d0.table:
-        into[t] += 1
-    for s in d1.table:
-        out_of[s] += 1
-    return sum(out_of[t] * into[s] for t, s in zip(d0.table, d1.table))
+def validate_hom_carrier(ih: InternalHom) -> ValidationReport:
+    """Certifies ih.carrier by the components of its cells, in time linear
+    in its composable pairs of cells times |X0|.
+
+    A cell is encoded as (source, target, components), its component at an
+    object of X read off its family's diagonal at that object's identity.
+    The encoding must be injective, each component must run from the source
+    functor's image of its object to the target's, each identity cell must
+    have identity components, and m(u, v) must encode as (d1 v, d0 u, the
+    pointwise composites u_x . v_x in Y). The encoding then carries the
+    carrier's identities and composites injectively to pointwise ones, so
+    its unit and associativity laws follow from those of the category Y."""
+    carrier, x, y = ih.carrier, ih.dom, ih.cod
+    d0, d1 = carrier.d0.table, carrier.d1.table
+    objects = [fam.eta0[(0,)] for fam in ih.level0]
+    codes = [(s, t, tuple(map(fam.eta1[(0, 1)].__getitem__, x.i.table)))
+             for s, t, fam in zip(d1, d0, ih.level1)]
+    out = []
+    first = {}
+    for c, code in enumerate(codes):
+        if first.setdefault(code, c) != c:
+            out.append(Violation("cell-encoding", (first[code], c),
+                                 "two cells have one encoding"))
+    y_d0, y_d1 = y.d0.table, y.d1.table
+    for c, (s, t, comps) in enumerate(codes):
+        if (tuple(map(y_d1.__getitem__, comps)) != objects[s]
+                or tuple(map(y_d0.__getitem__, comps)) != objects[t]):
+            out.append(Violation("cell-components", c,
+                                 "a component does not run from the source "
+                                 "functor's image to the target's"))
+    y_i = y.i.table
+    for o, e in enumerate(carrier.i.table):
+        if codes[e] != (o, o, tuple(map(y_i.__getitem__, objects[o]))):
+            out.append(Violation("identity-cell", o,
+                                 "i(o) is not the identity cell of o"))
+    if out:
+        # the pointwise composites need well-shaped components first
+        return ValidationReport(tuple(out))
+    y_pair, y_m = y.pairs.index, y.m.table
+    for (u, v), uv in zip(carrier.pairs.tuples, carrier.m.table):
+        comps = tuple(map(y_m.__getitem__,
+                          map(y_pair.__getitem__, zip(codes[u][2], codes[v][2]))))
+        if codes[uv] != (d1[v], d0[u], comps):
+            out.append(Violation("composite-cell", (u, v),
+                                 "m(u, v) is not the pointwise composite"))
+    return ValidationReport(tuple(out))
 
 
 def internal_hom(x: InternalCategory, y: InternalCategory,
@@ -335,19 +417,21 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
 
     SizeBound, with its `stage`, if there are more than `bound` object
     tables, if an end search would exceed `bound` steps or the hom has more
-    than `bound` composable triples of cells. The level-1 end refuses up
+    than `bound` composable pairs of cells. The level-1 end refuses up
     front, before searching past its functor blocks, when the steps it must
     spend before its second jump cell, counted exactly, exceed `bound`.
-    CertificateFailure if the result fails its own validation.
+    CertificateFailure if the carrier fails validate_hom_carrier.
+
+    The result's `prod` and `evaluation` are built, and the evaluation
+    certified, on first read, under the same `bound` on composable pairs.
     """
     if x.C0.size and y.C0.size ** x.C0.size > bound:
         tables = y.C0.size ** x.C0.size
         raise SizeBound(f"{tables} object tables, over the bound {bound}",
                         stage="object tables", steps=tables, bound=bound)
-    hom0 = end_families(x, y, 0, bound)
-    hom1 = end_families(x, y, 1, bound)
-    idx0 = {f.key(): i for i, f in enumerate(hom0)}
-    idx1 = {f.key(): i for i, f in enumerate(hom1)}
+    hom0 = tuple(end_families(x, y, 0, bound))
+    hom1 = tuple(end_families(x, y, 1, bound))
+    idx0, idx1 = family_index = _key_index(hom0), _key_index(hom1)
 
     def vertex_key(fam, t):
         return (fam.eta0[(t,)], fam.eta1[(t, t)])
@@ -356,11 +440,12 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     c1 = FinObj(len(hom1))
     d0 = FinMap(c1, c0, tuple(idx0[vertex_key(f, 1)] for f in hom1))
     d1 = FinMap(c1, c0, tuple(idx0[vertex_key(f, 0)] for f in hom1))
-    triples = _composable_triples(d0, d1)
-    if triples > bound:
-        raise SizeBound(f"hom has {triples} composable triples of cells, "
-                        f"over the bound {bound}", stage="composable triples",
-                        steps=triples, bound=bound)
+    out_of = Counter(d1.table)
+    cell_pairs = sum(map(out_of.__getitem__, d0.table))
+    if cell_pairs > bound:
+        raise SizeBound(f"hom has {cell_pairs} composable pairs of cells, "
+                        f"over the bound {bound}", stage="cell pairs",
+                        steps=cell_pairs, bound=bound)
     # the composite of u after v at an arrow a: p -> q of x is u at q after
     # v's diagonal at a; its other slots are v's source and u's target
     at_target = tuple(x.i.table[q] for q in x.d0.table)
@@ -385,15 +470,10 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     except KeyError as exc:
         raise CertificateFailure(
             f"hom cell join missing from level 1: {exc.args[0]}") from exc
-    validate_category(carrier).certify("hom carrier")
-    prod = product_cat(carrier, x)
-    ev0 = FinMap(prod.l0.apex, y.C0,
-                 tuple(hom0[fi].eta0[(0,)][xv] for fi, xv in prod.l0.tuples))
-    ev1 = FinMap(prod.l1.apex, y.C1,
-                 tuple(hom1[ci].eta1[(0, 1)][a] for ci, a in prod.l1.tuples))
-    evaluation = InternalFunctor(prod.category, y, ev0, ev1)
-    validate_functor(evaluation).certify("evaluation")
-    return InternalHom(carrier, x, y, prod, evaluation, tuple(hom0), tuple(hom1))
+    ih = InternalHom(carrier, x, y, hom0, hom1, bound)
+    ih.__dict__["family_index"] = family_index
+    validate_hom_carrier(ih).certify("hom carrier")
+    return ih
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,17 @@ from itertools import product as iproduct
 import pytest
 
 from fincat import finset, naive
-from fincat.corpus import (category_from_tables, free_on_dag,
-                           full_subcategory_inclusion, monoid_delooping,
+from fincat.corpus import (CorpusSpec, category_from_tables, free_on_dag,
+                           full_subcategory_inclusion, generate_corpus,
+                           generate_functor_corpus, monoid_delooping,
                            opposite)
 from fincat.errors import SizeBound
 from fincat.factorisation import epi_mono_ofs, factor_internal, iso_all_ofs
 from fincat.finset import FinMap, FinObj, compose
 from fincat.internal import (InternalCategory, InternalFunctor,
                              InternalNatTrans, Violation, compose_functors,
-                             endpoint_pullback, ff_pullback, hcomp,
-                             id_functor, id_nat_trans, is_epi_on_objects,
+                             endpoint_pullback, hcomp, id_functor,
+                             id_nat_trans, is_epi_on_objects, is_faithful,
                              is_full_mono, is_fully_faithful,
                              is_iso_on_objects, is_mono_functor,
                              validate_category, validate_functor,
@@ -381,6 +382,27 @@ def _reference_endpoint_pullback(t, b):
     return prod_x, finset.pullback(txt, prod_b.mediate(b.d0, b.d1))
 
 
+def _reference_ff_pullback(f):
+    """The endpoint pullback of f0, together with the canonical map A1 into
+    it: f is fully faithful when that map is bijective, and faithful when it
+    is injective."""
+    a = f.dom
+    prod_a, pb = endpoint_pullback(f.f0, f.cod)
+    return pb, pb.mediate(prod_a.mediate(a.d0, a.d1), f.f1)
+
+
+def test_faithfulness_by_hom_sets_matches_endpoint_pullback():
+    checked = 0
+    for seed in (1, 7, 11):
+        cats = generate_corpus(CorpusSpec(seed=seed))
+        for f in generate_functor_corpus(cats, seed=seed):
+            _pb, induced = _reference_ff_pullback(f)
+            assert is_fully_faithful(f) == finset.is_iso(induced), (seed, f)
+            assert is_faithful(f) == finset.is_mono(induced), (seed, f)
+            checked += 1
+    assert checked > 100
+
+
 def _same_limit(p, q):
     return (p.apex == q.apex and p.tuples == q.tuples
             and [(r.cod, r.table) for r in p.projections]
@@ -393,7 +415,7 @@ def test_endpoint_pullback_matches_reference(functor_corpus):
         ref_prod, ref = _reference_endpoint_pullback(f.f0, b)
         prod_x, pb = endpoint_pullback(f.f0, b)
         assert _same_limit(prod_x, ref_prod) and _same_limit(pb, ref)
-        ff_pb, induced = ff_pullback(f)
+        ff_pb, induced = _reference_ff_pullback(f)
         assert _same_limit(ff_pb, ref)
         assert induced.table == ref.mediate(ref_prod.mediate(a.d0, a.d1),
                                             f.f1).table

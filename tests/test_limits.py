@@ -8,22 +8,23 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from fincat import ends, finset
 from fincat.audit import diagonal_equaliser_holds
-from fincat.corpus import category_from_tables
-from fincat.ends import brute_families, check_family, end_families
+from fincat.corpus import category_from_tables, monoid_delooping
+from fincat.ends import Family, brute_families, check_family, end_families
 from fincat.errors import CertificateFailure, SizeBound
 from fincat.finset import FinMap, FinObj, identity
-from fincat.internal import (compose_functors, id_functor, validate_category,
-                             validate_functor)
+from fincat.internal import (InternalCategory, compose_functors, id_functor,
+                             validate_category, validate_functor)
 from fincat.limits import (HomCategory, coproduct_cat, copower_by_two,
                            enumerate_cells, enumerate_functors, free_arrow,
                            hom_category, hom_iso_with_oracle, internal_hom,
                            power_by_two, product_cat, pullback_cat,
-                           terminal_cat)
+                           terminal_cat, validate_hom_carrier)
 from fincat.transfer import disc, indisc
 
 
@@ -169,14 +170,39 @@ def test_internal_hom_join_matches_level_two_end(corpus):
         assert ih.carrier.m.table == _level_two_m(ih, x, y)
 
 
-def test_internal_hom_bound_caps_composable_triples():
-    # [2, indisc 2] has 4 functors, 16 cells and 256 composable triples;
-    # the end search and the object tables stay under that count
-    x, y = free_arrow(), indisc(FinObj(2))
-    ih = internal_hom(x, y, bound=256)
-    assert ih.carrier.triples.apex.size == 256
-    with pytest.raises(SizeBound, match="triples"):
-        internal_hom(x, y, bound=255)
+def test_internal_hom_bound_caps_cell_pairs():
+    # [2, indisc 3] has 9 functors, 81 cells and 729 composable pairs of
+    # cells; the end search and the object tables stay under that count
+    x, y = free_arrow(), indisc(FinObj(3))
+    ih = internal_hom(x, y, bound=729)
+    assert (ih.carrier.C0.size, ih.carrier.C1.size) == (9, 81)
+    assert ih.carrier.pairs.apex.size == 729
+    with pytest.raises(SizeBound) as err:
+        internal_hom(x, y, bound=728)
+    assert (err.value.stage, err.value.steps, err.value.bound) == \
+        ("cell pairs", 729, 728)
+
+
+def test_evaluation_is_built_on_first_read_under_the_bound(monkeypatch):
+    # the product [2, indisc 3] x 2 has 729 * 4 composable pairs: the hom is
+    # built under bound 729, its evaluation only under 2916
+    import fincat.limits as limits
+    x, y = free_arrow(), indisc(FinObj(3))
+    built = []
+    real = limits.product_cat
+    monkeypatch.setattr(limits, "product_cat",
+                        lambda a, b: built.append((a, b)) or real(a, b))
+    ih = internal_hom(x, y, bound=729)
+    assert built == []
+    with pytest.raises(SizeBound) as err:
+        ih.evaluation
+    assert (err.value.stage, err.value.steps, err.value.bound) == \
+        ("evaluation pairs", 2916, 729)
+    ih = internal_hom(x, y, bound=2916)
+    assert ih.evaluation is ih.evaluation
+    assert ih.evaluation.dom is ih.prod.category
+    assert built == [(ih.carrier, x)]
+    assert validate_functor(ih.evaluation).ok
 
 
 def test_internal_hom_missing_join_is_certificate_failure(monkeypatch):
@@ -199,6 +225,106 @@ def test_internal_hom_missing_join_is_certificate_failure(monkeypatch):
     assert not isinstance(err.value, (KeyError, SizeBound))
 
 
+def _with_m(c, k, w):
+    """c with its composition table's entry k replaced by w."""
+    table = list(c.m.table)
+    table[k] = w
+    return InternalCategory(c.C0, c.C1, c.d0, c.d1, c.i,
+                            FinMap(c.m.dom, c.C1, tuple(table)))
+
+
+def _with_i(c, o, e):
+    """c with the identity of object o replaced by the arrow e."""
+    table = list(c.i.table)
+    table[o] = e
+    return InternalCategory(c.C0, c.C1, c.d0, c.d1,
+                            FinMap(c.C0, c.C1, tuple(table)), c.m)
+
+
+def test_hom_certificate_rejects_a_perturbed_composition():
+    # [1, B M] for the monoid M = {e, a} with a.a = a is B M again; setting
+    # a.a = e there gives B(Z/2), still a category, but not the hom
+    y = monoid_delooping([[0, 1], [1, 1]])
+    ih = internal_hom(terminal_cat(), y)
+    c = ih.carrier
+    a = next(u for u in range(c.C1.size) if u not in c.i.table)
+    k = c.pairs.index[(a, a)]
+    assert c.m.table[k] == a
+    bad = _with_m(c, k, c.i.table[0])
+    assert validate_category(bad).ok
+    report = validate_hom_carrier(replace(ih, carrier=bad))
+    assert [v.axiom for v in report.violations] == ["composite-cell"]
+    with pytest.raises(CertificateFailure, match="hom carrier"):
+        report.certify("hom carrier")
+
+
+def test_hom_certificate_rejects_merged_cells():
+    # [1, B(Z/2)] has two parallel cells; give the second the family of the
+    # first, and the two encode alike
+    ih = internal_hom(terminal_cat(), monoid_delooping([[0, 1], [1, 0]]))
+    assert ih.carrier.homs == {(0, 0): (0, 1)}
+    merged = (ih.level1[0], ih.level1[0])
+    report = validate_hom_carrier(replace(ih, level1=merged))
+    assert [v.axiom for v in report.violations] == ["cell-encoding"]
+    with pytest.raises(CertificateFailure, match="hom carrier"):
+        report.certify("hom carrier")
+
+
+def test_corrupted_evaluation_fails_on_first_read():
+    # one cell's diagonal at the free arrow's non-identity arrow is sent to
+    # an arrow of y with another target
+    two = free_arrow()
+    y = indisc(FinObj(2))
+    ih = internal_hom(two, y)
+    cell = next(c for c, fam in enumerate(ih.level1)
+                if fam.eta0[(0,)] != fam.eta0[(1,)])
+    fam = ih.level1[cell]
+    diag = list(fam.eta1[(0, 1)])
+    diag[2] = next(b for b in range(y.C1.size)
+                   if y.d0.table[b] != y.d0.table[diag[2]])
+    eta1 = dict(fam.eta1)
+    eta1[(0, 1)] = tuple(diag)
+    bad_fam = Family(fam.k, dict(fam.eta0), eta1)
+    bad = replace(ih, level1=ih.level1[:cell] + (bad_fam,) + ih.level1[cell + 1:])
+    assert validate_functor(ih.evaluation).ok
+    with pytest.raises(CertificateFailure, match="evaluation"):
+        bad.evaluation
+
+
+def test_hom_certificate_agrees_with_validate_category(corpus):
+    # on every hom of small corpus categories, and on copies with one
+    # identity or one unit composite moved to another cell or one composite
+    # moved to a cell with other endpoints; a composite moved to a parallel
+    # cell can give another category, which only the certificate rejects
+    rng = random.Random(7)
+    small = [c for c in corpus if c.C1.size <= 3]
+    checked = 0
+    for x in small:
+        for y in small:
+            ih = internal_hom(x, y)
+            c = ih.carrier
+            copies = [c]
+            for o in range(c.C0.size):
+                others = [u for u in range(c.C1.size) if u != c.i.table[o]]
+                if others:
+                    copies.append(_with_i(c, o, rng.choice(others)))
+            for k, (u, v) in enumerate(c.pairs.tuples):
+                uv = c.m.table[k]
+                if u in c.i.table:
+                    others = [w for w in range(c.C1.size) if w != uv]
+                else:
+                    others = [w for w in range(c.C1.size)
+                              if (c.d1.table[w], c.d0.table[w])
+                              != (c.d1.table[uv], c.d0.table[uv])]
+                if others:
+                    copies.append(_with_m(c, k, rng.choice(others)))
+            for cat in copies:
+                assert (validate_hom_carrier(replace(ih, carrier=cat)).ok
+                        == validate_category(cat).ok)
+                checked += 1
+    assert checked > 1000
+
+
 def test_internal_hom_certificates_survive_optimised_python():
     # each failed validation raises CertificateFailure even under -O
     script = """
@@ -207,11 +333,11 @@ from fincat.errors import CertificateFailure
 from fincat.internal import ValidationReport, Violation
 bad = ValidationReport((Violation("planted", 0, "planted failure"),))
 x = limits.free_arrow()
-for name in ("validate_category", "validate_functor"):
+for name in ("validate_hom_carrier", "validate_functor"):
     real = getattr(limits, name)
     setattr(limits, name, lambda _value: bad)
     try:
-        limits.internal_hom(x, x)
+        limits.internal_hom(x, x).evaluation
     except CertificateFailure:
         pass
     else:
@@ -382,9 +508,9 @@ def test_size_bound_names_its_stage(counted):
     assert (err.value.stage, err.value.steps, err.value.bound) == \
         ("object tables", 256, 10)
     with pytest.raises(SizeBound) as err:
-        internal_hom(two, i2, bound=255)
+        internal_hom(two, indisc(FinObj(3)), bound=728)
     assert (err.value.stage, err.value.steps, err.value.bound) == \
-        ("composable triples", 256, 255)
+        ("cell pairs", 729, 728)
     # a bound that covers the counted prefix but not the whole search
     level0, s0 = counted(two, i2, 0)
     prefix = _counted_prefix(two, i2, 1, level0, s0)
