@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 from . import finset
 from .errors import CertificateFailure, NotBiSieve, NotFFEpi, NotFullMono
-from .finset import FinMap, compose
+from .finset import FinMap, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        compose_functors, fiber_arrow, id_functor, id_nat_trans,
                        is_epi_on_objects, is_full_mono, is_fully_faithful,
-                       validate_functor, validate_nat_trans, whisker_left,
-                       whisker_right)
+                       lift_arrows, validate_functor, validate_nat_trans,
+                       whisker_left, whisker_right)
 from .limits import free_arrow, hom_category, terminal_cat
-from .transfer import (disc, functor_to_disc, functor_to_indisc, indisc,
-                       pi0_map, pi0_quotient)
+from .transfer import (disc, functor_from_disc, functor_to_disc,
+                       functor_to_indisc, indisc, pi0_map, pi0_quotient)
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,7 @@ class FullSubobjectClassifier:
 def full_subobject_classifier() -> FullSubobjectClassifier:
     omega_base, top_base = finset.subobject_classifier()
     omega = indisc(omega_base)
-    one = disc(finset.terminal())
-    top = InternalFunctor(one, omega, top_base,
-                          FinMap(one.C1, omega.C1,
-                                 (finset.product(omega_base, omega_base).encode((1, 1)),)))
+    top = functor_from_disc(finset.terminal(), omega, top_base)
     return FullSubobjectClassifier(omega, top)
 
 
@@ -154,10 +151,7 @@ def section_of_ff_epi(e: InternalFunctor) -> SectionCertificate:
         raise NotFFEpi("section construction needs a fully faithful epi-on-objects functor")
     a, b = e.dom, e.cod
     s0 = finset.choose_section(e.f0)
-    s1_table = tuple(
-        fiber_arrow(e, arrow, s0.table[b.d1.table[arrow]], s0.table[b.d0.table[arrow]])
-        for arrow in range(b.C1.size))
-    s = InternalFunctor(b, a, s0, FinMap(b.C1, a.C1, s1_table))
+    s = InternalFunctor(b, a, s0, lift_arrows(e, b, s0, identity(b.C1)))
     validate_functor(s).certify("section")
     _certify(compose_functors(e, s) == id_functor(b), "e . s is not the identity")
     eta_table = tuple(

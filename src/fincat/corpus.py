@@ -217,10 +217,10 @@ def ff_epi_examples(corpus, rng):
     return out
 
 
-def generate_functor_corpus(corpus, seed=7, per_pair=3):
+def generate_functor_corpus(corpus, seed=7):
     """Deterministic functor family: identities, canonical constructions,
-    full subcategory inclusions, ff-epi examples, and sampled functors
-    between small corpus members."""
+    full subcategory inclusions, ff-epi examples, and up to three sampled
+    functors between each pair of small corpus members."""
     rng = random.Random(seed * 65537 + 1)
     out = []
     for c in corpus[:8]:
@@ -240,7 +240,7 @@ def generate_functor_corpus(corpus, seed=7, per_pair=3):
             except SizeBound:
                 continue
             if fs:
-                picks = sorted(rng.sample(range(len(fs)), min(per_pair, len(fs))))
+                picks = sorted(rng.sample(range(len(fs)), min(3, len(fs))))
                 out += [fs[k] for k in picks]
     for f in out:
         validate_functor(f).certify("corpus functor")

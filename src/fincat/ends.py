@@ -253,8 +253,8 @@ def _prefix_steps(s0, firsts, k, x_star, x_cat, y_fibers):
     return steps + f ** (k - 1) * jump
 
 
-def check_family(x_cat, y_cat, fam: Family, levels=range(4)) -> bool:
-    """Full naturality sweep: every theta and psi in the stated range."""
+def check_family(x_cat, y_cat, fam: Family) -> bool:
+    """Full naturality sweep: every theta and psi at levels 0..3."""
     xn, yn = x_cat.nerve, y_cat.nerve
     tables = {}  # (n, psi) -> slot table, for this sweep only
 
@@ -268,7 +268,7 @@ def check_family(x_cat, y_cat, fam: Family, levels=range(4)) -> bool:
                 tables[(n, psi)] = None
         return tables[(n, psi)]
 
-    for n in levels:
+    for n in range(4):
         for m in range(4):
             for theta in monotone_maps(m, n):
                 x_theta = xn.act(theta, n, m).table
@@ -282,11 +282,12 @@ def check_family(x_cat, y_cat, fam: Family, levels=range(4)) -> bool:
     return True
 
 
-def brute_families(x_cat, y_cat, k: int, limit: int = 200000):
+def brute_families(x_cat, y_cat, k: int):
     """The literal equalizer: filter the full product of all slot tables.
 
     Only feasible at tiny sizes; used as the fidelity oracle for end_families.
     """
+    limit = 200000
     xn, yn = x_cat.nerve, y_cat.nerve
     slots = [(n, psi) for n in range(4) for psi in monotone_maps(n, k)]
     total = 1

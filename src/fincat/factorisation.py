@@ -4,9 +4,9 @@ A base-level (L, R) policy lifts to the pair
 
     (L-on-objects,  R-on-objects and fully faithful)
 
-on internal functors: any functor factors through a middle category whose
-object of objects comes from the base factorisation and whose object of
-arrows is the chosen pullback of the codomain's endpoint map along r0 x r0.
+on internal functors: any functor factors through the full image of r0 for
+the base factorisation f0 = r0 . l0 (`internal.full_image`), and the left
+factor's arrows are lifted through that right factor (`internal.lift_arrows`).
 Lifting against the right class fills squares uniquely, in both the
 one-dimensional and two-dimensional senses. Instances ship for (epi, mono)
 and (iso, all).
@@ -18,9 +18,9 @@ from . import finset
 from .errors import NonCommuting, NotInClass
 from .finset import FinMap, compose, identity, inverse
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
-                       compose_functors, endpoint_pullback, fiber_arrow,
-                       is_epi_on_objects, is_fully_faithful, validate_category,
-                       validate_functor, validate_nat_trans)
+                       compose_functors, fiber_arrow, full_image,
+                       is_epi_on_objects, is_fully_faithful, lift_arrows,
+                       validate_category, validate_functor, validate_nat_trans)
 from .limits import enumerate_functors
 
 
@@ -71,28 +71,12 @@ class LiftedFactorisation:
 
 def factor_internal(f: InternalFunctor, ofs: BaseOFS) -> LiftedFactorisation:
     """Factor f through the middle category built over the base factorisation
-    of f0, with arrows pulled back from the codomain along r0 x r0."""
-    x, y = f.dom, f.cod
+    of f0: the full image of r0 in the codomain, with f's arrows lifted
+    through it."""
     l0, r0 = ofs.factor(f.f0)
-    c0 = l0.cod
-    prod_c, pb = endpoint_pullback(r0, y)
-    pair_proj, r1 = pb.projections
-    c1 = pb.apex
-    d0 = compose(prod_c.projections[0], pair_proj)
-    d1 = compose(prod_c.projections[1], pair_proj)
-    i = pb.mediate(prod_c.mediate(identity(c0), identity(c0)),
-                   compose(y.i, r0))
-
-    def composition(pairs):
-        pr_u, pr_v = pairs.projections
-        ru, rv = compose(r1, pr_u), compose(r1, pr_v)
-        m_y = compose(y.m, y.pairs.mediate(ru, rv))
-        return pb.mediate(prod_c.mediate(compose(d0, pr_u), compose(d1, pr_v)), m_y)
-
-    middle = InternalCategory.with_composition(c0, c1, d0, d1, i, composition)
-    l1 = pb.mediate(prod_c.mediate(compose(l0, x.d0), compose(l0, x.d1)), f.f1)
-    left = InternalFunctor(x, middle, l0, l1)
-    right = InternalFunctor(middle, y, r0, r1)
+    right = full_image(r0, f.cod)
+    middle = right.dom
+    left = InternalFunctor(f.dom, middle, l0, lift_arrows(right, f.dom, l0, f.f1))
     validate_category(middle).certify("factorisation: middle category")
     validate_functor(left).certify("factorisation: left factor")
     validate_functor(right).certify("factorisation: right factor")
@@ -117,12 +101,7 @@ def lift_square(s: InternalFunctor, f: InternalFunctor, p: InternalFunctor,
     if compose_functors(f, p) != compose_functors(q, s):
         raise NonCommuting("the square does not commute")
     u0 = ofs.lift(s.f0, f.f0, p.f0, q.f0)
-    b, x = s.cod, f.dom
-    table = [fiber_arrow(f, q.f1.table[arrow],
-                         u0.table[b.d1.table[arrow]],
-                         u0.table[b.d0.table[arrow]])
-             for arrow in range(b.C1.size)]
-    u = InternalFunctor(b, x, u0, FinMap(b.C1, x.C1, tuple(table)))
+    u = InternalFunctor(s.cod, f.dom, u0, lift_arrows(f, s.cod, u0, q.f1))
     validate_functor(u).certify("square lift")
     return u
 

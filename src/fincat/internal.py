@@ -17,7 +17,7 @@ composition was tabulated over; otherwise pairs are built on first read.
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations_with_replacement, product, repeat
+from itertools import combinations_with_replacement, product
 
 from . import finset
 from .errors import (CertificateFailure, DomainMismatch, FiberNotSingleton,
@@ -320,27 +320,44 @@ def hcomp(beta: InternalNatTrans, alpha: InternalNatTrans) -> InternalNatTrans:
     return vcomp(whisker_right(beta, alpha.tgt), whisker_left(beta.src, alpha))
 
 
-def endpoint_pullback(t: FinMap, b: InternalCategory):
-    """The chosen product X x X of the domain of t: X -> B0, and the chosen
-    pullback of b's endpoint map (d0, d1): B1 -> B0 x B0 along t x t.
+def full_image(t: FinMap, b: InternalCategory) -> InternalFunctor:
+    """The fully faithful functor into b with object map t: X -> B0.
 
-    An element of the pullback is a (target, source) pair of X with an arrow
-    of b between their images. It is read off `b.homs`: for each pair in the
-    order of X x X, the arrows from the source's image to the target's."""
-    prod_x = finset.product(t.dom, t.dom)
-    homs = b.homs
-    pair_col, arrow_col = [], []
-    k = 0
-    for tx in t.table:
-        for tsrc in t.table:
-            arrows = homs.get((tsrc, tx))
-            if arrows:
-                pair_col += repeat(k, len(arrows))
-                arrow_col += arrows
-            k += 1
-    apex = FinObj(len(arrow_col))
-    return prod_x, finset.ChosenLimit(apex, (FinMap(apex, prod_x.apex, pair_col),
-                                             FinMap(apex, b.C1, arrow_col)))
+    Its domain's arrows are the pullback of b's endpoint map along t x t,
+    read off `b.homs`: for each (target, source) pair in the order of X x X,
+    the arrows of b between their images, in b's order. Identities and
+    composites are looked up by (target, source, b's identity or composite)."""
+    if t.cod != b.C0:
+        raise DomainMismatch("full_image needs a map into b's objects")
+    x, homs, trusted = t.dom, b.homs, FinMap._trusted  # tables in range
+    keys = [(tgt, src, arrow)
+            for tgt, t_tgt in enumerate(t.table)
+            for src, t_src in enumerate(t.table)
+            for arrow in homs.get((t_src, t_tgt), ())]
+    c1 = FinObj(len(keys))
+    index = dict(zip(keys, range(c1.size)))
+    tgt_col, src_col, arrow_col = tuple(zip(*keys)) or ((), (), ())
+
+    def arrows_at(wanted, dom):
+        try:
+            return trusted(dom, c1, tuple(map(index.__getitem__, wanted)))
+        except KeyError as exc:
+            raise DomainMismatch(
+                f"{exc.args[0]} is not an arrow between images") from exc
+
+    i = arrows_at(((obj, obj, b.i.table[t_obj])
+                   for obj, t_obj in enumerate(t.table)), x)
+
+    def composition(pairs):
+        # (target of u, source of v, u.v in b) for each composable (u, v)
+        us, vs = (proj.table for proj in pairs.projections)
+        b_us, b_vs = map(arrow_col.__getitem__, us), map(arrow_col.__getitem__, vs)
+        return arrows_at(zip(map(tgt_col.__getitem__, us), map(src_col.__getitem__, vs),
+                             map(b.comp, b_us, b_vs)), pairs.apex)
+
+    dom = InternalCategory.with_composition(
+        x, c1, trusted(c1, x, tgt_col), trusted(c1, x, src_col), i, composition)
+    return InternalFunctor(dom, b, t, trusted(c1, b.C1, arrow_col))
 
 
 def _maps_hom_sets(f: InternalFunctor, onto: bool) -> bool:
@@ -401,6 +418,19 @@ def fiber_arrow(f: InternalFunctor, target_arrow, src_obj, tgt_obj):
     if len(fiber) > 1:
         raise FiberNotSingleton("fiber has more than one element")
     return fiber[0]
+
+
+def lift_arrows(f: InternalFunctor, a: InternalCategory, u0: FinMap,
+                g1: FinMap) -> FinMap:
+    """The arrow map of the functor a -> dom(f) with object map u0 whose
+    composite with the fully faithful f has arrow map g1: each arrow of a
+    goes to the unique arrow over its image between the images of its ends."""
+    if (u0.dom, u0.cod, g1.dom, g1.cod) != (a.C0, f.dom.C0, a.C1, f.cod.C1):
+        raise DomainMismatch("lift_arrows needs u0: A0 -> dom(f)0, g1: A1 -> cod(f)1")
+    u, g = u0.table, g1.table
+    return FinMap(a.C1, f.dom.C1, tuple(
+        fiber_arrow(f, g[arrow], u[src], u[tgt])
+        for arrow, (src, tgt) in enumerate(zip(a.d1.table, a.d0.table))))
 
 
 # ---------------------------------------------------------------------------
@@ -492,5 +522,6 @@ class Nerve:
 
 
 def simplicial_map(c: InternalCategory, phi, n_from: int, n_to: int) -> FinMap:
-    """The nerve's action N_{n_from} -> N_{n_to} of a monotone phi: [n_to] -> [n_from]."""
+    """The nerve's action N_{n_from} -> N_{n_to} of a monotone phi: [n_to] -> [n_from].
+    A module-level name, because `perfbench/spans.py` wraps it by that name."""
     return c.nerve.act(phi, n_from, n_to)

@@ -1,6 +1,7 @@
 """Functors and adjunctions between the base and the 2-category of internal
-categories: disc, indisc, objects/arrows parts, connected components, the
-truncated nerve, and executable adjunction witnesses.
+categories: disc, indisc (the full image of X in the terminal category),
+objects/arrows parts, connected components, and executable adjunction
+witnesses. The truncated nerve is `InternalCategory.nerve`.
 
 Each adjunction ships as a witness object with callable transposes and
 unit/counit constructors, because later modules use the adjunctions as
@@ -13,7 +14,7 @@ from . import finset
 from .errors import NotInHomSet
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
-                       Nerve)
+                       full_image, lift_arrows)
 
 
 def disc(x: FinObj) -> InternalCategory:
@@ -23,17 +24,14 @@ def disc(x: FinObj) -> InternalCategory:
         x, x, idx, idx, idx, lambda pairs: pairs.projections[0])
 
 
+_ONE = disc(finset.terminal())  # the terminal category, built once
+
+
 def indisc(x: FinObj) -> InternalCategory:
-    """The indiscrete internal category: arrows are ordered pairs (target, source)."""
-    prod = finset.product(x, x)
-    d0, d1 = prod.projections
-    i = prod.mediate(identity(x), identity(x))
-
-    def composition(pairs):
-        pr_e, pr_e2 = pairs.projections
-        return prod.mediate(compose(d0, pr_e), compose(d1, pr_e2))
-
-    return InternalCategory.with_composition(x, prod.apex, d0, d1, i, composition)
+    """The indiscrete internal category: the full image of X in the terminal
+    category, whose arrows are the pairs (target, source), numbered
+    target·|X| + source."""
+    return full_image(finset.bang(x), _ONE).dom
 
 
 def objects_part(c: InternalCategory) -> FinObj:
@@ -78,11 +76,11 @@ def functor_to_disc(a: InternalCategory, t: FinMap) -> InternalFunctor:
 
 
 def functor_to_indisc(a: InternalCategory, t: FinMap) -> InternalFunctor:
-    """The functor A -> indisc(Y) determined by a map t: A0 -> Y."""
-    b = indisc(t.cod)
-    prod = finset.product(t.cod, t.cod)
-    f1 = prod.mediate(compose(t, a.d0), compose(t, a.d1))
-    return InternalFunctor(a, b, t, f1)
+    """The functor A -> indisc(Y) determined by a map t: A0 -> Y: each arrow
+    goes to the one arrow between the images of its ends."""
+    ff = full_image(finset.bang(t.cod), _ONE)
+    return InternalFunctor(a, ff.dom, t,
+                           lift_arrows(ff, a, t, finset.bang(a.C1)))
 
 
 def functor_from_disc(x: FinObj, a: InternalCategory, t: FinMap) -> InternalFunctor:
@@ -170,11 +168,6 @@ def adjunction_pi0_disc() -> AdjunctionWitness:
         return finset.coeq_factor(pi0_quotient(disc(x)), identity(x))
 
     return AdjunctionWitness("pi0", "disc", forward, backward, unit, counit)
-
-
-def nerve(c: InternalCategory) -> Nerve:
-    """The truncated nerve of c, cached on c."""
-    return c.nerve
 
 
 def discrete_nat_trans_bijection(x: FinObj, a: InternalCategory):

@@ -12,15 +12,15 @@ from fincat.corpus import (CorpusSpec, category_from_tables, free_on_dag,
                            full_subcategory_inclusion, generate_corpus,
                            generate_functor_corpus, monoid_delooping,
                            opposite)
-from fincat.errors import SizeBound
+from fincat.errors import DomainMismatch, FiberNotSingleton, SizeBound
 from fincat.factorisation import epi_mono_ofs, factor_internal, iso_all_ofs
-from fincat.finset import FinMap, FinObj, compose
+from fincat.finset import FinMap, FinObj, compose, identity
 from fincat.internal import (InternalCategory, InternalFunctor,
                              InternalNatTrans, Violation, compose_functors,
-                             endpoint_pullback, hcomp, id_functor,
+                             full_image, hcomp, id_functor,
                              id_nat_trans, is_epi_on_objects, is_faithful,
                              is_full_mono, is_fully_faithful,
-                             is_iso_on_objects, is_mono_functor,
+                             is_iso_on_objects, is_mono_functor, lift_arrows,
                              validate_category, validate_functor,
                              validate_nat_trans, vcomp, whisker_left,
                              whisker_right)
@@ -137,6 +137,89 @@ def test_validate_category_does_not_build_triples():
         assert "triples" not in c.__dict__
         # the nerve still builds its level of composable triples on demand
         assert c.nerve.levels[3].size == c.triples.apex.size
+
+
+def _lawful_single_changes(c):
+    """Every category that differs from the category c in one entry of m,
+    changed to another arrow with the same endpoints, as validate_category
+    judges it. Associativity at the triples (p, q, w) and (u, p, q) of the
+    changed pair (p, q) is checked first as a sieve: a change that breaks
+    one of them is one that validate_category rejects."""
+    m, d0, d1 = c.m.table, c.d0.table, c.d1.table
+    into, out_of = {}, {}
+    for a, (src, tgt) in enumerate(zip(d1, d0)):
+        into.setdefault(tgt, []).append(a)
+        out_of.setdefault(src, []).append(a)
+    for k, (p, q) in enumerate(c.pairs.tuples):
+        for alt in c.homs[(d1[q], d0[p])]:
+            if alt == m[k]:
+                continue
+
+            def comp(u, v, p=p, q=q, alt=alt):
+                return alt if (u, v) == (p, q) else c.comp(u, v)
+
+            if (any(comp(alt, w) != comp(p, comp(q, w))
+                    for w in into.get(d1[q], ()))
+                    or any(comp(comp(u, p), q) != comp(u, alt)
+                           for u in out_of.get(d0[p], ()))):
+                continue
+            changed = InternalCategory(
+                c.C0, c.C1, c.d0, c.d1, c.i,
+                FinMap(c.m.dom, c.C1, m[:k] + (alt,) + m[k + 1:]))
+            if validate_category(changed).ok:
+                yield changed
+
+
+def _some_certificate_fails(functors):
+    return not all(validate_functor(f).ok for f in functors)
+
+
+def test_lawful_wrong_power_composition_fails_projections(corpus):
+    # a composition table that is a category but not the power's own one
+    # passes validate_category; the projections' certificates reject it
+    lawful = 0
+    for a in corpus:
+        power = power_by_two(a)
+        for changed in _lawful_single_changes(power.carrier):
+            lawful += 1
+            assert _some_certificate_fails(
+                InternalFunctor(changed, a, proj.f0, proj.f1)
+                for proj in (power.source_proj, power.target_proj))
+    assert lawful > 0
+
+
+def test_lawful_wrong_middle_composition_fails_factors(functor_corpus):
+    lawful = 0
+    for f in functor_corpus:
+        for ofs in (epi_mono_ofs(), iso_all_ofs()):
+            fac = factor_internal(f, ofs)
+            for changed in _lawful_single_changes(fac.middle):
+                lawful += 1
+                assert _some_certificate_fails((
+                    InternalFunctor(f.dom, changed, fac.left.f0, fac.left.f1),
+                    InternalFunctor(changed, f.cod, fac.right.f0, fac.right.f1)))
+    assert lawful > 0
+
+
+def test_full_image_and_lift_arrows_reject_malformed_input():
+    two, i2 = free_arrow(), indisc(FinObj(2))
+    with pytest.raises(DomainMismatch):
+        full_image(FinMap(FinObj(1), FinObj(3), (2,)), two)
+    # an identity assigner that leaves the arrows between images
+    bad_i = InternalCategory(two.C0, two.C1, two.d0, two.d1,
+                             FinMap(two.C0, two.C1, (2, 1)), two.m)
+    with pytest.raises(DomainMismatch):
+        full_image(identity(two.C0), bad_i)
+    ff = full_image(identity(i2.C0), i2)
+    objects, arrows = identity(two.C0), FinMap(two.C1, i2.C1, (0, 3, 2))
+    with pytest.raises(DomainMismatch):
+        lift_arrows(ff, two, FinMap(FinObj(1), i2.C0, (0,)), arrows)
+    with pytest.raises(DomainMismatch):
+        lift_arrows(ff, two, objects, FinMap(FinObj(2), i2.C1, (0, 3)))
+    with pytest.raises(FiberNotSingleton):
+        # arrow 2 of two goes 0 -> 1, but arrow 0 of indisc 2 is 0 -> 0
+        lift_arrows(ff, two, objects, FinMap(two.C1, i2.C1, (0, 3, 0)))
+    assert lift_arrows(ff, two, objects, arrows).table == (0, 3, 2)
 
 
 def test_identity_functor_and_cell_are_valid():
@@ -387,7 +470,7 @@ def _reference_ff_pullback(f):
     it: f is fully faithful when that map is bijective, and faithful when it
     is injective."""
     a = f.dom
-    prod_a, pb = endpoint_pullback(f.f0, f.cod)
+    prod_a, pb = _reference_endpoint_pullback(f.f0, f.cod)
     return pb, pb.mediate(prod_a.mediate(a.d0, a.d1), f.f1)
 
 
@@ -403,33 +486,55 @@ def test_faithfulness_by_hom_sets_matches_endpoint_pullback():
     assert checked > 100
 
 
-def _same_limit(p, q):
-    return (p.apex == q.apex and p.tuples == q.tuples
-            and [(r.cod, r.table) for r in p.projections]
-            == [(r.cod, r.table) for r in q.projections])
+def _assert_full_image_is_reference(ff, t, b):
+    """ff has object map t, and its arrows, endpoints, identities and
+    composites are those of the reference endpoint pullback along t x t."""
+    ref_prod, ref = _reference_endpoint_pullback(t, b)
+    pair_proj, arrow_proj = ref.projections
+    dom = ff.dom
+    assert ff.cod is b and ff.f0.table == t.table
+    assert dom.C0 == t.dom and dom.C1 == ref.apex
+    assert ff.f1.table == arrow_proj.table
+    assert dom.d0.table == compose(ref_prod.projections[0], pair_proj).table
+    assert dom.d1.table == compose(ref_prod.projections[1], pair_proj).table
+    ident = ref.mediate(ref_prod.mediate(identity(t.dom), identity(t.dom)),
+                        compose(b.i, t))
+    assert dom.i.table == ident.table
+    pr_u, pr_v = dom.pairs.projections
+    composite = ref.mediate(
+        ref_prod.mediate(compose(dom.d0, pr_u), compose(dom.d1, pr_v)),
+        compose(b.m, b.pairs.mediate(compose(ff.f1, pr_u), compose(ff.f1, pr_v))))
+    assert dom.m.table == composite.table
+    assert is_fully_faithful(ff) and validate_functor(ff).ok
 
 
-def test_endpoint_pullback_matches_reference(functor_corpus):
+def test_full_image_matches_reference(functor_corpus):
     for f in functor_corpus:
-        a, b = f.dom, f.cod
-        ref_prod, ref = _reference_endpoint_pullback(f.f0, b)
-        prod_x, pb = endpoint_pullback(f.f0, b)
-        assert _same_limit(prod_x, ref_prod) and _same_limit(pb, ref)
-        ff_pb, induced = _reference_ff_pullback(f)
-        assert _same_limit(ff_pb, ref)
-        assert induced.table == ref.mediate(ref_prod.mediate(a.d0, a.d1),
-                                            f.f1).table
+        _assert_full_image_is_reference(full_image(f.f0, f.cod), f.f0, f.cod)
         for ofs in (epi_mono_ofs(), iso_all_ofs()):
             _l0, r0 = ofs.factor(f.f0)
-            ref_prod, ref = _reference_endpoint_pullback(r0, b)
             fac = factor_internal(f, ofs)
-            pair_proj, arrow_proj = ref.projections
-            assert fac.middle.C1 == ref.apex
-            assert fac.right.f1.table == arrow_proj.table
-            assert fac.middle.d0.table == compose(ref_prod.projections[0],
-                                                  pair_proj).table
-            assert fac.middle.d1.table == compose(ref_prod.projections[1],
-                                                  pair_proj).table
+            _assert_full_image_is_reference(fac.right, r0, f.cod)
+            assert fac.middle is fac.right.dom
+
+
+def _reference_indisc(n):
+    """indisc numbered by the chosen product: arrow (t, s) is t·n + s."""
+    arrows = [(t, s) for t in range(n) for s in range(n)]
+    pairs = [(u, v) for u in range(n * n) for v in range(n * n)
+             if arrows[u][1] == arrows[v][0]]
+    return ([t for t, _s in arrows], [s for _t, s in arrows],
+            [x * n + x for x in range(n)],
+            [arrows[u][0] * n + arrows[v][1] for u, v in pairs])
+
+
+def test_indisc_is_product_numbered():
+    for n in range(6):
+        c = indisc(FinObj(n))
+        assert (c.C0.size, c.C1.size) == (n, n * n)
+        d0, d1, i, m = _reference_indisc(n)
+        assert (list(c.d0.table), list(c.d1.table), list(c.i.table),
+                list(c.m.table)) == (d0, d1, i, m)
 
 
 def test_one_pairs_pullback_per_new_category(monkeypatch, corpus, functor_corpus):

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 from fincat import finset
-from fincat.errors import NotInHomSet, ShapeMismatch
+from fincat.errors import DomainMismatch, NotInHomSet, ShapeMismatch
 from fincat.finset import FinMap, FinObj, compose, identity
 from fincat.internal import (compose_functors, is_fully_faithful,
                              monotone_maps, reflects_identities,
@@ -18,7 +18,7 @@ from fincat.transfer import (adjunction_disc_objects,
                              adjunction_objects_indisc, adjunction_pi0_disc,
                              arrows_part, disc, disc_map,
                              discrete_nat_trans_bijection, functor_from_disc,
-                             functor_to_indisc, indisc, indisc_map, nerve,
+                             functor_to_indisc, indisc, indisc_map,
                              objects_part, pi0, pi0_map, pi0_quotient)
 
 
@@ -78,6 +78,15 @@ def test_disc_objects_adjunction_witness():
         assert adj.transpose_forward(h).table == t.table
     with pytest.raises(NotInHomSet):
         adj.transpose_backward(x, a, FinMap(FinObj(2), a.C0, (0, 0)))
+
+
+def test_functor_to_indisc_rejects_map_from_wrong_objects():
+    # t must be A0 -> Y; a shorter or longer table is a DomainMismatch, not
+    # an IndexError from reading t at an object of A
+    a = free_arrow()
+    for n in (1, 3):
+        with pytest.raises(DomainMismatch):
+            functor_to_indisc(a, FinMap(FinObj(n), FinObj(2), (0,) * n))
 
 
 def test_objects_indisc_adjunction_witness():
@@ -194,19 +203,18 @@ def test_disc_indisc_fully_faithful_on_homs():
 
 
 def test_nerve_of_disc_is_constant():
-    n = nerve(disc(FinObj(3)))
+    n = disc(FinObj(3)).nerve
     assert [lv.size for lv in n.levels] == [3, 3, 3, 3]
 
 
 def test_nerve_of_free_arrow_sizes():
-    n = nerve(free_arrow())
+    n = free_arrow().nerve
     assert [lv.size for lv in n.levels] == [2, 3, 4, 5]
 
 
 def test_nerve_is_cached_on_its_category():
     cat = indisc(FinObj(2))
     assert cat.nerve is cat.nerve
-    assert nerve(cat) is cat.nerve
     # an equal but distinct category owns its own nerve with equal tables
     twin = indisc(FinObj(2))
     assert twin.nerve is not cat.nerve
@@ -241,8 +249,7 @@ def test_monotone_maps_are_memoised_tuples():
 
 
 def test_simplicial_identities_on_indisc():
-    cat = indisc(FinObj(2))
-    n = nerve(cat)
+    n = indisc(FinObj(2)).nerve
     # face-face identities: d_i d_j = d_{j-1} d_i for i < j
     for lev in (2, 3):
         for j in range(lev + 1):
