@@ -19,7 +19,7 @@ from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        is_epi_on_objects, is_full_mono, is_fully_faithful,
                        lift_arrows, validate_functor, validate_nat_trans,
                        whisker_left, whisker_right)
-from .limits import free_arrow, hom_category, terminal_cat
+from .limits import constant_functor, free_arrow, hom_category, terminal_cat
 from .transfer import (disc, functor_from_disc, functor_to_disc,
                        functor_to_indisc, indisc, pi0_map, pi0_quotient)
 
@@ -57,9 +57,8 @@ def _square_is_pullback(f: InternalFunctor, chi: InternalFunctor,
     """Levelwise pullback check of the square (f, !) over (chi, top), for top
     out of the terminal category."""
     a = f.dom
-    bang1 = FinMap(a.C1, top.dom.C1, (0,) * a.C1.size)
     return (finset.is_pullback_square(f.f0, finset.bang(a.C0), chi.f0, top.f0)
-            and finset.is_pullback_square(f.f1, bang1, chi.f1, top.f1))
+            and finset.is_pullback_square(f.f1, finset.bang(a.C1), chi.f1, top.f1))
 
 
 def is_strict_bi_sieve(f: InternalFunctor) -> bool:
@@ -93,7 +92,7 @@ def classify_strict_bi_sieve(f: InternalFunctor) -> BiSieveCertificate:
         chi_pi0 = finset.characteristic_map(image)
     chi0 = compose(chi_pi0, pi0_quotient(f.cod))
     chi = functor_to_disc(f.cod, chi0)
-    top = InternalFunctor(disc(finset.terminal()), disc(omega_base), top_base, top_base)
+    top = InternalFunctor(terminal_cat(), disc(omega_base), top_base, top_base)
     return BiSieveCertificate(chi, pi0_mono, _square_is_pullback(f, chi, top))
 
 
@@ -101,11 +100,7 @@ def endpoint_functors():
     """The two full monos terminal -> free arrow picking the endpoints."""
     two = free_arrow()
     one = terminal_cat()
-    left = InternalFunctor(one, two, FinMap(one.C0, two.C0, (0,)),
-                           FinMap(one.C1, two.C1, (0,)))
-    right = InternalFunctor(one, two, FinMap(one.C0, two.C0, (1,)),
-                            FinMap(one.C1, two.C1, (1,)))
-    return left, right
+    return constant_functor(one, two, 0), constant_functor(one, two, 1)
 
 
 def is_boolean() -> bool:

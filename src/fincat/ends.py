@@ -27,10 +27,12 @@ steps, the verdict and the solutions are those of one depth-first search.
 
 The internal hom (limits.internal_hom) uses only levels 0 and 1: level 2 of a
 Segal category is the join of composable level-1 cells, so its composition is
-built from level 1 directly. The level-2 and level-3 ends stay available as
-the fidelity check that the join equals them. `brute_families` materialises
-the full product and filters by every equation; it is the literal equalizer,
-feasible only at tiny sizes, and the fidelity oracle for the solver.
+built from level 1 directly. A level-1 family is keyed by its source and
+target functors (Family.vertex) and its diagonal (Family.cell_key). The
+level-2 and level-3 ends stay available as the fidelity check that the join
+equals them. `brute_families` materialises the full product and filters by
+every equation; it is the literal equalizer, feasible only at tiny sizes, and
+the fidelity oracle for the solver.
 """
 
 from collections import Counter
@@ -57,6 +59,15 @@ class Family:
             parts += [self.eta1[psi] for psi in sorted(self.eta1)]
             self._key = tuple(parts)
         return self._key
+
+    def vertex(self, t):
+        """The level-0 key of the functor at vertex t: (object, arrow) tables."""
+        return self.eta0[(t,)], self.eta1[(t, t)]
+
+    @staticmethod
+    def cell_key(source, target, diagonal):
+        """The level-1 key with these vertex keys and diagonal eta1[(0, 1)]."""
+        return source[0], target[0], source[1], diagonal, target[1]
 
     def table(self, x_cat: InternalCategory, y_cat: InternalCategory, n, psi):
         """The slot table at (n, psi), assembling levels 2 and 3 by spines."""

@@ -54,6 +54,13 @@ class ValidationReport:
             raise CertificateFailure(f"{what} failed validation: {self}")
 
 
+def count_pairs(d0, d1):
+    """The number of composable pairs (u, v), d1(u) = d0(v), of arrows with
+    target table d0 and source table d1, counted without listing them."""
+    into = Counter(d0)
+    return sum(map(into.__getitem__, d1))
+
+
 @dataclass(frozen=True)
 class InternalCategory:
     """A category object: (C0, C1, d0, d1, i, m) with m indexed by the derived
@@ -73,8 +80,7 @@ class InternalCategory:
             raise ShapeMismatch("d1 must be C1 -> C0")
         if self.i.dom != self.C0 or self.i.cod != self.C1:
             raise ShapeMismatch("i must be C0 -> C1")
-        into = Counter(self.d0.table)
-        if (self.m.dom.size != sum(map(into.__getitem__, self.d1.table))
+        if (self.m.dom.size != count_pairs(self.d0.table, self.d1.table)
                 or self.m.cod != self.C1):
             raise ShapeMismatch("m must be C2 -> C1 over the derived pairs")
 

@@ -5,13 +5,15 @@ extensive coproducts, copowers, and internal homs via the simplicial end.
 The internal hom is computed by the end formula (see ends.py) as the
 definitional path: its objects and cells are the level-0 and level-1 ends, and
 its composition is the Segal join of composable cells, read off level 1
-without a level-2 search. The carrier is certified by the components of its
-cells (validate_hom_carrier), in time linear in its composable pairs of cells.
-`bound` caps the object tables, the end search steps (refused up front when
-the level-1 search's counted prefix exceeds it) and the composable pairs of
-cells. The product carrier x X and the evaluation functor are built, and the
-evaluation certified, only when first read; `bound` then also caps the
-product's composable pairs.
+without a level-2 search. A cell is keyed by its source and target functors
+and its diagonal, through Family.vertex and Family.cell_key; curry reads those
+keys straight off the tables of the functor it transposes. The carrier is
+certified by the components of its cells (validate_hom_carrier), in time
+linear in its composable pairs of cells. `bound` caps the object tables, the
+end search steps (refused up front when the level-1 search's counted prefix
+exceeds it) and the composable pairs of cells. The product carrier x X and the
+evaluation functor are built, and the evaluation certified, only when first
+read; `bound` then also caps the product's composable pairs.
 
 The functor, cell and hom-category searches all live in naive.py, which shares
 no code with the end path: enumerate_functors, enumerate_cells and
@@ -19,7 +21,6 @@ hom_category are typed views over them, and hom_iso_with_oracle checks the
 end hom against the oracle's hom-category.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,16 +30,17 @@ from .errors import CertificateFailure, DomainMismatch, SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        ValidationReport, Violation, compose_functors,
-                       derived_unit_maps, id_functor, monotone_maps,
+                       count_pairs, derived_unit_maps, id_functor,
                        validate_category, validate_functor, validate_nat_trans,
                        whisker_left)
 from .naive import (oracle_from_internal, oracle_functors, oracle_hom_category,
                     oracle_nat_trans)
-from .transfer import disc
+from .transfer import _ONE
 
 
 def terminal_cat() -> InternalCategory:
-    return disc(finset.terminal())
+    """The terminal category, built once."""
+    return _ONE
 
 
 def bang_functor(a: InternalCategory) -> InternalFunctor:
@@ -334,32 +336,29 @@ class InternalHom:
 
     def curry(self, z: InternalCategory, prod_zx: LimitCone,
               h: InternalFunctor) -> InternalFunctor:
-        """Transpose a functor Z x X -> Y (over the chosen product) to Z -> hom."""
+        """Transpose a functor Z x X -> Y (over the chosen product) to Z -> hom,
+        keying z by h's rows at (z, .) and (i(z), .), and an arrow c by its
+        ends' keys and h's row at (c, .). DomainMismatch if a key is missing
+        from the hom, which happens only when h is not a functor."""
         x, y = self.dom, self.cod
         if h.dom != prod_zx.category or h.cod != y:
             raise DomainMismatch("curry needs a functor Z x X -> Y")
         idx0, idx1 = self.family_index
-        zn = z.nerve
         at0, at1 = prod_zx.l0.index, prod_zx.l1.index
-
-        def family_for(z_simplex, k):
-            eta0 = {}
-            eta1 = {}
-            for psi in monotone_maps(0, k):
-                zs = zn.act(psi, k, 0).table[z_simplex]
-                eta0[psi] = tuple(h.f0.table[at0[(zs, xv)]]
-                                  for xv in range(x.C0.size))
-            for psi in monotone_maps(1, k):
-                za = zn.act(psi, k, 1).table[z_simplex]
-                eta1[psi] = tuple(h.f1.table[at1[(za, aa)]]
-                                  for aa in range(x.C1.size))
-            return Family(k, eta0, eta1)
-
-        f0 = FinMap(z.C0, self.carrier.C0,
-                    tuple(idx0[family_for(zz, 0).key()] for zz in range(z.C0.size)))
-        f1 = FinMap(z.C1, self.carrier.C1,
-                    tuple(idx1[family_for(zz, 1).key()] for zz in range(z.C1.size)))
-        return InternalFunctor(z, self.carrier, f0, f1)
+        h0, h1 = h.f0.table, h.f1.table
+        rows1 = [tuple(h1[at1[(c, a)]] for a in range(x.C1.size))
+                 for c in range(z.C1.size)]
+        vertices = [(tuple(h0[at0[(zz, xv)]] for xv in range(x.C0.size)), rows1[e])
+                    for zz, e in enumerate(z.i.table)]
+        try:
+            f0 = tuple(map(idx0.__getitem__, vertices))
+            f1 = tuple(idx1[Family.cell_key(vertices[s], vertices[t], row)]
+                       for s, t, row in zip(z.d1.table, z.d0.table, rows1))
+        except KeyError as exc:
+            raise DomainMismatch("curry needs a functor Z x X -> Y: a transpose "
+                                 "is not in the hom") from exc
+        return InternalFunctor(z, self.carrier, FinMap(z.C0, self.carrier.C0, f0),
+                               FinMap(z.C1, self.carrier.C1, f1))
 
 
 def validate_hom_carrier(ih: InternalHom) -> ValidationReport:
@@ -432,40 +431,34 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     hom0 = tuple(end_families(x, y, 0, bound))
     hom1 = tuple(end_families(x, y, 1, bound))
     idx0, idx1 = family_index = _key_index(hom0), _key_index(hom1)
-
-    def vertex_key(fam, t):
-        return (fam.eta0[(t,)], fam.eta1[(t, t)])
-
-    c0 = FinObj(len(hom0))
-    c1 = FinObj(len(hom1))
-    d0 = FinMap(c1, c0, tuple(idx0[vertex_key(f, 1)] for f in hom1))
-    d1 = FinMap(c1, c0, tuple(idx0[vertex_key(f, 0)] for f in hom1))
-    out_of = Counter(d1.table)
-    cell_pairs = sum(map(out_of.__getitem__, d0.table))
+    sources = [f.vertex(0) for f in hom1]
+    targets = [f.vertex(1) for f in hom1]
+    diagonals = [f.eta1[(0, 1)] for f in hom1]
+    c0, c1 = FinObj(len(hom0)), FinObj(len(hom1))
+    d0 = FinMap(c1, c0, tuple(map(idx0.__getitem__, targets)))
+    d1 = FinMap(c1, c0, tuple(map(idx0.__getitem__, sources)))
+    cell_pairs = count_pairs(d0.table, d1.table)
     if cell_pairs > bound:
         raise SizeBound(f"hom has {cell_pairs} composable pairs of cells, "
                         f"over the bound {bound}", stage="cell pairs",
                         steps=cell_pairs, bound=bound)
     # the composite of u after v at an arrow a: p -> q of x is u at q after
-    # v's diagonal at a; its other slots are v's source and u's target
+    # v's diagonal at a; its source is v's and its target u's
     at_target = tuple(x.i.table[q] for q in x.d0.table)
     y_pair, y_m = y.pairs.index, y.m.table
 
     def join(pairs):
         table = []
         for cu, cv in pairs.tuples:
-            u, v = hom1[cu], hom1[cv]
-            u_diag, v_diag = u.eta1[(0, 1)], v.eta1[(0, 1)]
+            u_diag, v_diag = diagonals[cu], diagonals[cv]
             diag = tuple(y_m[y_pair[(u_diag[t], v_diag[a])]]
                          for a, t in enumerate(at_target))
-            table.append(idx1[(v.eta0[(0,)], u.eta0[(1,)], v.eta1[(0, 0)],
-                               diag, u.eta1[(1, 1)])])
+            table.append(idx1[Family.cell_key(sources[cv], targets[cu], diag)])
         return FinMap(pairs.apex, c1, tuple(table))
 
     try:
-        i = FinMap(c0, c1, tuple(
-            idx1[(f.eta0[(0,)], f.eta0[(0,)], f.eta1[(0, 0)], f.eta1[(0, 0)],
-                  f.eta1[(0, 0)])] for f in hom0))
+        i = FinMap(c0, c1, tuple(idx1[Family.cell_key(v, v, v[1])]
+                                 for v in (f.vertex(0) for f in hom0)))
         carrier = InternalCategory.with_composition(c0, c1, d0, d1, i, join)
     except KeyError as exc:
         raise CertificateFailure(
@@ -533,13 +526,10 @@ def hom_iso_with_oracle(ih: InternalHom, hc: HomCategory):
     arr_index = {arr: i for i, arr in enumerate(hc.arrows)}
     x, carrier = ih.dom, ih.carrier
     try:
-        table0 = tuple(obj_index[(fam.eta0[(0,)], fam.eta1[(0, 0)])]
-                       for fam in ih.level0)
+        table0 = tuple(obj_index[fam.vertex(0)] for fam in ih.level0)
         table1 = tuple(
-            arr_index[(obj_index[(fam.eta0[(0,)], fam.eta1[(0, 0)])],
-                       obj_index[(fam.eta0[(1,)], fam.eta1[(1, 1)])],
-                       tuple(fam.eta1[(0, 1)][x.i.table[xx]]
-                             for xx in range(x.C0.size)))]
+            arr_index[(obj_index[fam.vertex(0)], obj_index[fam.vertex(1)],
+                       tuple(map(fam.eta1[(0, 1)].__getitem__, x.i.table)))]
             for fam in ih.level1)
         iso = (sorted(table0) == list(range(len(hc.objects)))
                and sorted(table1) == list(range(len(hc.arrows)))

@@ -9,6 +9,7 @@ hom_category are typed views over them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SizeBound
 
@@ -23,14 +24,13 @@ class NaiveCategory:
     identities: tuple
     comp: dict
 
-    def source(self, a):
-        return self.arrows[a][0]
-
-    def target(self, a):
-        return self.arrows[a][1]
-
-    def hom(self, x, y):
-        return [a for a, (s, t) in enumerate(self.arrows) if s == x and t == y]
+    @cached_property
+    def homs(self):
+        """Arrow indices keyed by (source, target), in arrow order."""
+        out = {}
+        for a, key in enumerate(self.arrows):
+            out.setdefault(key, []).append(a)
+        return {key: tuple(arrows) for key, arrows in out.items()}
 
 
 def validate_naive(c: NaiveCategory):
@@ -97,9 +97,6 @@ def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
     completes = [[] for _ in a.arrows]
     for (g, f), gf in a.comp.items():
         completes[max(g, f, gf)].append((g, f, gf))
-    hom_b = {}
-    for y, (s, t) in enumerate(b.arrows):
-        hom_b.setdefault((s, t), []).append(y)
 
     def step():
         nonlocal steps
@@ -125,7 +122,7 @@ def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
         if a.identities[s] == k:
             cands = [b.identities[obj[s]]]
         else:
-            cands = hom_b.get((obj[s], obj[t]), ())
+            cands = b.homs.get((obj[s], obj[t]), ())
         for y in cands:
             step()
             arr[k] = y
@@ -150,25 +147,17 @@ def oracle_nat_trans(a: NaiveCategory, b: NaiveCategory, fun_f, fun_g):
         if x == a.objects:
             results.append(tuple(comp))
             return
-        for c in b.hom(obj_f[x], obj_g[x]):
+        for c in b.homs.get((obj_f[x], obj_g[x]), ()):
             comp[x] = c
-            if all(_natural(a, b, arr_f, arr_g, comp, u)
-                   for u in range(len(a.arrows))
-                   if comp[a.arrows[u][0]] is not None
-                   and comp[a.arrows[u][1]] is not None):
+            if all(b.comp[(arr_g[u], comp[s])] == b.comp[(comp[t], arr_f[u])]
+                   for u, (s, t) in enumerate(a.arrows)
+                   if comp[s] is not None and comp[t] is not None):
                 rec(x + 1)
             comp[x] = None
 
     rec(0)
     results.sort()
     return results
-
-
-def _natural(a, b, arr_f, arr_g, comp, u):
-    s, t = a.arrows[u]
-    if comp[s] is None or comp[t] is None:
-        return True
-    return b.comp[(arr_g[u], comp[s])] == b.comp[(comp[t], arr_f[u])]
 
 
 def count_all_nat_trans(a: NaiveCategory, b: NaiveCategory, functors):

@@ -9,12 +9,12 @@ but lawless data raises ValidationError carrying the validator report.
 """
 
 import json
-from collections import Counter
 
 from .errors import ParseError, ValidationError
 from .finset import FinMap, FinObj
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
-                       validate_category, validate_functor, validate_nat_trans)
+                       count_pairs, validate_category, validate_functor,
+                       validate_nat_trans)
 
 
 def _dump(doc):
@@ -149,8 +149,7 @@ def parse_category_doc(doc, field="category"):
     i = FinMap(c0, c1, _table(doc, "i", c0.size, c1.size))
     # count the composable pairs before listing them: a short document can
     # describe millions of pairs, and then its m cannot match
-    into = Counter(d0.table)
-    n_pairs = sum(into[s] for s in d1.table)
+    n_pairs = count_pairs(d0.table, d1.table)
     m = FinMap(FinObj(n_pairs), c1, _table(doc, "m", n_pairs, c1.size))
     cat = InternalCategory(c0, c1, d0, d1, i, m)
     report = validate_category(cat)

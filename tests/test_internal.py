@@ -17,7 +17,7 @@ from fincat.factorisation import epi_mono_ofs, factor_internal, iso_all_ofs
 from fincat.finset import FinMap, FinObj, compose, identity
 from fincat.internal import (InternalCategory, InternalFunctor,
                              InternalNatTrans, Violation, compose_functors,
-                             full_image, hcomp, id_functor,
+                             count_pairs, full_image, hcomp, id_functor,
                              id_nat_trans, is_epi_on_objects, is_faithful,
                              is_full_mono, is_fully_faithful,
                              is_iso_on_objects, is_mono_functor, lift_arrows,
@@ -405,6 +405,40 @@ def test_oracle_equivalence_with_naive_categories(corpus):
             assert len(fs) == len(oracle)
             cells = sum(len(enumerate_cells(f, g)) for f in fs for g in fs)
             assert cells == naive.count_all_nat_trans(na, nb, oracle)
+
+
+def test_naive_homs_and_cells_match_a_linear_scan(corpus):
+    """The oracle's hom-set index lists the arrows between two objects in
+    arrow order, and its cell search finds every natural family of
+    components, in table order."""
+    assert not hasattr(naive.NaiveCategory, "hom")
+    small = [c for c in corpus if c.C0.size <= 3 and c.C1.size <= 6][:5]
+    for c in small:
+        nc = naive.oracle_from_internal(c)
+        for x, y in iproduct(range(nc.objects), repeat=2):
+            scan = tuple(a for a, ends in enumerate(nc.arrows) if ends == (x, y))
+            assert nc.homs.get((x, y), ()) == scan
+    for a in small:
+        na = naive.oracle_from_internal(a)
+        for b in small:
+            nb = naive.oracle_from_internal(b)
+            for f, g in iproduct(naive.oracle_functors(na, nb), repeat=2):
+                reference = [
+                    comps for comps in iproduct(range(len(nb.arrows)),
+                                                repeat=na.objects)
+                    if all(nb.arrows[comps[x]] == (f[0][x], g[0][x])
+                           for x in range(na.objects))
+                    and all(nb.comp[(g[1][u], comps[s])]
+                            == nb.comp[(comps[t], f[1][u])]
+                            for u, (s, t) in enumerate(na.arrows))]
+                assert naive.oracle_nat_trans(na, nb, f, g) == reference
+
+
+def test_count_pairs_counts_the_listed_pairs(corpus):
+    for c in corpus:
+        listed = [(u, v) for u in range(c.C1.size) for v in range(c.C1.size)
+                  if c.d1.table[u] == c.d0.table[v]]
+        assert count_pairs(c.d0.table, c.d1.table) == len(listed) == c.m.dom.size
 
 
 def _functors_by_brute_force(a, b):

@@ -16,10 +16,10 @@ from fincat import ends, finset
 from fincat.audit import diagonal_equaliser_holds
 from fincat.corpus import category_from_tables, monoid_delooping
 from fincat.ends import Family, brute_families, check_family, end_families
-from fincat.errors import CertificateFailure, SizeBound
+from fincat.errors import CertificateFailure, DomainMismatch, SizeBound
 from fincat.finset import FinMap, FinObj, identity
 from fincat.internal import (InternalCategory, compose_functors, id_functor,
-                             validate_category, validate_functor)
+                             monotone_maps, validate_category, validate_functor)
 from fincat.limits import (HomCategory, coproduct_cat, copower_by_two,
                            enumerate_cells, enumerate_functors, free_arrow,
                            hom_category, hom_iso_with_oracle, internal_hom,
@@ -147,8 +147,7 @@ def _level_two_m(ih, x, y):
     idx1 = {f.key(): i for i, f in enumerate(ih.level1)}
 
     def edge_key(fam, s, t):
-        return (fam.eta0[(s,)], fam.eta0[(t,)],
-                fam.eta1[(s, s)], fam.eta1[(s, t)], fam.eta1[(t, t)])
+        return Family.cell_key(fam.vertex(s), fam.vertex(t), fam.eta1[(s, t)])
 
     seen = {}
     for fam in end_families(x, y, 2):
@@ -762,6 +761,70 @@ def test_internal_hom_curry_round_trip():
                                      prod_zx.proj1)
             back = compose_functors(ih.evaluation, lifted)
             assert back == h
+
+
+def _reference_curry(ih, z, prod_zx, h):
+    """curry as it was first written: build each transpose's whole end family
+    through the nerve of Z, then look its key up in the hom."""
+    idx0, idx1 = ({f.key(): i for i, f in enumerate(fams)}
+                  for fams in (ih.level0, ih.level1))
+    zn, x = z.nerve, ih.dom
+    at0, at1 = prod_zx.l0.index, prod_zx.l1.index
+
+    def family_for(z_simplex, k):
+        eta0 = {psi: tuple(h.f0.table[at0[(zn.act(psi, k, 0).table[z_simplex], xv)]]
+                           for xv in range(x.C0.size))
+                for psi in monotone_maps(0, k)}
+        eta1 = {psi: tuple(h.f1.table[at1[(zn.act(psi, k, 1).table[z_simplex], a)]]
+                           for a in range(x.C1.size))
+                for psi in monotone_maps(1, k)}
+        return Family(k, eta0, eta1)
+
+    return (tuple(idx0[family_for(zz, 0).key()] for zz in range(z.C0.size)),
+            tuple(idx1[family_for(c, 1).key()] for c in range(z.C1.size)))
+
+
+def test_cell_key_is_the_level_one_key(corpus):
+    for x in corpus[:8]:
+        for y in corpus[:8]:
+            try:
+                level1 = end_families(x, y, 1, 10 ** 5)
+            except SizeBound:
+                continue
+            for fam in level1:
+                assert fam.key() == Family.cell_key(fam.vertex(0), fam.vertex(1),
+                                                    fam.eta1[(0, 1)])
+            for fam in end_families(x, y, 0, 10 ** 5):
+                assert fam.key() == fam.vertex(0)
+
+
+def test_curry_matches_the_family_reference(corpus):
+    # the six homs and six categories Z of perfbench's hom-transpose workload
+    transposes = 0
+    for xi, yi in ((0, 0), (0, 5), (17, 6), (3, 3), (17, 17), (5, 12)):
+        ih = internal_hom(corpus[xi], corpus[yi])
+        for z in (corpus[zi] for zi in (0, 6, 18, 21, 22, 20)):
+            prod_zx = product_cat(z, ih.dom)
+            for h in enumerate_functors(prod_zx.category, ih.cod):
+                g = ih.curry(z, prod_zx, h)
+                assert (g.f0.table, g.f1.table) == _reference_curry(ih, z, prod_zx, h)
+                transposes += 1
+    assert transposes == 741
+
+
+def test_curry_of_a_non_functor_is_domain_mismatch():
+    two = free_arrow()
+    ih = internal_hom(two, two)
+    prod_zx = product_cat(two, two)
+    h = enumerate_functors(prod_zx.category, two)[0]
+    # send one arrow of Z x X to an arrow between the wrong objects
+    f1 = list(h.f1.table)
+    f1[0] = next(a for a in range(two.C1.size)
+                 if two.d1.table[a] != two.d1.table[f1[0]])
+    bad = replace(h, f1=FinMap(h.f1.dom, h.f1.cod, tuple(f1)))
+    assert not validate_functor(bad).ok
+    with pytest.raises(DomainMismatch):
+        ih.curry(two, prod_zx, bad)
 
 
 def test_disc_preserves_internal_homs():
