@@ -15,13 +15,13 @@ from . import finset
 from .errors import CertificateFailure, NotBiSieve, NotFFEpi, NotFullMono
 from .finset import FinMap, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
-                       compose_functors, fiber_arrow, id_functor, id_nat_trans,
-                       is_epi_on_objects, is_full_mono, is_fully_faithful,
-                       lift_arrows, validate_functor, validate_nat_trans,
-                       whisker_left, whisker_right)
+                       compose_functors, fiber_arrow, full_image, id_functor,
+                       id_nat_trans, is_epi_on_objects, is_full_mono,
+                       is_fully_faithful, lift_arrows, validate_functor,
+                       validate_nat_trans, whisker_left, whisker_right)
 from .limits import constant_functor, free_arrow, hom_category, terminal_cat
-from .transfer import (disc, functor_from_disc, functor_to_disc,
-                       functor_to_indisc, indisc, pi0_map, pi0_quotient)
+from .transfer import (disc, functor_from_disc, functor_to_disc, pi0_map,
+                       pi0_quotient)
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,14 @@ class FullSubobjectClassifier:
     top: InternalFunctor      # terminal -> omega, picking true
 
 
+# indisc(truth values), built once as their full image in the terminal category
+_OMEGA = full_image(finset.bang(finset.subobject_classifier()[0]), terminal_cat())
+
+
 def full_subobject_classifier() -> FullSubobjectClassifier:
-    omega_base, top_base = finset.subobject_classifier()
-    omega = indisc(omega_base)
-    top = functor_from_disc(finset.terminal(), omega, top_base)
-    return FullSubobjectClassifier(omega, top)
+    omega, (_, top_base) = _OMEGA.dom, finset.subobject_classifier()
+    return FullSubobjectClassifier(
+        omega, functor_from_disc(finset.terminal(), omega, top_base))
 
 
 def classify_full_mono(f: InternalFunctor) -> InternalFunctor:
@@ -42,8 +45,9 @@ def classify_full_mono(f: InternalFunctor) -> InternalFunctor:
     is a levelwise pullback; objects part is the base characteristic map."""
     if not is_full_mono(f):
         raise NotFullMono("classify_full_mono needs a fully faithful mono")
-    chi0 = finset.characteristic_map(f.f0)
-    return functor_to_indisc(f.cod, chi0)
+    a, chi0 = f.cod, finset.characteristic_map(f.f0)
+    return InternalFunctor(a, _OMEGA.dom, chi0,
+                           lift_arrows(_OMEGA, a, chi0, finset.bang(a.C1)))
 
 
 def classifying_square_is_pullback(f: InternalFunctor, chi: InternalFunctor,

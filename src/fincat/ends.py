@@ -55,9 +55,14 @@ class Family:
 
     def key(self):
         if self._key is None:
-            parts = [self.eta0[psi] for psi in sorted(self.eta0)]
-            parts += [self.eta1[psi] for psi in sorted(self.eta1)]
-            self._key = tuple(parts)
+            if self.k == 0:
+                self._key = self.vertex(0)
+            elif self.k == 1:
+                self._key = self.cell_key(self.vertex(0), self.vertex(1),
+                                          self.eta1[(0, 1)])
+            else:
+                self._key = (tuple(self.eta0[p] for p in sorted(self.eta0))
+                             + tuple(self.eta1[p] for p in sorted(self.eta1)))
         return self._key
 
     def vertex(self, t):

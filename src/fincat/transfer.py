@@ -9,7 +9,6 @@ computational devices.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import finset
 from .errors import NotInHomSet
@@ -26,12 +25,6 @@ def disc(x: FinObj) -> InternalCategory:
 
 
 _ONE = disc(finset.terminal())  # the terminal category, built once
-
-
-@lru_cache(maxsize=16)
-def _image_in_one(size, labels) -> InternalFunctor:
-    """full_image(bang(Y), _ONE) per size and labels: Y's == ignores labels."""
-    return full_image(finset.bang(FinObj(size, labels)), _ONE)
 
 
 def indisc(x: FinObj) -> InternalCategory:
@@ -85,10 +78,7 @@ def functor_to_disc(a: InternalCategory, t: FinMap) -> InternalFunctor:
 def functor_to_indisc(a: InternalCategory, t: FinMap) -> InternalFunctor:
     """The functor A -> indisc(Y) determined by a map t: A0 -> Y: each arrow
     goes to the one arrow between the images of its ends."""
-    try:
-        ff = _image_in_one(t.cod.size, t.cod.labels)
-    except TypeError:  # unhashable labels cannot key the memo
-        ff = full_image(finset.bang(t.cod), _ONE)
+    ff = full_image(finset.bang(t.cod), _ONE)
     return InternalFunctor(a, ff.dom, t,
                            lift_arrows(ff, a, t, finset.bang(a.C1)))
 

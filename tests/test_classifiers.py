@@ -61,25 +61,18 @@ def test_classify_endpoint_of_indisc():
     assert classifying_square_is_pullback(inc, chi, fsc)
 
 
-def test_truth_value_image_is_built_once_per_labels(monkeypatch):
-    import fincat.transfer as transfer
+def test_truth_value_image_is_built_once(monkeypatch):
+    import fincat.classifiers as classifiers
     built = []
-    real = transfer.full_image
-    monkeypatch.setattr(transfer, "full_image",
-                        lambda t, b: built.append(t.cod) or real(t, b))
-    transfer._image_in_one.cache_clear()
+    monkeypatch.setattr(classifiers, "full_image",
+                        lambda *args: built.append(args))
+    omega = full_subobject_classifier().omega
     left, right = endpoint_functors()
-    chis = [classify_full_mono(f) for f in (left, right, left, right)]
-    assert len(built) == 1
-    assert all(chi.cod is chis[0].cod for chi in chis)
-    assert chis[0].cod.C0.labels == ("false", "true")
-    # FinObj equality ignores labels, the memo does not
-    plain = functor_to_indisc(left.cod, FinMap(left.cod.C0, FinObj(2), (0, 1)))
-    assert plain.cod.C0.labels is None and len(built) == 2
-    # labels that cannot key the memo are built each time
-    odd = FinObj(2, ([0], [1]))
-    chi = functor_to_indisc(left.cod, FinMap(left.cod.C0, odd, (0, 1)))
-    assert chi.cod.C0.labels == odd.labels
+    for f in (left, right, left, right):
+        chi = classify_full_mono(f)
+        assert chi.cod is omega and chi.cod.C0.labels == ("false", "true")
+        assert chi == functor_to_indisc(f.cod, finset.characteristic_map(f.f0))
+    assert built == []
 
 
 def test_classify_rejects_non_full_mono():

@@ -89,6 +89,16 @@ def test_functor_to_indisc_rejects_map_from_wrong_objects():
             functor_to_indisc(a, FinMap(FinObj(n), FinObj(2), (0,) * n))
 
 
+def test_functor_to_indisc_keeps_the_codomain_labels():
+    # FinObj equality ignores labels, and 1 == True: each call must still
+    # land in indisc of the caller's own Y
+    a = free_arrow()
+    for labels in ((1, 0), (True, False), (1.0, 0.0), None):
+        y = FinObj(2, labels)
+        got = functor_to_indisc(a, FinMap(a.C0, y, (0, 1))).cod.C0.labels
+        assert got is labels
+
+
 def test_objects_indisc_adjunction_witness():
     adj = adjunction_objects_indisc()
     a = free_arrow()
