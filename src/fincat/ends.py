@@ -17,13 +17,12 @@ slots at levels 2 and 3 are then assembled by spines and the assembled family
 is checked. Solutions are returned in the lexicographic order of the ambient
 product encoding, and `budget` caps the search steps.
 
-The search assigns one functor block per vertex t <= k (the level-0 search
-again), then the jump slots. It runs the t = 0 block alone first and counts,
-from that block's steps and completions, exactly the steps the search spends
-before its second jump cell (`_prefix_steps`). When that prefix exceeds
-`budget` it raises SizeBound up front, before any further search; otherwise
-it runs the remaining cells from each block-0 completion in turn, so the
-steps, the verdict and the solutions are those of one depth-first search.
+The functor at each vertex t <= k is a level-0 solution, so the search runs
+the t = 0 block (the level-0 search) once, sets the vertex blocks from each
+(k + 1)-tuple of its completions in turn, and searches only the jump slots.
+A jump slot takes its arrows by larger endpoint, identity first: each
+identity entry is a component, and each other entry is then forced and
+checked by the components at its ends.
 
 The internal hom (limits.internal_hom) uses only levels 0 and 1: level 2 of a
 Segal category is the join of composable level-1 cells, so its composition is
@@ -35,7 +34,6 @@ every equation; it is the literal equalizer, feasible only at tiny sizes, and
 the fidelity oracle for the solver.
 """
 
-from collections import Counter
 from itertools import product as iproduct
 
 from .errors import SizeBound
@@ -106,8 +104,8 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     """All natural families at level k, lex-ordered by product encoding.
 
     SizeBound (stage "level-k end") when the search would exceed `budget`
-    steps, raised up front (stage "level-k end prefix") when the steps it
-    must spend before its second jump cell already exceed it.
+    steps. A step is a candidate tried for one cell or, at k > 0, one
+    (k + 1)-tuple of functors that the jump slots start from.
     """
     slots1 = monotone_maps(1, k)
     x0, x1 = x_cat.C0.size, x_cat.C1.size
@@ -134,19 +132,20 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     eta1 = {psi: [None] * x1 for psi in slots1}
     degenerate = {x_cat.i.table[x]: x for x in range(x_cat.C0.size)}
 
-    # assignment order: per-vertex functor blocks first, then jump slots with
-    # the narrowest jumps first; within a jump slot the degenerate arrows come
-    # first so that composition instances force every remaining entry
-    cells = []
-    for t in range(k + 1):
-        cells += [("0", (t,), x) for x in range(x0)]
-        cells += [("1", (t, t), a) for a in range(x1)]
+    # assignment order: the t = 0 functor block, then the jump slots with the
+    # narrowest jumps first; within a jump slot the arrows go by larger
+    # endpoint, identity first, so that every other entry is forced and
+    # checked right after the components at its ends
+    cells = [("0", (0,), x) for x in range(x0)]
+    cells += [("1", (0, 0), a) for a in range(x1)]
+    block = len(cells)
     jump_order = sorted((psi for psi in slots1 if psi[0] != psi[1]),
                         key=lambda psi: (psi[1] - psi[0], psi[0]))
-    arrows_deg_first = ([a for a in range(x1) if a in degenerate]
-                        + [a for a in range(x1) if a not in degenerate])
+    arrows_by_larger_end = sorted(
+        range(x1), key=lambda a: (max(x_cat.d0.table[a], x_cat.d1.table[a]),
+                                  a not in degenerate, a))
     for psi in jump_order:
-        cells += [("1", psi, a) for a in arrows_deg_first]
+        cells += [("1", psi, a) for a in arrows_by_larger_end]
 
     solutions = []
     pair_index = y_cat.pairs.index
@@ -223,50 +222,23 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
             k, {p: tuple(v) for p, v in eta0.items()},
             {p: tuple(v) for p, v in eta1.items()}))
 
-    # the t = 0 block alone: the level-0 search, s0 steps and len(firsts)
-    # functors; no completion of it depends on the slots after it
-    block = x0 + x1
+    # the t = 0 block alone is the level-0 search; its completions are the
+    # functors at every vertex, whose cells stay set from here on
     firsts = []
     rec(0, block, lambda: firsts.append((tuple(eta0[(0,)]), tuple(eta1[(0, 0)]))))
-    x_star = arrows_deg_first[0] if k and arrows_deg_first else None
-    prefix = _prefix_steps(budget.steps, firsts, k, x_star, x_cat, y_fibers)
-    if prefix > budget.limit:
-        raise SizeBound(f"level-{k} end search needs {prefix} steps before its "
-                        f"second jump cell, over the bound {budget.limit}",
-                        stage=f"level-{k} end prefix", steps=prefix,
-                        bound=budget.limit)
-    # the t = 0 block's cells stay set from here on, one completion at a time
-    for a in range(x1):
-        for iid in cells_of.get(((0, 0), a), ()):
-            missing[iid] -= 1
-    for f0, f1 in firsts:
-        eta0[(0,)][:] = f0
-        eta1[(0, 0)][:] = f1
+    for t in range(k + 1):
+        for a in range(x1):
+            for iid in cells_of.get(((t, t), a), ()):
+                missing[iid] -= 1
+    for combo in iproduct(firsts, repeat=k + 1):
+        if k:
+            budget.tick()  # each vertex tuple is one step of the jump search
+        for t, (f0, f1) in enumerate(combo):
+            eta0[(t,)][:] = f0
+            eta1[(t, t)][:] = f1
         rec(block, len(cells), emit)
     solutions.sort(key=Family.key)
     return solutions
-
-
-def _prefix_steps(s0, firsts, k, x_star, x_cat, y_fibers):
-    """Steps the level-k search spends before its second jump cell, counted
-    from the t = 0 block's s0 steps and its completions `firsts`.
-
-    Each block t <= k repeats the t = 0 search once per completion of the
-    blocks before it. The first jump cell, slot (0, 1) at the first identity
-    arrow x_star (None when there is no jump cell), has no factor set that
-    could force it, so it tries its whole fiber once per completion of all
-    k + 1 blocks: a pair (f, g) of block-0 and block-1 completions, times
-    the F^(k-1) completions of blocks 2..k.
-    """
-    f = len(firsts)
-    steps = s0 * sum(f ** t for t in range(k + 1))
-    if x_star is None:
-        return steps
-    src = Counter(f0[x_cat.d1.table[x_star]] for f0, _f1 in firsts)
-    tgt = Counter(f0[x_cat.d0.table[x_star]] for f0, _f1 in firsts)
-    jump = sum(cp * cq * len(y_fibers.get((p, q), ()))
-               for p, cp in src.items() for q, cq in tgt.items())
-    return steps + f ** (k - 1) * jump
 
 
 def check_family(x_cat, y_cat, fam: Family) -> bool:

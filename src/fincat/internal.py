@@ -123,10 +123,6 @@ class InternalCategory:
             out.setdefault(key, []).append(a)
         return {key: tuple(arrows) for key, arrows in out.items()}
 
-    def hom(self, x, y):
-        """Arrow indices from x to y."""
-        return list(self.homs.get((x, y), ()))
-
     def __repr__(self):
         return f"InternalCategory(|C0|={self.C0.size}, |C1|={self.C1.size})"
 

@@ -10,10 +10,10 @@ and its diagonal, through Family.vertex and Family.cell_key; curry reads those
 keys straight off the tables of the functor it transposes. The carrier is
 certified by the components of its cells (validate_hom_carrier), in time
 linear in its composable pairs of cells. `bound` caps the object tables, the
-end search steps (refused up front when the level-1 search's counted prefix
-exceeds it) and the composable pairs of cells. The product carrier x X and the
-evaluation functor are built, and the evaluation certified, only when first
-read; `bound` then also caps the product's composable pairs.
+pairs of functors and the component tables that the level-1 end ranges over,
+the end search steps and the composable pairs of cells. The product carrier
+x X and the evaluation functor are built, and the evaluation certified, only
+when first read; `bound` then also caps the product's composable pairs.
 
 The functor, cell and hom-category searches all live in naive.py, which shares
 no code with the end path: enumerate_functors, enumerate_cells and
@@ -21,8 +21,10 @@ hom_category are typed views over them, and hom_iso_with_oracle checks the
 end hom against the oracle's hom-category.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+import math
 
 from . import finset
 from .ends import Family, end_families
@@ -415,10 +417,15 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     composition is the Segal join of composable level-1 cells.
 
     SizeBound, with its `stage`, if there are more than `bound` object
-    tables, if an end search would exceed `bound` steps or the hom has more
-    than `bound` composable pairs of cells. The level-1 end refuses up
-    front, before searching past its functor blocks, when the steps it must
-    spend before its second jump cell, counted exactly, exceed `bound`.
+    tables or pairs of functors, if the level-1 end ranges over more than
+    `bound` component tables, if an end search would exceed `bound` steps
+    or the hom has more than `bound` composable pairs of cells. The
+    component tables of a pair (F, G) of functors are the choices of one
+    arrow of Y(Fx, Gx) at each object x of X; they bound the cells from F
+    to G, since a cell's other diagonal entries are forced by its
+    components. The pairs of functors
+    are counted first: both the count of component tables and the level-1
+    end run over every pair.
     CertificateFailure if the carrier fails validate_hom_carrier.
 
     The result's `prod` and `evaluation` are built, and the evaluation
@@ -429,6 +436,18 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
         raise SizeBound(f"{tables} object tables, over the bound {bound}",
                         stage="object tables", steps=tables, bound=bound)
     hom0 = tuple(end_families(x, y, 0, bound))
+    pairs = len(hom0) ** 2
+    if pairs > bound:
+        raise SizeBound(f"{pairs} pairs of functors, over the bound {bound}",
+                        stage="functor pairs", steps=pairs, bound=bound)
+    objects, homs = Counter(f.eta0[(0,)] for f in hom0), y.homs
+    components = sum(
+        cp * cq * math.prod(len(homs.get(pq, ())) for pq in zip(p, q))
+        for p, cp in objects.items() for q, cq in objects.items())
+    if components > bound:
+        raise SizeBound(f"level-1 end ranges over {components} component "
+                        f"tables, over the bound {bound}",
+                        stage="component tables", steps=components, bound=bound)
     hom1 = tuple(end_families(x, y, 1, bound))
     idx0, idx1 = family_index = _key_index(hom0), _key_index(hom1)
     sources = [f.vertex(0) for f in hom1]

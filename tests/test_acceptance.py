@@ -65,9 +65,10 @@ def test_criterion_01_oracle_hom_equivalence(corpus):
     elapsed = time.time() - start
     causes = ", ".join(f"{len(pairs)} at {stage}"
                        for stage, pairs in sorted(skipped.items()))
-    # (10, 4) and (10, 9) are refused from the level-1 prefix; (20, 9) has
-    # 1,048,576 composable pairs of cells
-    assert skipped == {"level-1 end prefix": [(10, 4), (10, 9)],
+    # (10, 4) and (10, 9) are refused before the level-1 end: each ranges
+    # over 16,777,216 component tables; (20, 9) has 1,048,576 composable
+    # pairs of cells
+    assert skipped == {"component tables": [(10, 4), (10, 9)],
                        "cell pairs": [(20, 9)]}, skipped
     _verdict("criterion 1: oracle hom equivalence", compared > 0 and elapsed < 120,
              f"{compared} pairs agreed, {sum(map(len, skipped.values()))} "
@@ -243,10 +244,11 @@ def test_criterion_04_classifier_suite(corpus, functor_corpus):
     # singleton homs, every arrow invertible
     omega = fsc.omega
     iso_shape = (omega.C0.size == 2 and omega.C1.size == 4
-                 and all(len(omega.hom(x, y)) == 1 for x in range(2) for y in range(2)))
+                 and all(len(omega.homs.get((x, y), ())) == 1
+                         for x in range(2) for y in range(2)))
     for u in range(omega.C1.size):
         src, tgt = omega.d1.table[u], omega.d0.table[u]
-        v = omega.hom(tgt, src)[0]
+        v = omega.homs.get((tgt, src), ())[0]
         iso_shape = iso_shape and (omega.comp(v, u) == omega.i.table[src]
                                    and omega.comp(u, v) == omega.i.table[tgt])
     _verdict("criterion 4: classifier suite",

@@ -10,7 +10,8 @@ import pytest
 
 from fincat import naive, serialize
 from fincat.cli import main
-from fincat.corpus import CorpusSpec, generate_corpus, generate_functor_corpus
+from fincat.corpus import (CorpusSpec, generate_corpus, generate_functor_corpus,
+                           monoid_delooping)
 from fincat.errors import ParseError, ValidationError
 from fincat.finset import FinMap, FinObj
 from fincat.internal import id_functor, id_nat_trans, validate_category
@@ -235,6 +236,32 @@ def test_cli_hom_and_oracle_compare(capsys):
     assert "3 functors, 6 cells" in capsys.readouterr().out
     assert main(["oracle-compare", a, b]) == 0
     assert "match" in capsys.readouterr().out
+
+
+def test_cli_hom_over_its_component_tables_is_an_input_error(tmp_path, capsys):
+    # disc 3 has one functor into the delooping of Z/2, and 2^3 component
+    # tables: one arrow of the two at each of its 3 objects
+    a = os.path.join(FIXTURES, "disc3.json")
+    b = tmp_path / "z2.json"
+    b.write_text(serialize.serialize_category(monoid_delooping([[0, 1], [1, 0]])))
+    assert main(["hom", a, str(b), "--size-bound", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert "8 component tables" in err
+    assert main(["hom", a, str(b)]) == 0
+    assert "1 functors, 8 cells" in capsys.readouterr().out
+
+
+def test_cli_hom_over_its_functor_pairs_is_an_input_error(capsys):
+    # disc 3 has 8 functors into indisc 2: 8 * 8 pairs
+    a = os.path.join(FIXTURES, "disc3.json")
+    b = os.path.join(FIXTURES, "indisc2.json")
+    assert main(["hom", a, b, "--size-bound", "63"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert "64 pairs of functors" in err
 
 
 def test_cli_oracle_compare_certifies_the_isomorphism(monkeypatch, capsys):

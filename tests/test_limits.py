@@ -2,17 +2,17 @@
 the free arrow, copowers, and internal homs with their oracles."""
 
 import hashlib
+import math
 import os
 import random
 import subprocess
 import sys
 import time
-from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from fincat import ends, finset
+from fincat import ends, finset, naive
 from fincat.audit import diagonal_equaliser_holds
 from fincat.corpus import category_from_tables, monoid_delooping
 from fincat.ends import Family, brute_families, check_family, end_families
@@ -118,7 +118,6 @@ def test_power_universal_property_bijection(corpus):
 
 
 def test_power_sizes_against_naive_oracle(corpus):
-    from fincat import naive
     two = free_arrow()
     n_two = naive.oracle_from_internal(two)
     for a in corpus[:8]:
@@ -407,43 +406,6 @@ def counted(monkeypatch):
     return run
 
 
-def _counted_prefix(x, y, k, level0, s0):
-    """The steps the level-k search spends before its second jump cell,
-    from the level-0 search's s0 steps and its F functors `level0`:
-
-        S0 (1 + F + ... + F^k) + F^(k-1) sum_{p,q} cnt[p] cnt[q] |Y(p, q)|,
-
-    where cnt[p] counts the functors sending the object of x's first
-    identity arrow to p."""
-    f = len(level0)
-    steps = s0 * sum(f ** t for t in range(k + 1))
-    if not x.C0.size:
-        return steps
-    obj = x.d1.table[min(x.i.table)]
-    cnt = Counter(fam.eta0[(0,)][obj] for fam in level0)
-    fiber = Counter(zip(y.d1.table, y.d0.table))
-    return steps + f ** (k - 1) * sum(cp * cq * fiber[(p, q)]
-                                      for p, cp in cnt.items()
-                                      for q, cq in cnt.items())
-
-
-def test_level_one_prefix_bounds_every_completed_search(corpus, counted):
-    refused = set()
-    for i, a in enumerate(corpus):
-        for j, b in enumerate(corpus):
-            level0, s0 = counted(a, b, 0)
-            prefix = _counted_prefix(a, b, 1, level0, s0)
-            try:
-                _fams, steps = counted(a, b, 1)
-            except SizeBound as exc:
-                assert exc.stage == "level-1 end prefix", (i, j)
-                assert exc.steps == prefix > 10 ** 6, (i, j)
-                refused.add((i, j))
-                continue
-            assert prefix <= steps, (i, j)
-    assert refused == {(10, 4), (10, 9)}
-
-
 def _small_pairs(corpus):
     two = free_arrow()
     i2 = indisc(FinObj(2))
@@ -453,39 +415,32 @@ def _small_pairs(corpus):
                for i, j in [(0, 3), (13, 19), (22, 13), (22, 22)]])
 
 
-def test_level_one_prefix_is_exact(corpus, monkeypatch, counted):
-    # a tick made at cell position pos < J, where J is the position of the
-    # second jump cell, belongs to the prefix; the search ticks inside its
-    # recursive step, whose `pos` names the cell
-    positions = []
+def _component_tables(x, y):
+    """The component tables the level-1 end of (x, y) ranges over: for each
+    ordered pair (F, G) of functors, prod_x |Y(F x, G x)|, from the oracle's
+    functors and y.homs."""
+    functors = naive.oracle_functors(naive.oracle_from_internal(x),
+                                     naive.oracle_from_internal(y))
+    return sum(math.prod(len(y.homs.get((p, q), ())) for p, q in zip(f0, g0))
+               for f0, _f1 in functors for g0, _g1 in functors)
 
-    class PositionBudget(_CountingBudget):
-        def tick(self):
-            positions.append(sys._getframe(1).f_locals["pos"])
-            super().tick()
 
-    monkeypatch.setattr(ends, "_Budget", PositionBudget)
+def test_component_tables_bound_the_cells(corpus):
+    refused = 0
     for x, y in _small_pairs(corpus):
-        level0, s0 = counted(x, y, 0)
-        for k in (1, 2):
-            second_jump = (k + 1) * (x.C0.size + x.C1.size) + 1
-            positions.clear()
-            _fams, steps = counted(x, y, k)
-            prefix = _counted_prefix(x, y, k, level0, s0)
-            assert sum(pos < second_jump for pos in positions) == prefix
-            # the search refuses up front exactly when the prefix is over
-            if prefix > s0:
-                with pytest.raises(SizeBound) as err:
-                    end_families(x, y, k, prefix - 1)
-                assert (err.value.stage, err.value.steps) == \
-                    (f"level-{k} end prefix", prefix)
-            if prefix < steps:
-                with pytest.raises(SizeBound) as err:
-                    end_families(x, y, k, prefix)
-                assert err.value.stage == f"level-{k} end"
+        tables = _component_tables(x, y)
+        ih = internal_hom(x, y)
+        assert ih.carrier.C1.size <= tables
+        try:
+            internal_hom(x, y, tables - 1)
+        except SizeBound as exc:
+            if exc.stage == "component tables":
+                assert (exc.steps, exc.bound) == (tables, tables - 1)
+                refused += 1
+    assert refused >= 2
 
 
-def test_over_budget_level_one_refused_from_its_prefix(corpus, counted):
+def test_over_budget_level_one_refused_by_its_component_tables(corpus):
     for i, j in [(10, 4), (10, 9)]:
         a, b = corpus[i], corpus[j]
         start = time.perf_counter()
@@ -493,11 +448,36 @@ def test_over_budget_level_one_refused_from_its_prefix(corpus, counted):
             internal_hom(a, b, 10 ** 6)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.1, (i, j, elapsed)
-        assert err.value.stage == "level-1 end prefix"
-        level0, s0 = counted(a, b, 0)
-        assert err.value.steps == _counted_prefix(a, b, 1, level0, s0)
-        assert err.value.bound == 10 ** 6
-        assert "second jump cell" in str(err.value)
+        assert (err.value.stage, err.value.steps, err.value.bound) == \
+            ("component tables", 16_777_216, 10 ** 6)
+        assert "component tables" in str(err.value)
+
+
+def test_oversize_functor_pairs_refused_before_their_component_tables():
+    # disc n -> disc m has m^n functors but only m^n component tables: a
+    # pair of distinct functors has none, yet counting them, or starting
+    # the level-1 end, runs over every pair. disc 2 -> disc 40 (2,560,000
+    # pairs) has a cheap level-0 end; disc 4 -> disc 10 (10^8 pairs) spends
+    # its time in the level-0 end
+    for n, m, limit in [(2, 40, 0.1), (4, 10, 1.0)]:
+        start = time.perf_counter()
+        with pytest.raises(SizeBound) as err:
+            internal_hom(disc(FinObj(n)), disc(FinObj(m)), 10 ** 6)
+        elapsed = time.perf_counter() - start
+        assert elapsed < limit, (n, m, elapsed)
+        assert (err.value.stage, err.value.steps, err.value.bound) == \
+            ("functor pairs", m ** (2 * n), 10 ** 6)
+
+
+def test_level_one_end_steps_once_per_pair_of_functors(counted):
+    # disc 2 -> disc 3 has 9 functors and no jump cell with a candidate
+    # off the diagonal: the level-1 end still spends a step on each of
+    # the 81 pairs
+    x, y = disc(FinObj(2)), disc(FinObj(3))
+    functors, level0 = counted(x, y, 0)
+    cells, level1 = counted(x, y, 1)
+    assert (len(functors), len(cells)) == (9, 9)
+    assert level1 >= level0 + 81
 
 
 def test_size_bound_names_its_stage(counted):
@@ -510,19 +490,12 @@ def test_size_bound_names_its_stage(counted):
         internal_hom(two, indisc(FinObj(3)), bound=728)
     assert (err.value.stage, err.value.steps, err.value.bound) == \
         ("cell pairs", 729, 728)
-    # a bound that covers the counted prefix but not the whole search
-    level0, s0 = counted(two, i2, 0)
-    prefix = _counted_prefix(two, i2, 1, level0, s0)
+    # a bound one below the steps of the whole level-1 search
     _fams, steps = counted(two, i2, 1)
-    assert prefix < steps
     with pytest.raises(SizeBound) as err:
-        counted(two, i2, 1, prefix)
+        counted(two, i2, 1, steps - 1)
     assert (err.value.stage, err.value.steps, err.value.bound) == \
-        ("level-1 end", prefix + 1, prefix)
-    with pytest.raises(SizeBound) as err:
-        counted(two, i2, 1, prefix - 1)
-    assert (err.value.stage, err.value.steps, err.value.bound) == \
-        ("level-1 end prefix", prefix, prefix - 1)
+        ("level-1 end", steps, steps - 1)
     # the object-table step and the first arrow candidate of the functor search
     for bound in (0, 1):
         with pytest.raises(SizeBound) as err:
@@ -532,17 +505,18 @@ def test_size_bound_names_its_stage(counted):
 
 
 # steps, family count and a digest of the family keys in order, for the
-# cases of test_internal_hom_join_matches_level_two_end at levels 1 and 2,
-# as the search gave them before it counted its prefix
+# cases of test_internal_hom_join_matches_level_two_end at levels 1 and 2;
+# the counts and digests are those the search gave when it searched every
+# vertex block again
 _END_DIGESTS = [
-    (1, 87, 6, "c27078c1b3923d1b"), (2, 340, 10, "99024ba0c1bc729b"),
-    (1, 138, 16, "b987c8f05892f3e2"), (2, 954, 64, "c89658282439bd62"),
-    (1, 63, 3, "4727ef04fa7556bd"), (2, 175, 4, "3063df6e07324601"),
-    (1, 15, 3, "e62992c8bafabfe6"), (2, 42, 4, "4db0917518a2a907"),
-    (1, 58, 10, "7594a9049515f534"), (2, 478, 52, "254705b4f4e6f968"),
-    (1, 28, 6, "8c56095ffb5f2d5c"), (2, 144, 18, "fc2c389af56db920"),
-    (1, 61, 12, "e7389b02d69188a0"), (2, 585, 72, "dd3d8e920e10c804"),
-    (1, 244, 21, "476af954f06cccc6"), (2, 2171, 95, "6265130672c7d17e"),
+    (1, 45, 6, "c27078c1b3923d1b"), (2, 163, 10, "99024ba0c1bc729b"),
+    (1, 82, 16, "b987c8f05892f3e2"), (2, 658, 64, "c89658282439bd62"),
+    (1, 33, 3, "4727ef04fa7556bd"), (2, 81, 4, "3063df6e07324601"),
+    (1, 11, 3, "e62992c8bafabfe6"), (2, 26, 4, "4db0917518a2a907"),
+    (1, 50, 10, "7594a9049515f534"), (2, 450, 52, "254705b4f4e6f968"),
+    (1, 24, 6, "8c56095ffb5f2d5c"), (2, 128, 18, "fc2c389af56db920"),
+    (1, 39, 12, "e7389b02d69188a0"), (2, 455, 72, "dd3d8e920e10c804"),
+    (1, 151, 21, "476af954f06cccc6"), (2, 1476, 95, "6265130672c7d17e"),
 ]
 
 
