@@ -19,8 +19,8 @@ from .errors import CertificateFailure, ShapeMismatch, SizeBound
 from .finset import FinMap, FinObj, identity
 from .internal import (InternalCategory, InternalFunctor, compose_functors,
                        is_full_mono, validate_category)
-from .limits import (coproduct_cat, enumerate_functors, free_arrow, internal_hom,
-                     product_cat, pullback_cat)
+from .limits import (coproduct_cat, enumerate_functors, free_arrow, hom_category,
+                     hom_iso_with_oracle, internal_hom, product_cat, pullback_cat)
 from .transfer import pi0
 
 
@@ -249,9 +249,6 @@ class AuditConfig:
 def run_audit(config: AuditConfig) -> dict:
     """Execute the per-axiom suites at the configured scale and assemble the
     report; deterministic for a fixed config."""
-    # read from limits at call time, so that a patched limits is the one used
-    from .limits import hom_category, hom_iso_with_oracle
-
     report = {"config": {
         "seed": config.seed, "max_objects": config.max_objects,
         "max_arrows": config.max_arrows, "corpus_size": config.corpus_size,

@@ -30,7 +30,6 @@ class CorpusSpec:
     max_objects: int = 4
     max_arrows: int = 10
     count: int = 25
-    constructors: tuple = DEFAULT_CONSTRUCTORS
 
 
 def category_from_tables(n_objects, arrows, comp_pairs, identities):
@@ -146,7 +145,7 @@ def generate_corpus(spec: CorpusSpec):
     attempts = 0
     while len(out) < spec.count and attempts < spec.count * 40:
         attempts += 1
-        name = rng.choice([c for c in spec.constructors])
+        name = rng.choice(DEFAULT_CONSTRUCTORS)
         cat = None
         # a constructor whose smallest item cannot fit draws nothing
         if name == "disc":

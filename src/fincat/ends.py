@@ -36,7 +36,7 @@ the fidelity oracle for the solver.
 
 from itertools import product as iproduct
 
-from .errors import SizeBound
+from .errors import Budget, SizeBound
 from .internal import InternalCategory, monotone_maps
 
 
@@ -86,19 +86,6 @@ class Family:
                      for first, sp in zip(xn.first[n], xn.spines[n]))
 
 
-class _Budget:
-    def __init__(self, limit, stage):
-        self.limit = limit
-        self.stage = stage
-        self.steps = 0
-
-    def tick(self):
-        self.steps += 1
-        if self.steps > self.limit:
-            raise SizeBound(f"{self.stage} search exceeded {self.limit} steps",
-                            stage=self.stage, steps=self.steps, bound=self.limit)
-
-
 def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
                  budget: int = 10 ** 6):
     """All natural families at level k, lex-ordered by product encoding.
@@ -110,7 +97,7 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     slots1 = monotone_maps(1, k)
     x0, x1 = x_cat.C0.size, x_cat.C1.size
     y_fibers = y_cat.homs
-    budget = _Budget(budget, f"level-{k} end")
+    budget = Budget(budget, f"level-{k} end")
 
     # composition instances: equation m_Y(eta1[s12][u], eta1[s01][v]) = eta1[s02][uv]
     instances = []
@@ -274,6 +261,7 @@ def brute_families(x_cat, y_cat, k: int):
     """The literal equalizer: filter the full product of all slot tables.
 
     Only feasible at tiny sizes; used as the fidelity oracle for end_families.
+    SizeBound (stage "brute-force product") past 200,000 families.
     """
     limit = 200000
     xn, yn = x_cat.nerve, y_cat.nerve
@@ -281,9 +269,7 @@ def brute_families(x_cat, y_cat, k: int):
     total = 1
     for n, _psi in slots:
         total *= yn.levels[n].size ** xn.levels[n].size
-        if total > limit:
-            raise SizeBound("brute-force product too large",
-                            stage="brute-force product", steps=total, bound=limit)
+        SizeBound.check(total, limit, "brute-force product", "families")
 
     def natural(fam):
         for n, psi in slots:

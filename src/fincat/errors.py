@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the step counter that
+raises SizeBound."""
 
 
 class FincatError(Exception):
@@ -49,14 +50,36 @@ class SizeBound(FincatError):
     """An enumeration would exceed the configured size bound.
 
     `stage` names what gave up, `steps` is the count it reached or predicted
-    and `bound` the limit it was held to; each is None where not recorded.
+    and `bound` the limit it was held to; `what` names the thing counted in
+    the message, which states all three.
     """
 
-    def __init__(self, message, stage=None, steps=None, bound=None):
-        super().__init__(message)
+    def __init__(self, stage, steps, bound, what="steps"):
+        super().__init__(f"{stage}: {steps} {what}, over the bound {bound}")
         self.stage = stage
         self.steps = steps
         self.bound = bound
+
+    @classmethod
+    def check(cls, steps, bound, stage, what="steps"):
+        """Raise when `steps` is over `bound`."""
+        if steps > bound:
+            raise cls(stage, steps, bound, what)
+
+
+class Budget:
+    """The step counter of one bounded search: `tick` counts a step and
+    raises SizeBound at step `bound + 1`."""
+
+    def __init__(self, bound, stage):
+        self.bound = bound
+        self.stage = stage
+        self.steps = 0
+
+    def tick(self):
+        self.steps += 1
+        if self.steps > self.bound:
+            raise SizeBound(self.stage, self.steps, self.bound)
 
 
 class ParseError(FincatError):

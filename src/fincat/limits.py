@@ -9,16 +9,15 @@ without a level-2 search. A cell is keyed by its source and target functors
 and its diagonal, through Family.vertex and Family.cell_key; curry reads those
 keys straight off the tables of the functor it transposes. The carrier is
 certified by the components of its cells (validate_hom_carrier), in time
-linear in its composable pairs of cells. `bound` caps the object tables, the
-pairs of functors and the component tables that the level-1 end ranges over,
-the end search steps and the composable pairs of cells. The product carrier
-x X and the evaluation functor are built, and the evaluation certified, only
-when first read; `bound` then also caps the product's composable pairs.
+linear in its composable pairs of cells. The product carrier x X and the
+evaluation functor are built, and the evaluation certified, only when first
+read. A count over `bound` raises SizeBound, whose message names its stage,
+the count and the bound (internal_hom lists the stages).
 
 The functor, cell and hom-category searches all live in naive.py, which shares
-no code with the end path: enumerate_functors, enumerate_cells and
-hom_category are typed views over them, and hom_iso_with_oracle checks the
-end hom against the oracle's hom-category.
+with the end path only the error types and errors.Budget: enumerate_functors,
+enumerate_cells and hom_category are typed views over them, and
+hom_iso_with_oracle checks the end hom against the oracle's hom-category.
 """
 
 from collections import Counter
@@ -146,22 +145,22 @@ def coproduct_cat(a: InternalCategory, b: InternalCategory) -> CoproductCone:
     return CoproductCone(cat, inj0, inj1)
 
 
-_FREE_ARROW = None
+def _build_free_arrow() -> InternalCategory:
+    c0 = FinObj(2, ("src", "tgt"))
+    c1 = FinObj(3, ("id_src", "id_tgt", "arrow"))
+    d1 = FinMap(c1, c0, (0, 1, 0))   # sources
+    d0 = FinMap(c1, c0, (0, 1, 1))   # targets
+    i = FinMap(c0, c1, (0, 1))
+    cat = InternalCategory(c0, c1, d0, d1, i, FinMap(FinObj(4), c1, (0, 1, 2, 2)))
+    validate_category(cat).certify("free arrow")
+    return cat
+
+
+_FREE_ARROW = _build_free_arrow()
 
 
 def free_arrow() -> InternalCategory:
     """The free-living internal arrow: 2 objects, 3 arrows, one non-identity."""
-    global _FREE_ARROW
-    if _FREE_ARROW is None:
-        c0 = FinObj(2, ("src", "tgt"))
-        c1 = FinObj(3, ("id_src", "id_tgt", "arrow"))
-        d1 = FinMap(c1, c0, (0, 1, 0))   # sources
-        d0 = FinMap(c1, c0, (0, 1, 1))   # targets
-        i = FinMap(c0, c1, (0, 1))
-        cat = InternalCategory(c0, c1, d0, d1, i,
-                               FinMap(FinObj(4), c1, (0, 1, 2, 2)))
-        validate_category(cat).certify("free arrow")
-        _FREE_ARROW = cat
     return _FREE_ARROW
 
 
@@ -316,11 +315,8 @@ class InternalHom:
     @cached_property
     def prod(self) -> LimitCone:
         """carrier x X, the domain of evaluation."""
-        pairs = self.carrier.pairs.apex.size * self.dom.pairs.apex.size
-        if pairs > self.bound:
-            raise SizeBound(f"evaluation domain has {pairs} composable pairs, "
-                            f"over the bound {self.bound}",
-                            stage="evaluation pairs", steps=pairs, bound=self.bound)
+        SizeBound.check(self.carrier.pairs.apex.size * self.dom.pairs.apex.size,
+                        self.bound, "evaluation pairs", "composable pairs")
         return product_cat(self.carrier, self.dom)
 
     @cached_property
@@ -416,38 +412,26 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     """The internal hom [x, y]: levels 0 and 1 are the stated ends, and
     composition is the Segal join of composable level-1 cells.
 
-    SizeBound, with its `stage`, if there are more than `bound` object
-    tables or pairs of functors, if the level-1 end ranges over more than
-    `bound` component tables, if an end search would exceed `bound` steps
-    or the hom has more than `bound` composable pairs of cells. The
-    component tables of a pair (F, G) of functors are the choices of one
-    arrow of Y(Fx, Gx) at each object x of X; they bound the cells from F
-    to G, since a cell's other diagonal entries are forced by its
-    components. The pairs of functors
-    are counted first: both the count of component tables and the level-1
-    end run over every pair.
+    SizeBound at the first of these stages whose count passes `bound`:
+    "object tables", "level-0 end", "functor pairs", "component tables",
+    "level-1 end", "cell pairs". The component tables of a pair (F, G) of
+    functors choose one arrow of Y(Fx, Gx) at each object x of X; they
+    bound the cells from F to G, whose other diagonal entries are forced.
     CertificateFailure if the carrier fails validate_hom_carrier.
 
     The result's `prod` and `evaluation` are built, and the evaluation
-    certified, on first read, under the same `bound` on composable pairs.
+    certified, on first read ("evaluation pairs" under the same `bound`).
     """
-    if x.C0.size and y.C0.size ** x.C0.size > bound:
-        tables = y.C0.size ** x.C0.size
-        raise SizeBound(f"{tables} object tables, over the bound {bound}",
-                        stage="object tables", steps=tables, bound=bound)
+    if x.C0.size:
+        SizeBound.check(y.C0.size ** x.C0.size, bound, "object tables",
+                        "object tables")
     hom0 = tuple(end_families(x, y, 0, bound))
-    pairs = len(hom0) ** 2
-    if pairs > bound:
-        raise SizeBound(f"{pairs} pairs of functors, over the bound {bound}",
-                        stage="functor pairs", steps=pairs, bound=bound)
+    SizeBound.check(len(hom0) ** 2, bound, "functor pairs", "pairs of functors")
     objects, homs = Counter(f.eta0[(0,)] for f in hom0), y.homs
     components = sum(
         cp * cq * math.prod(len(homs.get(pq, ())) for pq in zip(p, q))
         for p, cp in objects.items() for q, cq in objects.items())
-    if components > bound:
-        raise SizeBound(f"level-1 end ranges over {components} component "
-                        f"tables, over the bound {bound}",
-                        stage="component tables", steps=components, bound=bound)
+    SizeBound.check(components, bound, "component tables", "component tables")
     hom1 = tuple(end_families(x, y, 1, bound))
     idx0, idx1 = family_index = _key_index(hom0), _key_index(hom1)
     sources = [f.vertex(0) for f in hom1]
@@ -456,11 +440,8 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     c0, c1 = FinObj(len(hom0)), FinObj(len(hom1))
     d0 = FinMap(c1, c0, tuple(map(idx0.__getitem__, targets)))
     d1 = FinMap(c1, c0, tuple(map(idx0.__getitem__, sources)))
-    cell_pairs = count_pairs(d0.table, d1.table)
-    if cell_pairs > bound:
-        raise SizeBound(f"hom has {cell_pairs} composable pairs of cells, "
-                        f"over the bound {bound}", stage="cell pairs",
-                        steps=cell_pairs, bound=bound)
+    SizeBound.check(count_pairs(d0.table, d1.table), bound, "cell pairs",
+                    "composable pairs of cells")
     # the composite of u after v at an arrow a: p -> q of x is u at q after
     # v's diagonal at a; its source is v's and its target u's
     at_target = tuple(x.i.table[q] for q in x.d0.table)

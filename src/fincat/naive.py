@@ -1,7 +1,8 @@
 """A naive finite-category representation with its own validator and
-enumerators. This is the independent oracle: it shares no code with the
-internal-category validators or the end-formula path, so a shared bug cannot
-silently confirm itself.
+enumerators. This is the independent oracle: it shares with the
+internal-category validators and the end-formula path only the error types and
+the step counter errors.Budget, neither of which can confirm a result, so a
+shared bug cannot silently confirm itself.
 
 Its searches for functors, natural transformations and hom-categories are the
 package's only ones; limits.enumerate_functors, enumerate_cells and
@@ -11,7 +12,7 @@ hom_category are typed views over them.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SizeBound
+from .errors import Budget, SizeBound
 
 
 @dataclass(frozen=True)
@@ -91,26 +92,19 @@ def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
     largest of its two factors and its composite. `bound` caps the search
     steps, one per object or arrow candidate tried."""
     results = []
-    steps = 0
+    budget = Budget(bound, "oracle functors")
     obj = [None] * a.objects
     arr = [None] * len(a.arrows)
     completes = [[] for _ in a.arrows]
     for (g, f), gf in a.comp.items():
         completes[max(g, f, gf)].append((g, f, gf))
 
-    def step():
-        nonlocal steps
-        steps += 1
-        if steps > bound:
-            raise SizeBound("oracle functor enumeration exceeded the bound",
-                            stage="oracle functors", steps=steps, bound=bound)
-
     def obj_rec(x):
         if x == a.objects:
             arr_rec(0)
             return
         for y in range(b.objects):
-            step()
+            budget.tick()
             obj[x] = y
             obj_rec(x + 1)
 
@@ -124,7 +118,7 @@ def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
         else:
             cands = b.homs.get((obj[s], obj[t]), ())
         for y in cands:
-            step()
+            budget.tick()
             arr[k] = y
             if all(b.comp[(arr[g], arr[f])] == arr[gf]
                    for g, f, gf in completes[k]):
@@ -169,17 +163,16 @@ def oracle_hom_category(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6
     """The hom-category as a naive category: objects are oracle functors,
     arrows are (source index, target index, component tuple), composition is
     pointwise in b. `bound` caps the functor search steps, the cells and the
-    composable pairs of cells. Returns (functors, arrows, NaiveCategory)."""
+    composable pairs of cells (stages "oracle functors", "oracle cells" and
+    "oracle composable cell pairs"). Returns (functors, arrows,
+    NaiveCategory)."""
     funs = oracle_functors(a, b, bound)
     arrows = []
     for si, f in enumerate(funs):
         for ti, g in enumerate(funs):
             for comp in oracle_nat_trans(a, b, f, g):
                 arrows.append((si, ti, comp))
-                if len(arrows) > bound:
-                    raise SizeBound("oracle cell enumeration exceeded the bound",
-                                    stage="oracle cells", steps=len(arrows),
-                                    bound=bound)
+                SizeBound.check(len(arrows), bound, "oracle cells", "cells")
     index = {arr: i for i, arr in enumerate(arrows)}
     identities = tuple(
         index[(i, i, tuple(b.identities[f[0][x]] for x in range(a.objects)))]
@@ -188,10 +181,8 @@ def oracle_hom_category(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6
     for i1, (_s1, t1, _c1) in enumerate(arrows):
         by_target[t1].append(i1)
     cell_pairs = sum(len(by_target[s2]) for s2, _t2, _c2 in arrows)
-    if cell_pairs > bound:
-        raise SizeBound("oracle composable cell pairs exceeded the bound",
-                        stage="oracle composable cell pairs", steps=cell_pairs,
-                        bound=bound)
+    SizeBound.check(cell_pairs, bound, "oracle composable cell pairs",
+                    "composable pairs of cells")
     comp = {}
     for i2, (s2, t2, c2) in enumerate(arrows):
         for i1 in by_target[s2]:

@@ -259,7 +259,7 @@ def test_run_audit_default_expectations():
 
 
 def test_cartesian_closed_checks_the_isomorphism(monkeypatch):
-    from fincat import limits
+    from fincat import audit, limits
     real = limits.hom_category
 
     def one_cell_repeated(a, b, bound):
@@ -273,7 +273,7 @@ def test_cartesian_closed_checks_the_isomorphism(monkeypatch):
     config = AuditConfig(corpus_size=6, suites=("cartesianClosed",))
     honest = run_audit(config)["entries"]["cartesianClosed"]
     assert honest["verdict"] == "verified-at-scale"
-    monkeypatch.setattr(limits, "hom_category", one_cell_repeated)
+    monkeypatch.setattr(audit, "hom_category", one_cell_repeated)
     entry = run_audit(config)["entries"]["cartesianClosed"]
     assert entry["verdict"] == "refuted"
     compared = entry["witnesses"]["pairs_compared"]

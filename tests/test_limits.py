@@ -358,7 +358,7 @@ from fincat.errors import CertificateFailure
 from fincat.internal import ValidationReport, Violation
 bad = ValidationReport((Violation("planted", 0, "planted failure"),))
 x = limits.free_arrow()
-cases = [("free_arrow", "validate_category"),
+cases = [("_build_free_arrow", "validate_category"),
          ("power_by_two", "validate_category"),
          ("power_by_two", "validate_functor"),
          ("power_by_two", "validate_nat_trans"),
@@ -366,9 +366,9 @@ cases = [("free_arrow", "validate_category"),
 for build, check in cases:
     real = getattr(limits, check)
     setattr(limits, check, lambda _value: bad)
-    limits._FREE_ARROW = None if build == "free_arrow" else x
+    args = () if build == "_build_free_arrow" else (x,)
     try:
-        getattr(limits, build)() if build == "free_arrow" else getattr(limits, build)(x)
+        getattr(limits, build)(*args)
     except CertificateFailure:
         pass
     else:
@@ -382,7 +382,7 @@ for build, check in cases:
     assert run.returncode == 0, run.stdout + run.stderr
 
 
-class _CountingBudget(ends._Budget):
+class _CountingBudget(ends.Budget):
     """The end search's step budget, keeping every instance made so that a
     test can read the steps a search spent."""
 
@@ -396,7 +396,7 @@ class _CountingBudget(ends._Budget):
 @pytest.fixture
 def counted(monkeypatch):
     """end_families(x, y, k, bound) -> (families, steps spent)."""
-    monkeypatch.setattr(ends, "_Budget", _CountingBudget)
+    monkeypatch.setattr(ends, "Budget", _CountingBudget)
 
     def run(x, y, k, bound=10 ** 6):
         _CountingBudget.made.clear()
@@ -502,6 +502,40 @@ def test_size_bound_names_its_stage(counted):
             enumerate_functors(two, i2, bound)
         assert (err.value.stage, err.value.steps, err.value.bound) == \
             ("oracle functors", bound + 1, bound)
+
+
+_TWO, _D1, _D3 = free_arrow(), disc(FinObj(1)), disc(FinObj(3))
+_I2, _I3, _I4 = indisc(FinObj(2)), indisc(FinObj(3)), indisc(FinObj(4))
+
+# stage, the call that is refused there, and the count and bound it reports
+_REFUSALS = [
+    ("object tables", lambda: internal_hom(_I4, _I4, 10), 256, 10),
+    ("level-0 end", lambda: internal_hom(_TWO, _I2, 17), 18, 17),
+    ("functor pairs", lambda: internal_hom(_D3, _I2, 63), 64, 63),
+    ("component tables",
+     lambda: internal_hom(_D3, monoid_delooping([[0, 1], [1, 0]]), 7), 8, 7),
+    ("level-1 end", lambda: internal_hom(_TWO, _I2, 81), 82, 81),
+    ("cell pairs", lambda: internal_hom(_TWO, _I3, 728), 729, 728),
+    ("evaluation pairs", lambda: internal_hom(_TWO, _I3, 729).evaluation,
+     2916, 729),
+    ("oracle functors", lambda: enumerate_functors(_TWO, _I2, 17), 18, 17),
+    ("oracle cells", lambda: hom_category(_D1, _I3, 8), 9, 8),
+    ("oracle composable cell pairs", lambda: hom_category(_D1, _I3, 26), 27, 26),
+    ("brute-force product", lambda: brute_families(_TWO, _TWO, 1),
+     314_928, 200_000),
+]
+
+
+@pytest.mark.parametrize("stage, refused, steps, bound", _REFUSALS,
+                         ids=[case[0] for case in _REFUSALS])
+def test_every_refusal_names_its_stage_count_and_bound(stage, refused, steps,
+                                                       bound):
+    with pytest.raises(SizeBound) as err:
+        refused()
+    assert (err.value.stage, err.value.steps, err.value.bound) == \
+        (stage, steps, bound)
+    message = str(err.value)
+    assert stage in message and str(steps) in message and str(bound) in message
 
 
 # steps, family count and a digest of the family keys in order, for the
