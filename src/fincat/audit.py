@@ -2,7 +2,7 @@
 generator and 2-well-pointedness verification, and the aggregate report.
 
 The finite-set base cannot carry a natural numbers object; the audit does not
-assume this but refutes every candidate up to the configured size with a
+assume this but refutes every candidate up to NNO_MAX_SIZE elements with a
 verified counterexample. Verdicts use the vocabulary
 {verified-at-scale, refuted, skipped}: desk-scale checks cannot certify
 universally quantified axioms.
@@ -218,7 +218,7 @@ def diagonal_equaliser_holds(a: FinObj) -> bool:
     return image == {t[0] for t in eq.tuples}
 
 
-def two_well_pointed_check(test_pairs, base_sizes=range(6)) -> GeneratorVerdict:
+def two_well_pointed_check(test_pairs, base_sizes) -> GeneratorVerdict:
     """Generator check with the free arrow, plus its connected components and
     the diagonal-equaliser identity on small base objects."""
     if pi0(free_arrow()).size != 1:
@@ -233,13 +233,15 @@ def two_well_pointed_check(test_pairs, base_sizes=range(6)) -> GeneratorVerdict:
 # Aggregate audit.
 # ---------------------------------------------------------------------------
 
+NNO_MAX_SIZE = 3  # the largest NNO candidate the audit refutes
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     seed: int = 7
     max_objects: int = 4
     max_arrows: int = 10
     corpus_size: int = 12
-    nno_max_size: int = 3
     size_bound: int = 10 ** 6
     suites: tuple = ("finiteLimits", "cartesianClosed", "wellPointed2", "nno",
                      "fullSubobjectClassifier", "categorifiedChoice",
@@ -252,7 +254,7 @@ def run_audit(config: AuditConfig) -> dict:
     report = {"config": {
         "seed": config.seed, "max_objects": config.max_objects,
         "max_arrows": config.max_arrows, "corpus_size": config.corpus_size,
-        "nno_max_size": config.nno_max_size, "size_bound": config.size_bound,
+        "nno_max_size": NNO_MAX_SIZE, "size_bound": config.size_bound,
         "suites": list(config.suites)}, "entries": {}}
     spec = CorpusSpec(seed=config.seed, max_objects=config.max_objects,
                       max_arrows=config.max_arrows, count=config.corpus_size)
@@ -309,7 +311,7 @@ def run_audit(config: AuditConfig) -> dict:
         entry("wellPointed2", verdict.verdict, pairs_tested=len(pairs))
 
     if "nno" in config.suites:
-        refutations = refute_finite_nno(config.nno_max_size)
+        refutations = refute_finite_nno(NNO_MAX_SIZE)
         witnesses = [{
             "candidate": {"N": r.candidate[0].size,
                           "z": list(r.candidate[1].table),

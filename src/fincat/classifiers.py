@@ -77,27 +77,22 @@ def is_strict_bi_sieve(f: InternalFunctor) -> bool:
 @dataclass(frozen=True)
 class BiSieveCertificate:
     chi: InternalFunctor
-    pi0_mono: bool            # tested, not assumed
     square_is_pullback: bool  # levelwise verification outcome
 
 
 def classify_strict_bi_sieve(f: InternalFunctor) -> BiSieveCertificate:
-    """Classifier into disc(truth values) through connected components."""
+    """Classifier into disc(truth values) through connected components.
+
+    The image of a strict bi-sieve is a union of components: every arrow of
+    the codomain that touches it lifts, with both ends in the image. So
+    pi0(f) is mono, and its characteristic map classifies f's components."""
     if not is_strict_bi_sieve(f):
         raise NotBiSieve("classify_strict_bi_sieve needs a strict bi-sieve")
-    p = pi0_map(f)
-    pi0_mono = finset.is_mono(p)
     omega_base, top_base = finset.subobject_classifier()
-    if pi0_mono:
-        chi_pi0 = finset.characteristic_map(p)
-    else:
-        # fall back to classifying the image; recorded via pi0_mono = False
-        _, image = finset.factor_epi_mono(p)
-        chi_pi0 = finset.characteristic_map(image)
-    chi0 = compose(chi_pi0, pi0_quotient(f.cod))
+    chi0 = compose(finset.characteristic_map(pi0_map(f)), pi0_quotient(f.cod))
     chi = functor_to_disc(f.cod, chi0)
     top = InternalFunctor(terminal_cat(), disc(omega_base), top_base, top_base)
-    return BiSieveCertificate(chi, pi0_mono, _square_is_pullback(f, chi, top))
+    return BiSieveCertificate(chi, _square_is_pullback(f, chi, top))
 
 
 def endpoint_functors():

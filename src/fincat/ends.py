@@ -31,7 +31,8 @@ target functors (Family.vertex) and its diagonal (Family.cell_key). The
 level-2 and level-3 ends stay available as the fidelity check that the join
 equals them. `brute_families` materialises the full product and filters by
 every equation; it is the literal equalizer, feasible only at tiny sizes, and
-the fidelity oracle for the solver.
+the fidelity oracle for the solver. One naturality sweep (`_natural`) serves
+it and `check_family`, which differ only in where a slot table comes from.
 """
 
 from itertools import product as iproduct
@@ -49,18 +50,15 @@ class Family:
         self.k = k
         self.eta0 = eta0  # dict psi -> tuple over X0
         self.eta1 = eta1  # dict psi -> tuple over X1
-        self._key = None
+        if k == 0:
+            self._key = self.vertex(0)
+        elif k == 1:
+            self._key = self.cell_key(self.vertex(0), self.vertex(1), eta1[(0, 1)])
+        else:
+            self._key = (tuple(eta0[p] for p in sorted(eta0))
+                         + tuple(eta1[p] for p in sorted(eta1)))
 
     def key(self):
-        if self._key is None:
-            if self.k == 0:
-                self._key = self.vertex(0)
-            elif self.k == 1:
-                self._key = self.cell_key(self.vertex(0), self.vertex(1),
-                                          self.eta1[(0, 1)])
-            else:
-                self._key = (tuple(self.eta0[p] for p in sorted(self.eta0))
-                             + tuple(self.eta1[p] for p in sorted(self.eta1)))
         return self._key
 
     def vertex(self, t):
@@ -182,15 +180,9 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
             done()
             return
         kind, psi, elem = cells[pos]
-        if kind == "0":
-            row = eta0[psi]
-            for val in candidates(kind, psi, elem):
-                budget.tick()
-                row[elem] = val
-                rec(pos + 1, stop, done)
-                row[elem] = None
-            return
-        row = eta1[psi]
+        row = (eta0 if kind == "0" else eta1)[psi]
+        # the candidates are read before this cell's instances count it set;
+        # an object cell is in no composition instance
         cand = candidates(kind, psi, elem)
         incident = cells_of.get((psi, elem), ())
         for iid in incident:
@@ -228,9 +220,27 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     return solutions
 
 
+def _natural(x_cat, y_cat, k, table) -> bool:
+    """The naturality sweep of one level-k family: every theta: [m] -> [n]
+    and psi: [n] -> [k] at levels 0..3, with table(n, psi) the slot table,
+    and a None table failing."""
+    xn, yn = x_cat.nerve, y_cat.nerve
+    for n in range(4):
+        for m in range(4):
+            for theta in monotone_maps(m, n):
+                x_theta = xn.act(theta, n, m).table
+                y_theta = yn.act(theta, n, m).table
+                for psi in monotone_maps(n, k):
+                    top = table(n, psi)
+                    low = table(m, tuple(psi[j] for j in theta))
+                    if top is None or low is None or any(
+                            low[a] != y_theta[b] for a, b in zip(x_theta, top)):
+                        return False
+    return True
+
+
 def check_family(x_cat, y_cat, fam: Family) -> bool:
     """Full naturality sweep: every theta and psi at levels 0..3."""
-    xn, yn = x_cat.nerve, y_cat.nerve
     tables = {}  # (n, psi) -> slot table, for this sweep only
 
     def table(n, psi):
@@ -243,18 +253,7 @@ def check_family(x_cat, y_cat, fam: Family) -> bool:
                 tables[(n, psi)] = None
         return tables[(n, psi)]
 
-    for n in range(4):
-        for m in range(4):
-            for theta in monotone_maps(m, n):
-                x_theta = xn.act(theta, n, m).table
-                y_theta = yn.act(theta, n, m).table
-                for psi in monotone_maps(n, fam.k):
-                    top = table(n, psi)
-                    low = table(m, tuple(psi[j] for j in theta))
-                    if top is None or low is None or any(
-                            low[a] != y_theta[b] for a, b in zip(x_theta, top)):
-                        return False
-    return True
+    return _natural(x_cat, y_cat, fam.k, table)
 
 
 def brute_families(x_cat, y_cat, k: int):
@@ -270,19 +269,8 @@ def brute_families(x_cat, y_cat, k: int):
     for n, _psi in slots:
         total *= yn.levels[n].size ** xn.levels[n].size
         SizeBound.check(total, limit, "brute-force product", "families")
-
-    def natural(fam):
-        for n, psi in slots:
-            for m in range(4):
-                for theta in monotone_maps(m, n):
-                    low, top = fam[(m, tuple(psi[j] for j in theta))], fam[(n, psi)]
-                    y_theta = yn.act(theta, n, m).table
-                    if any(low[a] != y_theta[b]
-                           for a, b in zip(xn.act(theta, n, m).table, top)):
-                        return False
-        return True
-
     tables_per_slot = [list(iproduct(range(yn.levels[n].size), repeat=xn.levels[n].size))
                        for n, _psi in slots]
     families = (dict(zip(slots, combo)) for combo in iproduct(*tables_per_slot))
-    return [fam for fam in families if natural(fam)]
+    return [fam for fam in families
+            if _natural(x_cat, y_cat, k, lambda n, psi: fam[(n, psi)])]

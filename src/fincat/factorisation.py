@@ -91,13 +91,18 @@ def in_lifted_right(f: InternalFunctor, ofs: BaseOFS) -> bool:
     return ofs.in_right(f.f0) and is_fully_faithful(f)
 
 
-def lift_square(s: InternalFunctor, f: InternalFunctor, p: InternalFunctor,
-                q: InternalFunctor, ofs: BaseOFS) -> InternalFunctor:
-    """The unique u with f.u = q and u.s = p, for s in L' and f in R'."""
+def _require_classes(s: InternalFunctor, f: InternalFunctor, ofs: BaseOFS):
+    """NotInClass unless s is in L' and f in R'."""
     if not in_lifted_left(s, ofs):
         raise NotInClass(f"s is not {ofs.name}-left-on-objects")
     if not in_lifted_right(f, ofs):
         raise NotInClass(f"f is not in the lifted right class of {ofs.name}")
+
+
+def lift_square(s: InternalFunctor, f: InternalFunctor, p: InternalFunctor,
+                q: InternalFunctor, ofs: BaseOFS) -> InternalFunctor:
+    """The unique u with f.u = q and u.s = p, for s in L' and f in R'."""
+    _require_classes(s, f, ofs)
     if compose_functors(f, p) != compose_functors(q, s):
         raise NonCommuting("the square does not commute")
     u0 = ofs.lift(s.f0, f.f0, p.f0, q.f0)
@@ -116,10 +121,7 @@ def lift_two_cell(s: InternalFunctor, f: InternalFunctor,
     f . alpha_bar = beta_bar . s; u0_functor, u1_functor are the 1-dimensional
     lifts of the two squares.
     """
-    if not in_lifted_left(s, ofs):
-        raise NotInClass(f"s is not {ofs.name}-left-on-objects")
-    if not in_lifted_right(f, ofs):
-        raise NotInClass(f"f is not in the lifted right class of {ofs.name}")
+    _require_classes(s, f, ofs)
     if compose(f.f1, alpha_bar.alpha).table != compose(beta_bar.alpha, s.f0).table:
         raise NonCommuting("the 2-cells are not compatible over the square")
     b = s.cod

@@ -333,10 +333,8 @@ class Exponential:
             k = k * self.base.size + y
         return k
 
-    def curry(self, f: FinMap, x: FinObj, prod_xa: ChosenLimit = None) -> FinMap:
-        """The unique transpose X -> B^A of f: X x A -> B."""
-        if prod_xa is None:
-            prod_xa = product(x, self.exponent)
+    def curry(self, f: FinMap, x: FinObj, prod_xa: ChosenLimit) -> FinMap:
+        """The unique transpose X -> B^A of f: X x A -> B, over prod_xa = X x A."""
         if f.dom != prod_xa.apex:
             raise DomainMismatch("curry needs a map out of the chosen product")
         table = []
@@ -345,10 +343,8 @@ class Exponential:
             table.append(self.encode(t))
         return FinMap(x, self.obj, tuple(table))
 
-    def uncurry(self, h: FinMap, prod_xa: ChosenLimit = None) -> FinMap:
-        """Inverse of curry: X -> B^A gives X x A -> B."""
-        if prod_xa is None:
-            prod_xa = product(h.dom, self.exponent)
+    def uncurry(self, h: FinMap, prod_xa: ChosenLimit) -> FinMap:
+        """Inverse of curry: X -> B^A gives X x A -> B, over prod_xa = X x A."""
         table = [0] * prod_xa.apex.size
         for z in range(h.dom.size):
             t = self.decode(h.table[z])

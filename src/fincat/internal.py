@@ -11,7 +11,8 @@ Orientation convention, fixed globally:
 The objects of composable pairs/triples are derived from (d0, d1) via the
 chosen pullbacks of the base; they are never independent state. A category
 built by `InternalCategory.with_composition` keeps the pairs pullback its
-composition was tabulated over; otherwise pairs are built on first read.
+composition was tabulated over; otherwise pairs are built on first read. The
+triples are the nerve's level 3, built by the nerve.
 """
 
 from collections import Counter
@@ -100,12 +101,6 @@ class InternalCategory:
         return finset.pullback(self.d1, self.d0)
 
     @cached_property
-    def triples(self):
-        """Chosen object of composable triples ((u, v), w) with d1(v) = d0(w)."""
-        inner_src = compose(self.d1, self.pairs.projections[1])
-        return finset.pullback(inner_src, self.d0)
-
-    @cached_property
     def nerve(self):
         """Levels 0..3 of the nerve, with every action table built once."""
         return Nerve(self)
@@ -139,7 +134,7 @@ def validate_category(c: InternalCategory) -> ValidationReport:
 
     Units and associativity are checked by lookups in the table of m, keyed
     by the composable pairs; composable triples are visited in the order of
-    `c.triples` without building that object."""
+    the nerve's level 3 without building the nerve."""
     d0, d1, i, m = c.d0.table, c.d1.table, c.i.table, c.m.table
     pairs = c.pairs.tuples
     out = []
@@ -439,7 +434,7 @@ def lift_arrows(f: InternalFunctor, a: InternalCategory, u0: FinMap,
 # Truncated simplicial structure of the nerve.
 #
 # Simplices are encoded: level 0 by C0 indices, level 1 by C1 indices, level 2
-# by indices of the derived pairs object, level 3 by the derived triples. The
+# by indices of the derived pairs object, level 3 by the nerve's triples. The
 # spine of a simplex lists its arrows in diagram order (first applied first).
 # ---------------------------------------------------------------------------
 
@@ -464,10 +459,12 @@ class Nerve:
     def __init__(self, c: InternalCategory):
         self.c = c
         pairs = c.pairs.tuples
+        # composable triples ((u, v), w) with d1(v) = d0(w)
+        self.triples = finset.pullback(compose(c.d1, c.pairs.projections[1]), c.d0)
         self.spines = (((),) * c.C0.size,
                        tuple((a,) for a in range(c.C1.size)),
                        tuple((v, u) for u, v in pairs),
-                       tuple((w,) + pairs[p][::-1] for p, w in c.triples.tuples))
+                       tuple((w,) + pairs[p][::-1] for p, w in self.triples.tuples))
         self.levels = tuple(FinObj(len(sp)) for sp in self.spines)
         self.first = (tuple(range(c.C0.size)),) + tuple(
             tuple(c.d1.table[sp[0]] for sp in spines) for spines in self.spines[1:])
@@ -484,7 +481,7 @@ class Nerve:
             v, u = arrows
             return c.pairs.index[(u, v)]
         w, v, u = arrows
-        return c.triples.index[(c.pairs.index[(u, v)], w)]
+        return self.triples.index[(c.pairs.index[(u, v)], w)]
 
     def act(self, phi, n_from: int, n_to: int) -> FinMap:
         """The action N_{n_from} -> N_{n_to} of a monotone phi: [n_to] -> [n_from]."""

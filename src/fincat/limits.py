@@ -21,7 +21,7 @@ hom_iso_with_oracle checks the end hom against the oracle's hom-category.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 import math
 
@@ -285,15 +285,12 @@ def copower_by_two(a: InternalCategory) -> CopowerByTwo:
 # Internal hom via the end formula.
 # ---------------------------------------------------------------------------
 
-def _key_index(families):
-    """Index of each family in `families`, by its key."""
-    return {f.key(): i for i, f in enumerate(families)}
-
-
 @dataclass(frozen=True)
 class InternalHom:
     """The hom [dom, cod]: its carrier, and the level-0 and level-1 end
-    families that are the carrier's objects and cells, in index order.
+    families that are the carrier's objects and cells, in index order, with
+    the carrier index of each family by its key (`family_index`), built by
+    internal_hom with the carrier.
 
     `prod` and `evaluation` are built the first time they are read, and the
     evaluation is certified then; SizeBound (stage "evaluation pairs") when
@@ -305,12 +302,9 @@ class InternalHom:
     level0: tuple            # Family objects for functors
     level1: tuple            # Family objects for cells
     bound: int
-
-    @cached_property
-    def family_index(self):
-        """The carrier index of each level-0 and each level-1 family, keyed
-        by the family's key."""
-        return _key_index(self.level0), _key_index(self.level1)
+    # key -> carrier index of each level-0 and each level-1 family; derived
+    # from level0 and level1, so it takes no part in equality or hashing
+    family_index: tuple = field(compare=False, repr=False)
 
     @cached_property
     def prod(self) -> LimitCone:
@@ -433,7 +427,8 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
         for p, cp in objects.items() for q, cq in objects.items())
     SizeBound.check(components, bound, "component tables", "component tables")
     hom1 = tuple(end_families(x, y, 1, bound))
-    idx0, idx1 = family_index = _key_index(hom0), _key_index(hom1)
+    idx0, idx1 = family_index = tuple({f.key(): i for i, f in enumerate(fams)}
+                                      for fams in (hom0, hom1))
     sources = [f.vertex(0) for f in hom1]
     targets = [f.vertex(1) for f in hom1]
     diagonals = [f.eta1[(0, 1)] for f in hom1]
@@ -463,8 +458,7 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     except KeyError as exc:
         raise CertificateFailure(
             f"hom cell join missing from level 1: {exc.args[0]}") from exc
-    ih = InternalHom(carrier, x, y, hom0, hom1, bound)
-    ih.__dict__["family_index"] = family_index
+    ih = InternalHom(carrier, x, y, hom0, hom1, bound, family_index)
     validate_hom_carrier(ih).certify("hom carrier")
     return ih
 

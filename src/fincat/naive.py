@@ -54,6 +54,9 @@ def validate_naive(c: NaiveCategory):
                     problems.append(f"composite ({g}, {f}) has wrong endpoints")
             elif (g, f) in c.comp:
                 problems.append(f"composite defined for non-composable ({g}, {f})")
+    if problems:
+        # unit/associativity lookups need every composite, well-shaped, first
+        return problems
     for x in range(c.objects):
         e = c.identities[x]
         for a, (s, t) in enumerate(c.arrows):

@@ -156,7 +156,6 @@ def test_strict_bi_sieve_identity():
     assert is_strict_bi_sieve(id_functor(two))
     cert = classify_strict_bi_sieve(id_functor(two))
     assert cert.chi.f0.table == (1, 1)
-    assert cert.pi0_mono
     assert cert.square_is_pullback
 
 
@@ -167,7 +166,6 @@ def test_strict_bi_sieve_component_inclusion():
     inc = cop.inj0
     assert is_strict_bi_sieve(inc)
     cert = classify_strict_bi_sieve(inc)
-    assert cert.pi0_mono
     assert cert.square_is_pullback
     # distinguishes the two components
     assert cert.chi.f0.table == (1, 1, 0)

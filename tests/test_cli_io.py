@@ -66,12 +66,15 @@ def test_malformed_table_length_names_field():
     assert err.value.field == "d0"
 
 
-def test_lawless_data_raises_validation_error():
+def test_lawless_data_raises_validation_error(tmp_path, capsys):
     doc = json.loads(serialize.serialize_category(free_arrow()))
-    doc["m"] = [0, 1, 0, 2]  # break the left unit law for the arrow
+    doc["m"] = [0, 1, 0, 2]  # id_1 . arrow becomes id_0, which ends at 0
     with pytest.raises(ValidationError) as err:
         serialize.parse_category_doc(doc)
     assert not err.value.report.ok
+    # well-formed but lawless input is refuted (exit 1), not an input error
+    assert main(["validate", _write(tmp_path, "lawless.json", json.dumps(doc))]) == 1
+    assert capsys.readouterr().out.startswith("invalid: composite-target at (1, 2)")
 
 
 def test_fixture_parses_to_free_arrow():
@@ -123,6 +126,48 @@ def test_oracle_functor_counts():
     assert len(naive.oracle_functors(two, one)) == 1
     ident = [f for f in funs if f[0] == (0, 1)][0]
     assert len(naive.oracle_nat_trans(two, two, ident, ident)) >= 1
+
+
+def _naive_walking_arrow(**change):
+    """The naive free arrow, 0 -> 1 by arrow 2, with some fields changed."""
+    fields = {"objects": 2, "arrows": ((0, 0), (1, 1), (0, 1)),
+              "identities": (0, 1),
+              "comp": {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2}}
+    fields.update(change)
+    return naive.NaiveCategory(**fields)
+
+
+def _naive_monoid(table):
+    """The one-object naive category of a monoid table, arrow 0 its unit."""
+    n = len(table)
+    return naive.NaiveCategory(1, ((0, 0),) * n, (0,),
+                               {(g, f): table[g][f] for g in range(n) for f in range(n)})
+
+
+def test_naive_validator_names_each_broken_axiom():
+    arrow = _naive_walking_arrow()
+    assert naive.validate_naive(arrow) == []
+    assert naive.validate_naive(_naive_walking_arrow(identities=(0,))) == [
+        "identities must list one arrow per object"]
+    assert naive.validate_naive(_naive_walking_arrow(identities=(0, 2))) == [
+        "identity of 1 has wrong endpoints"]
+    missing = dict(arrow.comp)
+    del missing[(2, 0)]
+    assert naive.validate_naive(_naive_walking_arrow(comp=missing)) == [
+        "missing composite (2, 0)"]
+    assert naive.validate_naive(_naive_walking_arrow(
+        comp={**arrow.comp, (2, 0): 0})) == ["composite (2, 0) has wrong endpoints"]
+    assert naive.validate_naive(_naive_walking_arrow(
+        comp={**arrow.comp, (0, 1): 0})) == [
+        "composite defined for non-composable (0, 1)"]
+    # {e, a} with a.a = a is a monoid; breaking e.a or a.e breaks one unit
+    assert naive.validate_naive(_naive_monoid(((0, 1), (1, 1)))) == []
+    assert "left unit fails at 1" in naive.validate_naive(_naive_monoid(((0, 0), (1, 1))))
+    assert "right unit fails at 1" in naive.validate_naive(_naive_monoid(((0, 1), (0, 1))))
+    # units hold, but (a.a).b = b.b = a while a.(a.b) = a.a = b
+    problems = naive.validate_naive(_naive_monoid(((0, 1, 2), (1, 2, 1), (2, 1, 1))))
+    assert "associativity fails at (1, 1, 2)" in problems
+    assert all(p.startswith("associativity fails") for p in problems)
 
 
 def test_oracle_agrees_with_internal_enumeration(corpus):

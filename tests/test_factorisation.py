@@ -138,6 +138,33 @@ def test_lift_square_unique_among_exhaustive(functor_corpus):
     assert checked >= 5
 
 
+def test_iso_all_lift_square_is_the_unique_filler(functor_corpus):
+    ia = iso_all_ofs()
+    lefts = [s for s in functor_corpus
+             if is_iso_on_objects(s) and s.dom.C1.size <= 6 and s.cod.C1.size <= 6]
+    rights = [f for f in functor_corpus
+              if is_full_mono(f) and f.dom.C1.size <= 6 and f.cod.C1.size <= 6]
+    checked = 0
+    for s in lefts[:6]:
+        for f in rights[:6]:
+            fillers = enumerate_functors(s.cod, f.dom)
+            for u in fillers[:3]:
+                p, q = _square_from_filler(s, f, u)
+                got = lift_square(s, f, p, q, ia)
+                matching = [w for w in fillers
+                            if compose_functors(f, w) == q
+                            and compose_functors(w, s) == p]
+                assert matching == [got]
+                checked += 1
+    assert checked >= 5
+    # a left that is epi but not iso on objects is outside (iso, all)'s L'
+    s = next(s for s in functor_corpus
+             if is_epi_on_objects(s) and not is_iso_on_objects(s))
+    f = id_functor(s.cod)
+    with pytest.raises(NotInClass):
+        lift_square(s, f, s, s, ia)
+
+
 def test_lift_square_rejects_bad_input():
     two = free_arrow()
     one = terminal_cat()

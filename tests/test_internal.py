@@ -8,6 +8,7 @@ from itertools import product as iproduct
 import pytest
 
 from fincat import finset, naive
+from fincat.audit import arrow_functor
 from fincat.corpus import (CorpusSpec, category_from_tables, free_on_dag,
                            full_subcategory_inclusion, generate_corpus,
                            generate_functor_corpus, monoid_delooping,
@@ -134,9 +135,13 @@ def test_validate_category_matches_reference_on_corrupted_corpus(corpus):
 def test_validate_category_does_not_build_triples():
     for c in (_path3(), _cyclic(3), indisc(FinObj(3))):
         assert validate_category(c).ok
-        assert "triples" not in c.__dict__
-        # the nerve still builds its level of composable triples on demand
-        assert c.nerve.levels[3].size == c.triples.apex.size
+        assert "nerve" not in c.__dict__
+        # the nerve builds its own level of composable triples on demand
+        d0, d1 = c.d0.table, c.d1.table
+        arrows = range(c.C1.size)
+        triples = sum(d1[u] == d0[v] and d1[v] == d0[w]
+                      for u in arrows for v in arrows for w in arrows)
+        assert c.nerve.levels[3].size == triples
 
 
 def _lawful_single_changes(c):
@@ -239,6 +244,13 @@ def test_invalid_cell_names_violation():
     assert not report.ok
     assert any(v.axiom in ("component-source", "component-target")
                for v in report.violations)
+    # the two parallel arrows 1, 2: 0 -> 1 as functors from the free arrow,
+    # with identity components, which would make them equal
+    c = free_on_dag(2, [(0, 1), (0, 1)])
+    f, g = arrow_functor(c, 1), arrow_functor(c, 2)
+    ids = InternalNatTrans(f, g, FinMap(f.dom.C0, c.C1, tuple(c.i.table)))
+    assert str(validate_nat_trans(ids)) == \
+        "naturality at 2: g(u).alpha_x != alpha_y.f(u)"
 
 
 def test_compose_functors_unit_laws():

@@ -137,7 +137,7 @@ def test_internal_hom_higher_levels_match_end(corpus):
     for (x, y) in [(two, two), (two, i2), (i2, two), (terminal_cat(), two)]:
         ih = internal_hom(x, y)
         assert ih.carrier.pairs.apex.size == len(end_families(x, y, 2))
-        assert ih.carrier.triples.apex.size == len(end_families(x, y, 3))
+        assert ih.carrier.nerve.levels[3].size == len(end_families(x, y, 3))
 
 
 def _level_two_m(ih, x, y):
