@@ -33,9 +33,17 @@ equals them. `brute_families` materialises the full product and filters by
 every equation; it is the literal equalizer, feasible only at tiny sizes, and
 the fidelity oracle for the solver. One naturality sweep (`_natural`) serves
 it and `check_family`, which differ only in where a slot table comes from.
+The sweep reads index plans that the nerves own and build on first use: X's
+nerve fixes the slot order and, for every equation, the flat indices of its
+two entries and the theta it uses (`Nerve.sweep_plan`); Y's nerve keeps its
+action tables in the sweep's theta order (`Nerve.sweep_tables`). A sweep
+concatenates the family's slot tables into one flat list, refusing a table
+with an entry outside Y_n, and compares every equation through C-level maps,
+stopping at the first that fails.
 """
 
 from itertools import product as iproduct
+from operator import eq, getitem
 
 from .errors import Budget, SizeBound
 from .internal import InternalCategory, monotone_maps
@@ -221,37 +229,37 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
 
 
 def _natural(x_cat, y_cat, k, table) -> bool:
-    """The naturality sweep of one level-k family: every theta: [m] -> [n]
-    and psi: [n] -> [k] at levels 0..3, with table(n, psi) the slot table,
-    and a None table failing."""
-    xn, yn = x_cat.nerve, y_cat.nerve
-    for n in range(4):
-        for m in range(4):
-            for theta in monotone_maps(m, n):
-                x_theta = xn.act(theta, n, m).table
-                y_theta = yn.act(theta, n, m).table
-                for psi in monotone_maps(n, k):
-                    top = table(n, psi)
-                    low = table(m, tuple(psi[j] for j in theta))
-                    if top is None or low is None or any(
-                            low[a] != y_theta[b] for a, b in zip(x_theta, top)):
-                        return False
-    return True
+    """The naturality sweep of one level-k family, with table(n, psi) the slot
+    table at (n, psi): every theta: [m] -> [n] and psi: [n] -> [k] at levels
+    0..3. A None table fails, and so does a table of the wrong length or with
+    an entry outside Y_n, before any equation is read. The equations then run
+    in C through x's sweep plan and y's sweep tables, and stop at the first
+    that fails."""
+    plan, xs = x_cat.nerve.sweep_plan(k), x_cat.nerve.levels
+    ys, y_tables = y_cat.nerve.levels, y_cat.nerve.sweep_tables
+    flat = []
+    for n, psi in plan.slots:
+        top = table(n, psi)
+        if top is None or len(top) != xs[n].size or (
+                top and (min(top) < 0 or max(top) >= ys[n].size)):
+            return False
+        flat += top
+    entry = flat.__getitem__
+    y_images = map(getitem, map(y_tables.__getitem__, plan.theta_ids),
+                   map(entry, plan.top))
+    return all(map(eq, map(entry, plan.low), y_images))
 
 
 def check_family(x_cat, y_cat, fam: Family) -> bool:
     """Full naturality sweep: every theta and psi at levels 0..3."""
-    tables = {}  # (n, psi) -> slot table, for this sweep only
 
     def table(n, psi):
         """The slot table, or None where the image of a spine is not
         composable in y, so that a face equation at level 1 already fails."""
-        if (n, psi) not in tables:
-            try:
-                tables[(n, psi)] = fam.table(x_cat, y_cat, n, psi)
-            except KeyError:
-                tables[(n, psi)] = None
-        return tables[(n, psi)]
+        try:
+            return fam.table(x_cat, y_cat, n, psi)
+        except KeyError:
+            return None
 
     return _natural(x_cat, y_cat, fam.k, table)
 

@@ -18,7 +18,7 @@ triples are the nerve's level 3, built by the nerve.
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 
 from . import finset
 from .errors import (CertificateFailure, DomainMismatch, FiberNotSingleton,
@@ -75,14 +75,16 @@ class InternalCategory:
     m: FinMap   # composition C2 -> C1
 
     def __post_init__(self):
-        if self.d0.dom != self.C1 or self.d0.cod != self.C0:
+        # finite sets are equal when their sizes are
+        c0, c1 = self.C0.size, self.C1.size
+        if self.d0.dom.size != c1 or self.d0.cod.size != c0:
             raise ShapeMismatch("d0 must be C1 -> C0")
-        if self.d1.dom != self.C1 or self.d1.cod != self.C0:
+        if self.d1.dom.size != c1 or self.d1.cod.size != c0:
             raise ShapeMismatch("d1 must be C1 -> C0")
-        if self.i.dom != self.C0 or self.i.cod != self.C1:
+        if self.i.dom.size != c0 or self.i.cod.size != c1:
             raise ShapeMismatch("i must be C0 -> C1")
         if (self.m.dom.size != count_pairs(self.d0.table, self.d1.table)
-                or self.m.cod != self.C1):
+                or self.m.cod.size != c1):
             raise ShapeMismatch("m must be C2 -> C1 over the derived pairs")
 
     @classmethod
@@ -108,6 +110,12 @@ class InternalCategory:
     def comp(self, u, v):
         """Composite u . v of arrows with d1(u) = d0(v)."""
         return self.m.table[self.pairs.index[(u, v)]]
+
+    @cached_property
+    def components(self):
+        """The coequalizing map C0 -> pi0 of target and source, numbering
+        the connected components."""
+        return finset.coequalizer(self.d0, self.d1)[1]
 
     @cached_property
     def homs(self):
@@ -180,9 +188,10 @@ class InternalFunctor:
     f1: FinMap
 
     def __post_init__(self):
-        if self.f0.dom != self.dom.C0 or self.f0.cod != self.cod.C0:
+        f0, f1, a, b = self.f0, self.f1, self.dom, self.cod
+        if f0.dom.size != a.C0.size or f0.cod.size != b.C0.size:
             raise ShapeMismatch("f0 must be A0 -> B0")
-        if self.f1.dom != self.dom.C1 or self.f1.cod != self.cod.C1:
+        if f1.dom.size != a.C1.size or f1.cod.size != b.C1.size:
             raise ShapeMismatch("f1 must be A1 -> B1")
 
     def __eq__(self, other):
@@ -444,13 +453,50 @@ def monotone_maps(m: int, n: int):
     return tuple(combinations_with_replacement(range(n + 1), m + 1))
 
 
+@lru_cache(maxsize=None)
+def sweep_thetas():
+    """Every monotone theta: [m] -> [n] with m, n <= 3, as (n, m, theta), in
+    the order of the naturality sweep: by n, then m, then theta."""
+    return tuple((n, m, theta) for n in range(4) for m in range(4)
+                 for theta in monotone_maps(m, n))
+
+
+class SweepPlan:
+    """The flat-index plan of the level-k naturality sweep over a nerve X.
+
+    `slots` lists every (n, psi), psi: [n] -> [k], n <= 3; a family's slot
+    tables, concatenated in this order, form one flat list. For each equation
+    eta[m, psi . theta][X_theta(s)] = Y_theta(eta[n, psi][s]), in the order
+    (n, m, theta, psi, s), `low` and `top` hold the flat indices of its two
+    entries and `theta_ids` the place of theta in `sweep_thetas()`."""
+
+    __slots__ = ("slots", "low", "top", "theta_ids")
+
+    def __init__(self, nerve, k):
+        self.slots = tuple((n, psi) for n in range(4) for psi in monotone_maps(n, k))
+        sizes = [nerve.levels[n].size for n, _psi in self.slots]
+        offset = dict(zip(self.slots, accumulate(sizes, initial=0)))
+        low, top, theta_ids = [], [], []
+        for tid, (n, m, theta) in enumerate(sweep_thetas()):
+            x_theta = nerve.act(theta, n, m).table
+            width = len(x_theta)
+            for psi in monotone_maps(n, k):
+                base = offset[(m, tuple(psi[j] for j in theta))]
+                start = offset[(n, psi)]
+                low += [base + a for a in x_theta]
+                top += range(start, start + width)
+                theta_ids += [tid] * width
+        self.low, self.top, self.theta_ids = tuple(low), tuple(top), tuple(theta_ids)
+
+
 class Nerve:
     """Levels 0..3 of the nerve of a category, with its simplicial action.
 
     levels[n] is the object of n-simplices; spines[n][k] and first[n][k] are
     the spine and first vertex of simplex k, and simplex() encodes one back.
     Each action table is built on first use and kept, so repeated reads
-    return the same FinMap.
+    return the same FinMap; so are the naturality sweep's plans over this
+    nerve as X (`sweep_plan`) and its action tables as Y (`sweep_tables`).
 
     faces[(n, k)] : level n -> level n-1 (0 <= k <= n, 1 <= n <= 3)
     degeneracies[(n, k)] : level n -> level n+1 (0 <= k <= n, 0 <= n <= 2)
@@ -469,6 +515,7 @@ class Nerve:
         self.first = (tuple(range(c.C0.size)),) + tuple(
             tuple(c.d1.table[sp[0]] for sp in spines) for spines in self.spines[1:])
         self._acts = {}
+        self._plans = {}
 
     def simplex(self, vertex0, arrows):
         """Encode the simplex with the given first vertex and spine arrows."""
@@ -507,6 +554,19 @@ class Nerve:
         table = FinMap(self.levels[n_from], self.levels[n_to], tuple(out))
         self._acts[(phi, n_from, n_to)] = table
         return table
+
+    def sweep_plan(self, k) -> SweepPlan:
+        """The plan of the level-k naturality sweep with this nerve as X."""
+        plan = self._plans.get(k)
+        if plan is None:
+            plan = self._plans[k] = SweepPlan(self, k)
+        return plan
+
+    @cached_property
+    def sweep_tables(self):
+        """With this nerve as Y: the Y_theta table of every theta in
+        `sweep_thetas()`, in that order."""
+        return tuple(self.act(theta, n, m).table for n, m, theta in sweep_thetas())
 
     @cached_property
     def faces(self):

@@ -48,9 +48,8 @@ def pi0(c: InternalCategory) -> FinObj:
 
 
 def pi0_quotient(c: InternalCategory) -> FinMap:
-    """The coequalizing map C0 -> pi0(C)."""
-    _, q = finset.coequalizer(c.d0, c.d1)
-    return q
+    """The coequalizing map C0 -> pi0(C), built once per category."""
+    return c.components
 
 
 def pi0_map(f: InternalFunctor) -> FinMap:

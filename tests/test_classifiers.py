@@ -171,6 +171,19 @@ def test_strict_bi_sieve_component_inclusion():
     assert cert.chi.f0.table == (1, 1, 0)
 
 
+def test_components_coequalized_once_per_category(monkeypatch):
+    targets = []  # the target map of each coequalized pair
+    coequalizer = finset.coequalizer
+    monkeypatch.setattr(finset, "coequalizer",
+                        lambda f, g: targets.append(f) or coequalizer(f, g))
+    part = indisc(FinObj(2))
+    cop = coproduct_cat(part, disc(finset.terminal()))
+    for _ in range(2):
+        cert = classify_strict_bi_sieve(cop.inj0)
+        assert cert.chi.f0.table == (1, 1, 0)
+        assert sorted(map(id, targets)) == sorted([id(part.d0), id(cop.category.d0)])
+
+
 def test_endpoint_inclusion_is_not_bi_sieve():
     two = free_arrow()
     one = terminal_cat()

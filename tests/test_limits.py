@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from fincat import ends, finset, naive
+from fincat import ends, finset, internal, naive
 from fincat.audit import diagonal_equaliser_holds
 from fincat.corpus import category_from_tables, monoid_delooping
 from fincat.ends import Family, brute_families, check_family, end_families
@@ -753,6 +753,94 @@ def test_end_families_full_naturality_sweep():
         for k in range(3):
             for fam in end_families(x, y, k):
                 assert check_family(x, y, fam)
+
+
+# the homs [X, Y] whose families the hom-transpose benchmark sweeps
+_SWEPT_HOMS = ((0, 0), (0, 5), (17, 6), (3, 3), (17, 17), (5, 12))
+
+
+def _reference_natural(x, y, fam):
+    """The naturality sweep as a plain loop over every equation, in order."""
+    tables = {}
+    for n in range(4):
+        for psi in monotone_maps(n, fam.k):
+            try:
+                tables[(n, psi)] = fam.table(x, y, n, psi)
+            except KeyError:  # a spine whose image does not compose
+                return False
+    for n in range(4):
+        for m in range(4):
+            for theta in monotone_maps(m, n):
+                x_theta = x.nerve.act(theta, n, m).table
+                y_theta = y.nerve.act(theta, n, m).table
+                for psi in monotone_maps(n, fam.k):
+                    top = tables[(n, psi)]
+                    low = tables[(m, tuple(psi[j] for j in theta))]
+                    for s, a in enumerate(x_theta):
+                        if low[a] != y_theta[top[s]]:
+                            return False
+    return True
+
+
+def _perturbations(fam, y):
+    """Every family that differs from fam in one level-0 or level-1 entry,
+    the new entry in range."""
+    for level, tables, size in [(0, fam.eta0, y.C0.size), (1, fam.eta1, y.C1.size)]:
+        for psi, row in tables.items():
+            for a, val in enumerate(row):
+                for new in range(size):
+                    if new != val:
+                        eta = dict(tables)
+                        eta[psi] = row[:a] + (new,) + row[a + 1:]
+                        yield (Family(fam.k, eta, fam.eta1) if level == 0
+                               else Family(fam.k, fam.eta0, eta))
+
+
+def test_check_family_matches_the_equation_loop(corpus):
+    checked = 0
+    for xi, yi in _SWEPT_HOMS:
+        x, y = corpus[xi], corpus[yi]
+        ih = internal_hom(x, y)
+        for fam in ih.level0 + ih.level1:
+            assert check_family(x, y, fam) and _reference_natural(x, y, fam)
+            for bad in _perturbations(fam, y):
+                assert check_family(x, y, bad) == _reference_natural(x, y, bad)
+                checked += 1
+    assert checked == 948
+
+
+def test_check_family_builds_each_plan_once(monkeypatch):
+    built = []
+
+    class CountedPlan(internal.SweepPlan):
+        def __init__(self, nerve, k):
+            built.append(k)
+            super().__init__(nerve, k)
+
+    monkeypatch.setattr(internal, "SweepPlan", CountedPlan)
+    x, y = disc(FinObj(2)), indisc(FinObj(2))  # a nerve no other test swept
+    fam = end_families(x, y, 1)[0]
+    assert check_family(x, y, fam)
+    plan = x.nerve.sweep_plan(1)
+    assert check_family(x, y, fam)
+    assert x.nerve.sweep_plan(1) is plan and built == [1]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_out_of_range_entries_fail_the_sweep(k):
+    # an entry past Y_n or below 0 fails, as an uncomposable spine does; the
+    # sweep never reads another table's entries in its place
+    x = y = free_arrow()
+    for fam in end_families(x, y, k):
+        for level, tables, size in [(0, fam.eta0, y.C0.size),
+                                    (1, fam.eta1, y.C1.size)]:
+            for psi, row in tables.items():
+                for new in (size, size + 1, -1, -size):
+                    eta = dict(tables)
+                    eta[psi] = (new,) + row[1:]
+                    bad = (Family(k, eta, fam.eta1) if level == 0
+                           else Family(k, fam.eta0, eta))
+                    assert not check_family(x, y, bad)
 
 
 def test_internal_hom_curry_round_trip():
