@@ -7,6 +7,7 @@ summary; `--format structured` suppresses the summary lines.
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import serialize
 from .audit import AuditConfig, run_audit
@@ -202,9 +203,14 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser, built on the first call of main and kept."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, ValidationError, NotFullMono, NotFFEpi, SizeBound) as exc:

@@ -11,7 +11,11 @@ builds in range by construction skip those checks: `identity`, `compose`,
 every limit projection and `ChosenLimit.mediate`. A limit is stored as its
 projections; its `tuples` and `index` are built on first read. The chosen
 product numbers (x, y) as x·|B| + y, so its projections and `mediate` are
-arithmetic.
+arithmetic, and a table over A x B is |A| rows of width |B|. The product's
+`rows` and `join` are the one reader of that numbering: `rows` cuts a table
+into its rows and `join` concatenates rows back, and `is_product` says
+whether a limit is the chosen product of two given sets, so that its tables
+may be read by rows.
 
 Determinism conventions:
   * chosen-limit apexes enumerate solution tuples lexicographically,
@@ -188,6 +192,27 @@ class _Product(ChosenLimit):
         return _trusted(dom, self.apex,
                         tuple(map(add, map(mul, f.table, repeat(width)), g.table)))
 
+    def rows(self, table):
+        """The |A| rows of a table over A x B: row x is the slice of width |B|
+        holding the entries at (x, 0), ..., (x, |B| - 1), as a tuple."""
+        width = self.projections[1].cod.size
+        if not width:
+            return [()] * self.projections[0].cod.size
+        entries = iter(table)
+        return list(zip(*repeat(entries, width)))
+
+    @staticmethod
+    def join(rows):
+        """The table over A x B whose row x is rows[x]; the inverse of `rows`."""
+        return tuple(chain.from_iterable(rows))
+
+
+def is_product(limit: ChosenLimit, a: FinObj, b: FinObj) -> bool:
+    """Whether `limit` is the chosen product a x b, so that its `rows` and
+    `join` read its tables."""
+    return (isinstance(limit, _Product) and limit.projections[0].cod.size == a.size
+            and limit.projections[1].cod.size == b.size)
+
 
 def _chosen(cods, columns):
     """The limit whose apex element k has components column[k], one column
@@ -334,36 +359,27 @@ class Exponential:
         return k
 
     def curry(self, f: FinMap, x: FinObj, prod_xa: ChosenLimit) -> FinMap:
-        """The unique transpose X -> B^A of f: X x A -> B, over prod_xa = X x A."""
-        if f.dom != prod_xa.apex:
-            raise DomainMismatch("curry needs a map out of the chosen product")
-        table = []
-        for z in range(x.size):
-            t = tuple(f.table[prod_xa.encode((z, a))] for a in range(self.exponent.size))
-            table.append(self.encode(t))
-        return FinMap(x, self.obj, tuple(table))
+        """The unique transpose X -> B^A of f: X x A -> B, over prod_xa = X x A,
+        encoding each row of f."""
+        if f.dom != prod_xa.apex or not is_product(prod_xa, x, self.exponent):
+            raise DomainMismatch("curry needs a map out of the chosen product X x A")
+        return FinMap(x, self.obj, tuple(map(self.encode, prod_xa.rows(f.table))))
 
     def uncurry(self, h: FinMap, prod_xa: ChosenLimit) -> FinMap:
-        """Inverse of curry: X -> B^A gives X x A -> B, over prod_xa = X x A."""
-        table = [0] * prod_xa.apex.size
-        for z in range(h.dom.size):
-            t = self.decode(h.table[z])
-            for a in range(self.exponent.size):
-                table[prod_xa.encode((z, a))] = t[a]
-        return FinMap(prod_xa.apex, self.base, tuple(table))
+        """Inverse of curry: X -> B^A gives X x A -> B, over prod_xa = X x A,
+        whose row z is the table that h(z) encodes."""
+        if not is_product(prod_xa, h.dom, self.exponent):
+            raise DomainMismatch("uncurry needs the chosen product X x A")
+        return FinMap(prod_xa.apex, self.base, prod_xa.join(map(self.decode, h.table)))
 
 
 def exponential(a: FinObj, b: FinObj) -> Exponential:
-    """The object of all maps a -> b with evaluation; size |b|^|a|."""
+    """The object of all maps a -> b with evaluation; size |b|^|a|. Row k of
+    the evaluation is the k-th table in lexicographic order."""
     obj = FinObj(b.size ** a.size)
     prod = product(obj, a)
-    size = b.size
-    table = []
-    for k, x in prod.tuples:
-        # entry x of the table encoded by k
-        shift = a.size - 1 - x
-        table.append((k // (size ** shift)) % size if size > 0 else 0)
-    eval_map = FinMap(prod.apex, b, tuple(table))
+    eval_map = _trusted(prod.apex, b,
+                        prod.join(iproduct(range(b.size), repeat=a.size)))
     return Exponential(b, a, obj, prod, eval_map)
 
 

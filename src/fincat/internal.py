@@ -97,6 +97,26 @@ class InternalCategory:
         c.__dict__["pairs"] = pairs
         return c
 
+    def __eq__(self, other):
+        # the relation of the generated field-wise comparison: finite sets
+        # are equal when their sizes are, and the maps' sizes follow from them
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.C0.size == other.C0.size and self.C1.size == other.C1.size
+                and self.d0.table == other.d0.table
+                and self.d1.table == other.d1.table
+                and self.i.table == other.i.table and self.m.table == other.m.table)
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """The hash of the field tuple, computed once."""
+        return hash((self.C0, self.C1, self.d0, self.d1, self.i, self.m))
+
     @cached_property
     def pairs(self):
         """Chosen pullback of composable pairs: (u, v) with d1(u) = d0(v)."""

@@ -7,7 +7,9 @@ definitional path: its objects and cells are the level-0 and level-1 ends, and
 its composition is the Segal join of composable cells, read off level 1
 without a level-2 search. A cell is keyed by its source and target functors
 and its diagonal, through Family.vertex and Family.cell_key; curry reads those
-keys straight off the tables of the functor it transposes. The carrier is
+keys straight off the tables of the functor it transposes, whose rows are
+slices of the chosen product's numbering (finset's `rows`), and the
+evaluation's rows are the families' tables (`join`). The carrier is
 certified by the components of its cells (validate_hom_carrier), in time
 linear in its composable pairs of cells. The product carrier x X and the
 evaluation functor are built, and the evaluation certified, only when first
@@ -245,24 +247,19 @@ class CopowerByTwo:
     universal_cell: InternalNatTrans
 
     def cell_to_functor(self, cell: InternalNatTrans) -> InternalFunctor:
-        """The functor 2 x A -> B corresponding to a 2-cell f => g : A -> B."""
+        """The functor 2 x A -> B corresponding to a 2-cell f => g : A -> B:
+        its rows at the free arrow's objects are f and g, and its row at the
+        arrow sends u: x -> y to g(u) . alpha_x."""
         f, g = cell.src, cell.tgt
         a, b = f.dom, f.cod
-        table0 = []
-        for j, x in self.prod.l0.tuples:
-            table0.append(f.f0.table[x] if j == 0 else g.f0.table[x])
-        table1 = []
-        for e, u in self.prod.l1.tuples:
-            if e == 0:
-                table1.append(f.f1.table[u])
-            elif e == 1:
-                table1.append(g.f1.table[u])
-            else:
-                x = a.d1.table[u]
-                table1.append(b.comp(g.f1.table[u], cell.alpha.table[x]))
+        arrow_row = tuple(map(b.comp, g.f1.table,
+                              map(cell.alpha.table.__getitem__, a.d1.table)))
+        l0, l1 = self.prod.l0, self.prod.l1
         return InternalFunctor(self.carrier, b,
-                               FinMap(self.carrier.C0, b.C0, tuple(table0)),
-                               FinMap(self.carrier.C1, b.C1, tuple(table1)))
+                               FinMap(self.carrier.C0, b.C0,
+                                      l0.join((f.f0.table, g.f0.table))),
+                               FinMap(self.carrier.C1, b.C1,
+                                      l1.join((f.f1.table, g.f1.table, arrow_row))))
 
     def functor_to_cell(self, h: InternalFunctor) -> InternalNatTrans:
         return whisker_left(h, self.universal_cell)
@@ -274,8 +271,9 @@ def copower_by_two(a: InternalCategory) -> CopowerByTwo:
     carrier = prod.category
     in0 = prod.mediate(constant_functor(a, two, 0), id_functor(a))
     in1 = prod.mediate(constant_functor(a, two, 1), id_functor(a))
-    alpha = FinMap(a.C0, carrier.C1,
-                   tuple(prod.l1.encode((2, a.i.table[x])) for x in range(a.C0.size)))
+    # the component at x is (arrow, i(x)), read off row 2 of the numbering
+    arrow_row = prod.l1.rows(range(carrier.C1.size))[2]
+    alpha = FinMap(a.C0, carrier.C1, tuple(map(arrow_row.__getitem__, a.i.table)))
     cell = InternalNatTrans(in0, in1, alpha)
     validate_nat_trans(cell).certify("copower by 2: universal cell")
     return CopowerByTwo(carrier, prod, in0, in1, cell)
@@ -317,40 +315,44 @@ class InternalHom:
     def evaluation(self) -> InternalFunctor:
         """ev: carrier x X -> Y, sending (cell, arrow a) to the cell's
         diagonal at a. CertificateFailure if it is not a functor."""
-        prod, hom0, hom1 = self.prod, self.level0, self.level1
+        prod = self.prod
         ev0 = FinMap(prod.l0.apex, self.cod.C0,
-                     tuple(hom0[fi].eta0[(0,)][xv] for fi, xv in prod.l0.tuples))
+                     prod.l0.join(fam.eta0[(0,)] for fam in self.level0))
         ev1 = FinMap(prod.l1.apex, self.cod.C1,
-                     tuple(hom1[ci].eta1[(0, 1)][a] for ci, a in prod.l1.tuples))
+                     prod.l1.join(fam.eta1[(0, 1)] for fam in self.level1))
         evaluation = InternalFunctor(prod.category, self.cod, ev0, ev1)
         validate_functor(evaluation).certify("evaluation")
         return evaluation
 
     def curry(self, z: InternalCategory, prod_zx: LimitCone,
               h: InternalFunctor) -> InternalFunctor:
-        """Transpose a functor Z x X -> Y (over the chosen product) to Z -> hom,
-        keying z by h's rows at (z, .) and (i(z), .), and an arrow c by its
-        ends' keys and h's row at (c, .). DomainMismatch if a key is missing
-        from the hom, which happens only when h is not a functor."""
+        """Transpose a functor Z x X -> Y (over the chosen product) to Z -> hom.
+        h's tables are read by rows of the chosen product: an object z is
+        keyed by h's rows at z and at i(z), and an arrow c by its ends' keys
+        and h's row at c. DomainMismatch if prod_zx is not the chosen product
+        Z x X at both levels, or if a key is missing from the hom, which
+        happens only when h is not a functor."""
         x, y = self.dom, self.cod
         if h.dom != prod_zx.category or h.cod != y:
             raise DomainMismatch("curry needs a functor Z x X -> Y")
+        l0, l1 = prod_zx.l0, prod_zx.l1
+        if not (finset.is_product(l0, z.C0, x.C0) and finset.is_product(l1, z.C1, x.C1)):
+            raise DomainMismatch("curry needs the chosen product Z x X")
         idx0, idx1 = self.family_index
-        at0, at1 = prod_zx.l0.index, prod_zx.l1.index
-        h0, h1 = h.f0.table, h.f1.table
-        rows1 = [tuple(h1[at1[(c, a)]] for a in range(x.C1.size))
-                 for c in range(z.C1.size)]
-        vertices = [(tuple(h0[at0[(zz, xv)]] for xv in range(x.C0.size)), rows1[e])
-                    for zz, e in enumerate(z.i.table)]
+        rows1 = l1.rows(h.f1.table)
+        vertices = list(zip(l0.rows(h.f0.table), map(rows1.__getitem__, z.i.table)))
         try:
             f0 = tuple(map(idx0.__getitem__, vertices))
-            f1 = tuple(idx1[Family.cell_key(vertices[s], vertices[t], row)]
-                       for s, t, row in zip(z.d1.table, z.d0.table, rows1))
+            f1 = tuple(map(idx1.__getitem__, map(
+                Family.cell_key, map(vertices.__getitem__, z.d1.table),
+                map(vertices.__getitem__, z.d0.table), rows1)))
         except KeyError as exc:
             raise DomainMismatch("curry needs a functor Z x X -> Y: a transpose "
                                  "is not in the hom") from exc
-        return InternalFunctor(z, self.carrier, FinMap(z.C0, self.carrier.C0, f0),
-                               FinMap(z.C1, self.carrier.C1, f1))
+        # hom indices, so in range by construction
+        carrier, trusted = self.carrier, FinMap._trusted
+        return InternalFunctor(z, carrier, trusted(z.C0, carrier.C0, f0),
+                               trusted(z.C1, carrier.C1, f1))
 
 
 def validate_hom_carrier(ih: InternalHom) -> ValidationReport:
@@ -483,7 +485,9 @@ def enumerate_functors(a: InternalCategory, b: InternalCategory,
 
     SizeBound, with stage "oracle functors", past `bound` search steps."""
     funs = oracle_functors(oracle_from_internal(a), oracle_from_internal(b), bound)
-    return [InternalFunctor(a, b, FinMap(a.C0, b.C0, f0), FinMap(a.C1, b.C1, f1))
+    # objects come from range(|B0|) and arrows from b's hom-sets, so in range
+    trusted = FinMap._trusted
+    return [InternalFunctor(a, b, trusted(a.C0, b.C0, f0), trusted(a.C1, b.C1, f1))
             for f0, f1 in funs]
 
 

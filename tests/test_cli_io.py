@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from fincat import naive, serialize
+from fincat import cli, naive, serialize
 from fincat.cli import main
 from fincat.corpus import (CorpusSpec, generate_corpus, generate_functor_corpus,
                            monoid_delooping)
@@ -372,6 +372,32 @@ def test_cli_audit_suite_selection(capsys):
         main(["audit", "--suite", "nosuch"])
     assert err.value.code == 2
     assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
+def test_cli_builds_its_parser_once_and_suites_do_not_accumulate(monkeypatch,
+                                                                  capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for suite in ("boolean", "twoValued"):
+            assert main(["audit", "--suite", suite, "--corpus-size", "4",
+                         "--format", "structured"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["config"]["suites"] == [suite]
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_cli_builds_no_parser_at_import():
+    code = ("import fincat.cli as cli; "
+            "print(cli._parser.cache_info().currsize)")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 def test_cli_audit_nothing_compared_is_skipped(capsys):

@@ -253,6 +253,32 @@ def test_exponential_transpose_bijection():
             assert exp.curry(f, x, prod_xa).table == h.table
 
 
+def test_product_rows_and_join_read_the_numbering():
+    for a_s, b_s in iproduct(range(4), repeat=2):
+        a, b = FinObj(a_s), FinObj(b_s)
+        prod = finset.product(a, b)
+        table = tuple(range(prod.apex.size))
+        rows = prod.rows(table)
+        assert rows == [tuple(prod.encode((x, y)) for y in range(b_s))
+                        for x in range(a_s)]
+        assert prod.join(rows) == table
+        assert finset.is_product(prod, a, b)
+        assert finset.is_product(prod, b, a) == (a_s == b_s)
+    pb = finset.pullback(finset.bang(FinObj(2)), finset.bang(FinObj(3)))
+    assert not finset.is_product(pb, FinObj(2), FinObj(3))
+
+
+def test_exponential_transpose_needs_the_chosen_product():
+    x, a, b = FinObj(2), FinObj(3), FinObj(2)
+    exp = finset.exponential(a, b)
+    swapped = finset.product(a, x)
+    f = FinMap(swapped.apex, b, (0, 1) * 3)
+    with pytest.raises(DomainMismatch):
+        exp.curry(f, x, swapped)
+    with pytest.raises(DomainMismatch):
+        exp.uncurry(FinMap(x, exp.obj, (0, 5)), swapped)
+
+
 def test_public_constructor_rejects_short_and_out_of_range_tables():
     with pytest.raises(DomainMismatch):
         FinMap(FinObj(3), FinObj(2), (0, 1))

@@ -132,6 +132,30 @@ def test_validate_category_matches_reference_on_corrupted_corpus(corpus):
     assert axioms["composite-target"] or axioms["composite-source"]
 
 
+def _fields(c):
+    return (c.C0, c.C1, c.d0, c.d1, c.i, c.m)
+
+
+def test_category_equality_is_the_field_wise_relation(corpus):
+    # every ordered pair of the seed-7 corpus, against the generated
+    # field-wise comparison and the hash of the field tuple
+    for a in corpus:
+        assert hash(a) == hash(_fields(a))
+        for b in corpus:
+            assert (a == b) == (_fields(a) == _fields(b))
+            assert (a != b) == (_fields(a) != _fields(b))
+    # equal categories built twice (the corpus shares a few constants), and
+    # products of them
+    again = generate_corpus(CorpusSpec(seed=7, count=25))
+    assert sum(a is not b for a, b in zip(corpus, again)) > 20
+    for a, b in zip(corpus, again):
+        assert a == b and hash(a) == hash(b)
+    p, q = product_cat(corpus[3], corpus[5]), product_cat(again[3], again[5])
+    assert p.category is not q.category
+    assert p.category == q.category and hash(p.category) == hash(q.category)
+    assert corpus[0] != corpus[0].C0 and corpus[0] != None  # noqa: E711
+
+
 def test_validate_category_does_not_build_triples():
     for c in (_path3(), _cyclic(3), indisc(FinObj(3))):
         assert validate_category(c).ok

@@ -923,6 +923,24 @@ def test_curry_of_a_non_functor_is_domain_mismatch():
         ih.curry(two, prod_zx, bad)
 
 
+def test_curry_over_a_cone_that_is_not_the_chosen_product(corpus):
+    # a pullback of f: Z -> X along the identity is a cone over Z and X whose
+    # tables are not numbered by rows, so curry cannot slice them
+    z, x, y = corpus[6], corpus[0], corpus[5]
+    ih = internal_hom(x, y)
+    cone = pullback_cat(enumerate_functors(z, x)[1], id_functor(x))
+    h = enumerate_functors(cone.category, y)[0]
+    with pytest.raises(DomainMismatch, match="chosen product"):
+        ih.curry(z, cone, h)
+    # the chosen product of other factors is refused too
+    other = product_cat(corpus[18], x)
+    assert (other.l0.apex.size, other.l1.apex.size) != (
+        z.C0.size * x.C0.size, z.C1.size * x.C1.size)
+    h = enumerate_functors(other.category, y)[0]
+    with pytest.raises(DomainMismatch, match="chosen product"):
+        ih.curry(z, other, h)
+
+
 def test_disc_preserves_internal_homs():
     for (ys, zs) in [(2, 2), (2, 3), (3, 2), (0, 2)]:
         y, z = FinObj(ys), FinObj(zs)
