@@ -11,11 +11,14 @@ X_n -> Y_n, and the equations say
 
 for every monotone theta: [m] -> [n] and psi: [n] -> [k].
 
-The solver enumerates the level-0 and level-1 slot tables entry by entry,
-propagating the equations (endpoint, degeneracy and composition instances);
-slots at levels 2 and 3 are then assembled by spines and the assembled family
-is checked. Solutions are returned in the lexicographic order of the ambient
-product encoding, and `budget` caps the search steps.
+The solver enumerates the level-0 and level-1 slot tables entry by entry, in
+an order fixed before the search starts. The endpoint and degeneracy
+equations limit each entry's candidates. Each composition instance is checked
+once, at the entry that completes it in that order, and an entry is forced by
+the first instance whose two factors come before it. Slots at levels 2 and 3
+are then assembled by spines and the assembled family is checked. Solutions
+are returned in the lexicographic order of the ambient product encoding, and
+`budget` caps the search steps.
 
 The functor at each vertex t <= k is a level-0 solution, so the search runs
 the t = 0 block (the level-0 search) once, sets the vertex blocks from each
@@ -105,22 +108,6 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     y_fibers = y_cat.homs
     budget = Budget(budget, f"level-{k} end")
 
-    # composition instances: equation m_Y(eta1[s12][u], eta1[s01][v]) = eta1[s02][uv]
-    instances = []
-    cells_of = {}  # (psi, arrow) -> list of instance ids (once per distinct cell)
-    for psi2 in monotone_maps(2, k):
-        s01 = (psi2[0], psi2[1])
-        s12 = (psi2[1], psi2[2])
-        s02 = (psi2[0], psi2[2])
-        for p, (u, v) in enumerate(x_cat.pairs.tuples):
-            uv = x_cat.m.table[p]
-            iid = len(instances)
-            inst_cells = {(s12, u), (s01, v), (s02, uv)}
-            instances.append(((s12, u), (s01, v), (s02, uv), len(inst_cells)))
-            for cell in inst_cells:
-                cells_of.setdefault(cell, []).append(iid)
-    missing = [inst[3] for inst in instances]
-
     eta0 = {(t,): [None] * x0 for t in range(k + 1)}
     eta1 = {psi: [None] * x1 for psi in slots1}
     degenerate = {x_cat.i.table[x]: x for x in range(x_cat.C0.size)}
@@ -140,33 +127,41 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     for psi in jump_order:
         cells += [("1", psi, a) for a in arrows_by_larger_end]
 
+    # composition instances m_Y(eta1[s12][u], eta1[s01][v]) = eta1[s02][uv],
+    # placed by the order above: the vertex blocks t > 0 are set before any
+    # jump cell (place -1). An instance is checked once, at the cell that
+    # completes it, so one made of vertex cells at t > 0 alone is never
+    # checked; a cell is forced by the first instance whose two factors are
+    # placed before it.
+    place = {(psi, elem): pos for pos, (_kind, psi, elem) in enumerate(cells)}
+    completes = [[] for _ in cells]
+    forced_by = {}
+    for psi2 in monotone_maps(2, k):
+        s01 = (psi2[0], psi2[1])
+        s12 = (psi2[1], psi2[2])
+        s02 = (psi2[0], psi2[2])
+        for (u, v), uv in zip(x_cat.pairs.tuples, x_cat.m.table):
+            inst = ((s12, u), (s01, v), (s02, uv))
+            at_u, at_v, at_uv = (place.get(cell, -1) for cell in inst)
+            last = max(at_u, at_v, at_uv)
+            if last >= 0:
+                completes[last].append(inst)
+            if max(at_u, at_v) < at_uv:
+                forced_by.setdefault(inst[2], inst)
+
     solutions = []
     pair_index = y_cat.pairs.index
     m_table = y_cat.m.table
 
-    def complete_instances_hold(incident):
-        for iid in incident:
-            if missing[iid]:
-                continue
-            c_u, c_v, c_uv, _n = instances[iid]
-            pair = pair_index.get((eta1[c_u[0]][c_u[1]], eta1[c_v[0]][c_v[1]]))
-            if pair is None or m_table[pair] != eta1[c_uv[0]][c_uv[1]]:
-                return False
-        return True
+    def composite(inst):
+        """The Y-composite of the instance's two factors, or None."""
+        (s12, u), (s01, v), _uv = inst
+        pair = pair_index.get((eta1[s12][u], eta1[s01][v]))
+        return None if pair is None else m_table[pair]
 
-    def forced_value(cell):
-        """Value forced by a composition instance whose factors are both set."""
-        for iid in cells_of.get(cell, ()):
-            inst = instances[iid]
-            if inst[2] == cell and missing[iid] == 1:
-                vu = eta1[inst[0][0]][inst[0][1]]
-                vv = eta1[inst[1][0]][inst[1][1]]
-                if vu is not None and vv is not None:
-                    pair = pair_index.get((vu, vv))
-                    if pair is None:
-                        return -1  # impossible: factors not composable
-                    return m_table[pair]
-        return None
+    def holds(inst):
+        s02, uv = inst[2]
+        return composite(inst) == eta1[s02][uv]
 
     def candidates(kind, psi, elem):
         if kind == "0":
@@ -178,8 +173,9 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
         if s == t and elem in degenerate:
             want = y_cat.i.table[eta0[(t,)][degenerate[elem]]]
             return (want,) if want in fiber else ()
-        forced = forced_value((psi, elem))
-        if forced is not None:
+        inst = forced_by.get((psi, elem))
+        if inst is not None:
+            forced = composite(inst)
             return (forced,) if forced in fiber else ()
         return fiber
 
@@ -189,20 +185,13 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
             return
         kind, psi, elem = cells[pos]
         row = (eta0 if kind == "0" else eta1)[psi]
-        # the candidates are read before this cell's instances count it set;
-        # an object cell is in no composition instance
-        cand = candidates(kind, psi, elem)
-        incident = cells_of.get((psi, elem), ())
-        for iid in incident:
-            missing[iid] -= 1
-        for val in cand:
+        checks = completes[pos]
+        for val in candidates(kind, psi, elem):
             budget.tick()
             row[elem] = val
-            if complete_instances_hold(incident):
+            if all(map(holds, checks)):
                 rec(pos + 1, stop, done)
             row[elem] = None
-        for iid in incident:
-            missing[iid] += 1
 
     def emit():
         solutions.append(Family(
@@ -213,10 +202,6 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     # functors at every vertex, whose cells stay set from here on
     firsts = []
     rec(0, block, lambda: firsts.append((tuple(eta0[(0,)]), tuple(eta1[(0, 0)]))))
-    for t in range(k + 1):
-        for a in range(x1):
-            for iid in cells_of.get(((t, t), a), ()):
-                missing[iid] -= 1
     for combo in iproduct(firsts, repeat=k + 1):
         if k:
             budget.tick()  # each vertex tuple is one step of the jump search

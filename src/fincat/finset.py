@@ -52,16 +52,11 @@ class FinObj:
     def __hash__(self):
         return hash(("FinObj", self.size))
 
-    def label(self, x):
-        if self.labels is not None:
-            return self.labels[x]
-        return str(x)
-
     def __repr__(self):
         return f"FinObj({self.size})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinMap:
     """A tabulated function between finite sets."""
 
@@ -82,8 +77,9 @@ class FinMap:
         """A map whose table is a tuple of length dom.size with entries in
         range(cod.size) by construction; nothing is checked."""
         f = object.__new__(cls)
-        attrs = f.__dict__
-        attrs["dom"], attrs["cod"], attrs["table"] = dom, cod, table
+        object.__setattr__(f, "dom", dom)
+        object.__setattr__(f, "cod", cod)
+        object.__setattr__(f, "table", table)
         return f
 
     def __call__(self, x):
@@ -241,7 +237,7 @@ def product(a: FinObj, b: FinObj) -> ChosenLimit:
 
 def pullback(f: FinMap, g: FinMap) -> ChosenLimit:
     """Pairs (x, y) with f(x) = g(y), lexicographic, projecting to f.dom, g.dom."""
-    if f.cod != g.cod:
+    if f.cod.size != g.cod.size:
         raise DomainMismatch("pullback needs a cospan")
     buckets = {}
     for y, c in enumerate(g.table):

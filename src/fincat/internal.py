@@ -271,7 +271,8 @@ class InternalNatTrans:
     def __post_init__(self):
         if self.src.dom != self.tgt.dom or self.src.cod != self.tgt.cod:
             raise ShapeMismatch("2-cell needs a parallel pair of functors")
-        if self.alpha.dom != self.src.dom.C0 or self.alpha.cod != self.src.cod.C1:
+        if (self.alpha.dom.size != self.src.dom.C0.size
+                or self.alpha.cod.size != self.src.cod.C1.size):
             raise ShapeMismatch("assigner must be A0 -> B1")
 
     def __eq__(self, other):
@@ -451,7 +452,8 @@ def lift_arrows(f: InternalFunctor, a: InternalCategory, u0: FinMap,
     """The arrow map of the functor a -> dom(f) with object map u0 whose
     composite with the fully faithful f has arrow map g1: each arrow of a
     goes to the unique arrow over its image between the images of its ends."""
-    if (u0.dom, u0.cod, g1.dom, g1.cod) != (a.C0, f.dom.C0, a.C1, f.cod.C1):
+    if ((u0.dom.size, u0.cod.size, g1.dom.size, g1.cod.size)
+            != (a.C0.size, f.dom.C0.size, a.C1.size, f.cod.C1.size)):
         raise DomainMismatch("lift_arrows needs u0: A0 -> dom(f)0, g1: A1 -> cod(f)1")
     u, g = u0.table, g1.table
     return FinMap(a.C1, f.dom.C1, tuple(

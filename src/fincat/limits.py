@@ -50,26 +50,6 @@ def bang_functor(a: InternalCategory) -> InternalFunctor:
     return InternalFunctor(a, terminal_cat(), finset.bang(a.C0), finset.bang(a.C1))
 
 
-def _category_from_levels(l0, l1, a: InternalCategory, b: InternalCategory):
-    """Internal category structure on chosen levelwise limits of a and b."""
-    p1a, p1b = l1.projections
-    d0 = l0.mediate(compose(a.d0, p1a), compose(b.d0, p1b))
-    d1 = l0.mediate(compose(a.d1, p1a), compose(b.d1, p1b))
-    p0a, p0b = l0.projections
-    i = l1.mediate(compose(a.i, p0a), compose(b.i, p0b))
-
-    def composition(pairs):
-        pr_u, pr_v = pairs.projections
-        ua, va = compose(p1a, pr_u), compose(p1a, pr_v)
-        ub, vb = compose(p1b, pr_u), compose(p1b, pr_v)
-        ma = compose(a.m, a.pairs.mediate(ua, va))
-        mb = compose(b.m, b.pairs.mediate(ub, vb))
-        return l1.mediate(ma, mb)
-
-    return InternalCategory.with_composition(l0.apex, l1.apex, d0, d1, i,
-                                             composition)
-
-
 @dataclass(frozen=True)
 class LimitCone:
     """A chosen 2-limit: carrier with projection functors and a mediator."""
@@ -88,24 +68,40 @@ class LimitCone:
                                self.l1.mediate(p.f1, q.f1))
 
 
+def _cone_from_levels(l0, l1, a: InternalCategory, b: InternalCategory) -> LimitCone:
+    """The limit cone on chosen levelwise limits of a and b: the internal
+    category structure on them and its projection functors to a and b."""
+    p1a, p1b = l1.projections
+    d0 = l0.mediate(compose(a.d0, p1a), compose(b.d0, p1b))
+    d1 = l0.mediate(compose(a.d1, p1a), compose(b.d1, p1b))
+    p0a, p0b = l0.projections
+    i = l1.mediate(compose(a.i, p0a), compose(b.i, p0b))
+
+    def composition(pairs):
+        pr_u, pr_v = pairs.projections
+        ua, va = compose(p1a, pr_u), compose(p1a, pr_v)
+        ub, vb = compose(p1b, pr_u), compose(p1b, pr_v)
+        ma = compose(a.m, a.pairs.mediate(ua, va))
+        mb = compose(b.m, b.pairs.mediate(ub, vb))
+        return l1.mediate(ma, mb)
+
+    cat = InternalCategory.with_composition(l0.apex, l1.apex, d0, d1, i,
+                                            composition)
+    return LimitCone(cat, l0, l1,
+                     InternalFunctor(cat, a, p0a, p1a),
+                     InternalFunctor(cat, b, p0b, p1b))
+
+
 def product_cat(a: InternalCategory, b: InternalCategory) -> LimitCone:
-    l0 = finset.product(a.C0, b.C0)
-    l1 = finset.product(a.C1, b.C1)
-    cat = _category_from_levels(l0, l1, a, b)
-    proj0 = InternalFunctor(cat, a, l0.projections[0], l1.projections[0])
-    proj1 = InternalFunctor(cat, b, l0.projections[1], l1.projections[1])
-    return LimitCone(cat, l0, l1, proj0, proj1)
+    return _cone_from_levels(finset.product(a.C0, b.C0),
+                             finset.product(a.C1, b.C1), a, b)
 
 
 def pullback_cat(f: InternalFunctor, g: InternalFunctor) -> LimitCone:
     if f.cod != g.cod:
         raise DomainMismatch("pullback needs a cospan of functors")
-    l0 = finset.pullback(f.f0, g.f0)
-    l1 = finset.pullback(f.f1, g.f1)
-    cat = _category_from_levels(l0, l1, f.dom, g.dom)
-    proj0 = InternalFunctor(cat, f.dom, l0.projections[0], l1.projections[0])
-    proj1 = InternalFunctor(cat, g.dom, l0.projections[1], l1.projections[1])
-    return LimitCone(cat, l0, l1, proj0, proj1)
+    return _cone_from_levels(finset.pullback(f.f0, g.f0),
+                             finset.pullback(f.f1, g.f1), f.dom, g.dom)
 
 
 @dataclass(frozen=True)

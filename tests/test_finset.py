@@ -64,6 +64,15 @@ def test_pullback_brute_force_oracle():
     assert list(pb.tuples) == expected == [(1, 0), (1, 1)]
 
 
+def test_pullback_rejects_non_cospan():
+    f = FinMap(FinObj(2), FinObj(2), (0, 1))
+    with pytest.raises(DomainMismatch, match="cospan"):
+        finset.pullback(f, FinMap(FinObj(2), FinObj(3), (0, 2)))
+    # codomains are compared by size, so labels do not matter
+    g = FinMap(FinObj(1), FinObj(2, ("p", "q")), (1,))
+    assert list(finset.pullback(f, g).tuples) == [(1, 0)]
+
+
 def test_lexicographic_enumeration():
     prod = finset.product(FinObj(2), FinObj(3))
     assert list(prod.tuples) == sorted(prod.tuples)

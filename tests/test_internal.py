@@ -13,7 +13,8 @@ from fincat.corpus import (CorpusSpec, category_from_tables, free_on_dag,
                            full_subcategory_inclusion, generate_corpus,
                            generate_functor_corpus, monoid_delooping,
                            opposite)
-from fincat.errors import DomainMismatch, FiberNotSingleton, SizeBound
+from fincat.errors import (DomainMismatch, FiberNotSingleton, ShapeMismatch,
+                           SizeBound)
 from fincat.factorisation import epi_mono_ofs, factor_internal, iso_all_ofs
 from fincat.finset import FinMap, FinObj, compose, identity
 from fincat.internal import (InternalCategory, InternalFunctor,
@@ -275,6 +276,19 @@ def test_invalid_cell_names_violation():
     ids = InternalNatTrans(f, g, FinMap(f.dom.C0, c.C1, tuple(c.i.table)))
     assert str(validate_nat_trans(ids)) == \
         "naturality at 2: g(u).alpha_x != alpha_y.f(u)"
+
+
+def test_cell_rejects_assigner_of_wrong_shape():
+    cat = free_arrow()
+    f = id_functor(cat)
+    with pytest.raises(ShapeMismatch, match="A0 -> B1"):
+        InternalNatTrans(f, f, FinMap(cat.C1, cat.C1, (0, 1, 2)))
+    with pytest.raises(ShapeMismatch, match="A0 -> B1"):
+        InternalNatTrans(f, f, FinMap(cat.C0, cat.C0, (0, 1)))
+    # the shapes are compared by size, so labels do not matter
+    labelled = FinObj(cat.C0.size, ("a", "b"))
+    assert InternalNatTrans(f, f, FinMap(labelled, cat.C1, tuple(cat.i.table))) \
+        == id_nat_trans(f)
 
 
 def test_compose_functors_unit_laws():

@@ -539,17 +539,26 @@ def test_every_refusal_names_its_stage_count_and_bound(stage, refused, steps,
 
 
 # steps, family count and a digest of the family keys in order, for the
-# cases of test_internal_hom_join_matches_level_two_end at levels 1 and 2;
-# the counts and digests are those the search gave when it searched every
-# vertex block again
+# cases of test_internal_hom_join_matches_level_two_end at levels 0, 1 and 2;
+# the level-1 and level-2 counts and digests are those the search gave when
+# it searched every vertex block again, and the level-0 ones were recorded
+# before it checked each composition instance only at the cell completing it
 _END_DIGESTS = [
+    (0, 17, 3, "9f23903a0502ab5b"),
     (1, 45, 6, "c27078c1b3923d1b"), (2, 163, 10, "99024ba0c1bc729b"),
+    (0, 18, 4, "ec7acb8fe3fec345"),
     (1, 82, 16, "b987c8f05892f3e2"), (2, 658, 64, "c89658282439bd62"),
+    (0, 17, 2, "196705bb23a6e578"),
     (1, 33, 3, "4727ef04fa7556bd"), (2, 81, 4, "3063df6e07324601"),
+    (0, 4, 2, "0a831f77332c8cf6"),
     (1, 11, 3, "e62992c8bafabfe6"), (2, 26, 4, "4db0917518a2a907"),
+    (0, 6, 2, "048fc06e34b6f3e2"),
     (1, 50, 10, "7594a9049515f534"), (2, 450, 52, "254705b4f4e6f968"),
+    (0, 4, 2, "c57998967a37ae7a"),
     (1, 24, 6, "8c56095ffb5f2d5c"), (2, 128, 18, "fc2c389af56db920"),
+    (0, 7, 2, "699dc63cf205cfcf"),
     (1, 39, 12, "e7389b02d69188a0"), (2, 455, 72, "dd3d8e920e10c804"),
+    (0, 22, 6, "8accaf8e63f7ffd9"),
     (1, 151, 21, "476af954f06cccc6"), (2, 1476, 95, "6265130672c7d17e"),
 ]
 
@@ -558,7 +567,7 @@ def test_end_families_steps_and_order_unchanged(corpus, counted):
     pairs = [p for p in _small_pairs(corpus) if p[0].C0.size]
     got = []
     for x, y in pairs:
-        for k in (1, 2):
+        for k in (0, 1, 2):
             fams, steps = counted(x, y, k)
             keys = repr([f.key() for f in fams]).encode()
             got.append((k, steps, len(fams), hashlib.sha256(keys).hexdigest()[:16]))
