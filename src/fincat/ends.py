@@ -12,18 +12,25 @@ X_n -> Y_n, and the equations say
 for every monotone theta: [m] -> [n] and psi: [n] -> [k].
 
 The solver enumerates the level-0 and level-1 slot tables entry by entry, in
-an order fixed before the search starts. The endpoint and degeneracy
-equations limit each entry's candidates. Each composition instance is checked
-once, at the entry that completes it in that order, and an entry is forced by
-the first instance whose two factors come before it. Slots at levels 2 and 3
-are then assembled by spines and the assembled family is checked. Solutions
-are returned in the lexicographic order of the ambient product encoding, and
-`budget` caps the search steps.
+an order fixed before the search starts, writing one flat list. Everything
+it reads that depends on X and k alone is its plan (`EndPlan`): the flat
+layout of the slots, the cell order and each cell's flat indices. X owns its
+plans, one per k, built on first use and kept on the category
+(`InternalCategory.end_plans`), so every hom out of X reads one plan; they
+are not kept on X's nerve, whose construction tabulates composable triples
+that the search never reads. The endpoint and degeneracy equations limit
+each entry's candidates. Each composition instance is checked once, inline
+through Y's pairs index and composition table, at the entry that completes
+it in that order, and an entry is forced by the first instance whose two
+factors come before it. Slots at levels 2 and 3 are then assembled by spines
+and the assembled family is checked. Solutions are returned in the
+lexicographic order of the ambient product encoding, and `budget` caps the
+search steps.
 
 The functor at each vertex t <= k is a level-0 solution, so the search runs
-the t = 0 block (the level-0 search) once, sets the vertex blocks from each
-(k + 1)-tuple of its completions in turn, and searches only the jump slots.
-A jump slot takes its arrows by larger endpoint, identity first: each
+the t = 0 block (the level-0 search) once, copies each (k + 1)-tuple of its
+completions in turn into the plan's vertex rows, and searches only the jump
+slots. A jump slot takes its arrows by larger endpoint, identity first: each
 identity entry is a component, and each other entry is then forced and
 checked by the components at its ends.
 
@@ -45,7 +52,7 @@ with an entry outside Y_n, and compares every equation through C-level maps,
 stopping at the first that fails.
 """
 
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from operator import eq, getitem
 
 from .errors import Budget, SizeBound
@@ -95,6 +102,93 @@ class Family:
                      for first, sp in zip(xn.first[n], xn.spines[n]))
 
 
+class EndPlan:
+    """The plan of the level-k end search out of X: what it reads that
+    depends on X and k alone.
+
+    A search writes one flat list of length `size`: the tables eta0[(t,)]
+    over X0 for t <= k, then eta1[psi] over X1 for psi: [1] -> [k], at the
+    slices in `rows0` and `rows1`. The functor at vertex t is copied into the
+    rows `vertex_rows[t]` of eta0[(t,)] and eta1[(t, t)]. `cells` lists the
+    cells in assignment order, the first `block` of them the t = 0 block,
+    each as flat indices (entry, source, target, identity, forced, completes):
+
+      * entry: the entry the cell sets;
+      * source, target: the entries holding its endpoints' images (None for
+        an object cell, whose candidates are all of Y0);
+      * identity: for a degenerate cell, the entry of the object whose
+        identity it must be, else None;
+      * forced: the two factors (u, v) of the first instance whose factors
+        come before the cell, which force it to be their composite, else None;
+      * completes: the instances (u, v, uv) whose last cell it is, checked
+        as m_Y(eta[u], eta[v]) = eta[uv] once the cell is set.
+    """
+
+    __slots__ = ("size", "rows0", "rows1", "vertex_rows", "block", "cells")
+
+    def __init__(self, x_cat: InternalCategory, k: int):
+        x0, x1 = x_cat.C0.size, x_cat.C1.size
+        d0, d1 = x_cat.d0.table, x_cat.d1.table
+        slots1 = monotone_maps(1, k)
+        widths = [((t,), x0) for t in range(k + 1)] + [(psi, x1) for psi in slots1]
+        offset = dict(zip((psi for psi, _w in widths),
+                          accumulate((w for _psi, w in widths), initial=0)))
+        rows = {psi: slice(offset[psi], offset[psi] + w) for psi, w in widths}
+        self.size = sum(w for _psi, w in widths)
+        self.rows0 = tuple(((t,), rows[(t,)]) for t in range(k + 1))
+        self.rows1 = tuple((psi, rows[psi]) for psi in slots1)
+        self.vertex_rows = tuple((rows[(t,)], rows[(t, t)]) for t in range(k + 1))
+        degenerate = {x_cat.i.table[x]: x for x in range(x0)}
+
+        # assignment order: the t = 0 functor block, then the jump slots with
+        # the narrowest jumps first; within a jump slot the arrows go by
+        # larger endpoint, identity first, so that every other entry is
+        # forced and checked right after the components at its ends
+        order = [((0,), x) for x in range(x0)] + [((0, 0), a) for a in range(x1)]
+        self.block = len(order)
+        jump_order = sorted((psi for psi in slots1 if psi[0] != psi[1]),
+                            key=lambda psi: (psi[1] - psi[0], psi[0]))
+        arrows_by_larger_end = sorted(
+            range(x1), key=lambda a: (max(d0[a], d1[a]), a not in degenerate, a))
+        for psi in jump_order:
+            order += [(psi, a) for a in arrows_by_larger_end]
+        entries = [offset[psi] + elem for psi, elem in order]
+
+        # composition instances m_Y(eta1[s12][u], eta1[s01][v]) = eta1[s02][uv],
+        # placed by the order above: the vertex rows t > 0 are set before any
+        # jump cell (place -1). An instance is checked once, at the cell that
+        # completes it, so one made of vertex cells at t > 0 alone is never
+        # checked; a cell is forced by the first instance whose two factors
+        # are placed before it.
+        place = dict(zip(entries, range(len(entries))))
+        completes = [[] for _ in entries]
+        forced_by = {}
+        for psi2 in monotone_maps(2, k):
+            at12 = offset[(psi2[1], psi2[2])]
+            at01 = offset[(psi2[0], psi2[1])]
+            at02 = offset[(psi2[0], psi2[2])]
+            for (u, v), uv in zip(x_cat.pairs.tuples, x_cat.m.table):
+                inst = (at12 + u, at01 + v, at02 + uv)
+                at_u, at_v, at_uv = (place.get(e, -1) for e in inst)
+                last = max(at_u, at_v, at_uv)
+                if last >= 0:
+                    completes[last].append(inst)
+                if max(at_u, at_v) < at_uv:
+                    forced_by.setdefault(inst[2], inst[:2])
+
+        cells = []
+        for entry, (psi, elem), checks in zip(entries, order, completes):
+            if len(psi) == 1:
+                cells.append((entry, None, None, None, None, ()))
+                continue
+            s, t = psi
+            identity = (offset[(t,)] + degenerate[elem]
+                        if s == t and elem in degenerate else None)
+            cells.append((entry, offset[(s,)] + d1[elem], offset[(t,)] + d0[elem],
+                          identity, forced_by.get(entry), tuple(checks)))
+        self.cells = tuple(cells)
+
+
 def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
                  budget: int = 10 ** 6):
     """All natural families at level k, lex-ordered by product encoding.
@@ -103,112 +197,64 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     steps. A step is a candidate tried for one cell or, at k > 0, one
     (k + 1)-tuple of functors that the jump slots start from.
     """
-    slots1 = monotone_maps(1, k)
-    x0, x1 = x_cat.C0.size, x_cat.C1.size
-    y_fibers = y_cat.homs
-    budget = Budget(budget, f"level-{k} end")
-
-    eta0 = {(t,): [None] * x0 for t in range(k + 1)}
-    eta1 = {psi: [None] * x1 for psi in slots1}
-    degenerate = {x_cat.i.table[x]: x for x in range(x_cat.C0.size)}
-
-    # assignment order: the t = 0 functor block, then the jump slots with the
-    # narrowest jumps first; within a jump slot the arrows go by larger
-    # endpoint, identity first, so that every other entry is forced and
-    # checked right after the components at its ends
-    cells = [("0", (0,), x) for x in range(x0)]
-    cells += [("1", (0, 0), a) for a in range(x1)]
-    block = len(cells)
-    jump_order = sorted((psi for psi in slots1 if psi[0] != psi[1]),
-                        key=lambda psi: (psi[1] - psi[0], psi[0]))
-    arrows_by_larger_end = sorted(
-        range(x1), key=lambda a: (max(x_cat.d0.table[a], x_cat.d1.table[a]),
-                                  a not in degenerate, a))
-    for psi in jump_order:
-        cells += [("1", psi, a) for a in arrows_by_larger_end]
-
-    # composition instances m_Y(eta1[s12][u], eta1[s01][v]) = eta1[s02][uv],
-    # placed by the order above: the vertex blocks t > 0 are set before any
-    # jump cell (place -1). An instance is checked once, at the cell that
-    # completes it, so one made of vertex cells at t > 0 alone is never
-    # checked; a cell is forced by the first instance whose two factors are
-    # placed before it.
-    place = {(psi, elem): pos for pos, (_kind, psi, elem) in enumerate(cells)}
-    completes = [[] for _ in cells]
-    forced_by = {}
-    for psi2 in monotone_maps(2, k):
-        s01 = (psi2[0], psi2[1])
-        s12 = (psi2[1], psi2[2])
-        s02 = (psi2[0], psi2[2])
-        for (u, v), uv in zip(x_cat.pairs.tuples, x_cat.m.table):
-            inst = ((s12, u), (s01, v), (s02, uv))
-            at_u, at_v, at_uv = (place.get(cell, -1) for cell in inst)
-            last = max(at_u, at_v, at_uv)
-            if last >= 0:
-                completes[last].append(inst)
-            if max(at_u, at_v) < at_uv:
-                forced_by.setdefault(inst[2], inst)
-
-    solutions = []
-    pair_index = y_cat.pairs.index
-    m_table = y_cat.m.table
-
-    def composite(inst):
-        """The Y-composite of the instance's two factors, or None."""
-        (s12, u), (s01, v), _uv = inst
-        pair = pair_index.get((eta1[s12][u], eta1[s01][v]))
-        return None if pair is None else m_table[pair]
-
-    def holds(inst):
-        s02, uv = inst[2]
-        return composite(inst) == eta1[s02][uv]
-
-    def candidates(kind, psi, elem):
-        if kind == "0":
-            return range(y_cat.C0.size)
-        s, t = psi
-        src = eta0[(s,)][x_cat.d1.table[elem]]
-        tgt = eta0[(t,)][x_cat.d0.table[elem]]
-        fiber = y_fibers.get((src, tgt), ())
-        if s == t and elem in degenerate:
-            want = y_cat.i.table[eta0[(t,)][degenerate[elem]]]
-            return (want,) if want in fiber else ()
-        inst = forced_by.get((psi, elem))
-        if inst is not None:
-            forced = composite(inst)
-            return (forced,) if forced in fiber else ()
-        return fiber
+    plans = x_cat.end_plans
+    plan = plans.get(k)
+    if plan is None:
+        plan = plans[k] = EndPlan(x_cat, k)
+    tick = Budget(budget, f"level-{k} end").tick
+    cells, flat = plan.cells, [None] * plan.size
+    objects, y_homs, y_i = range(y_cat.C0.size), y_cat.homs, y_cat.i.table
+    pair_at, m_table = y_cat.pairs.index.get, y_cat.m.table
 
     def rec(pos, stop, done):
         if pos == stop:
             done()
             return
-        kind, psi, elem = cells[pos]
-        row = (eta0 if kind == "0" else eta1)[psi]
-        checks = completes[pos]
-        for val in candidates(kind, psi, elem):
-            budget.tick()
-            row[elem] = val
-            if all(map(holds, checks)):
+        entry, src, tgt, identity, forced, checks = cells[pos]
+        if src is None:
+            values = objects
+        else:
+            values = y_homs.get((flat[src], flat[tgt]), ())
+            if identity is not None:
+                want = y_i[flat[identity]]
+                values = (want,) if want in values else ()
+            elif forced is not None:
+                pair = pair_at((flat[forced[0]], flat[forced[1]]))
+                values = ((m_table[pair],) if pair is not None
+                          and m_table[pair] in values else ())
+        # a cell reads only entries placed before it, so an entry is
+        # overwritten by the next candidate and never cleared
+        for val in values:
+            tick()
+            flat[entry] = val
+            for u, v, uv in checks:
+                pair = pair_at((flat[u], flat[v]))
+                if pair is None or m_table[pair] != flat[uv]:
+                    break
+            else:
                 rec(pos + 1, stop, done)
-            row[elem] = None
+
+    solutions = []
+    rows0, rows1 = plan.rows0, plan.rows1
 
     def emit():
-        solutions.append(Family(
-            k, {p: tuple(v) for p, v in eta0.items()},
-            {p: tuple(v) for p, v in eta1.items()}))
+        full = tuple(flat)
+        solutions.append(Family(k, {psi: full[at] for psi, at in rows0},
+                                {psi: full[at] for psi, at in rows1}))
 
     # the t = 0 block alone is the level-0 search; its completions are the
-    # functors at every vertex, whose cells stay set from here on
+    # functors at every vertex, whose rows stay set from here on
     firsts = []
-    rec(0, block, lambda: firsts.append((tuple(eta0[(0,)]), tuple(eta1[(0, 0)]))))
+    objects0, arrows0 = plan.vertex_rows[0]
+    rec(0, plan.block,
+        lambda: firsts.append((tuple(flat[objects0]), tuple(flat[arrows0]))))
     for combo in iproduct(firsts, repeat=k + 1):
         if k:
-            budget.tick()  # each vertex tuple is one step of the jump search
-        for t, (f0, f1) in enumerate(combo):
-            eta0[(t,)][:] = f0
-            eta1[(t, t)][:] = f1
-        rec(block, len(cells), emit)
+            tick()  # each vertex tuple is one step of the jump search
+        for (objects_t, arrows_t), (f0, f1) in zip(plan.vertex_rows, combo):
+            flat[objects_t] = f0
+            flat[arrows_t] = f1
+        rec(plan.block, len(cells), emit)
     solutions.sort(key=Family.key)
     return solutions
 

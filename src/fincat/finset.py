@@ -253,7 +253,7 @@ def pullback(f: FinMap, g: FinMap) -> ChosenLimit:
 
 def equalizer(f: FinMap, g: FinMap) -> ChosenLimit:
     """Solutions x with f(x) = g(x); single projection into the common domain."""
-    if f.dom != g.dom or f.cod != g.cod:
+    if f.dom.size != g.dom.size or f.cod.size != g.cod.size:
         raise DomainMismatch("equalizer needs a parallel pair")
     column = tuple(x for x, (fx, gx) in enumerate(zip(f.table, g.table)) if fx == gx)
     return _chosen((f.dom,), (column,))
@@ -269,7 +269,7 @@ def coproduct(a: FinObj, b: FinObj):
 
 def copair(f: FinMap, g: FinMap, obj: FinObj, inj0: FinMap, inj1: FinMap) -> FinMap:
     """The map out of a coproduct given by cases."""
-    if f.cod != g.cod:
+    if f.cod.size != g.cod.size:
         raise DomainMismatch("copairing needs a common codomain")
     table = [0] * obj.size
     for x in range(f.dom.size):
@@ -303,7 +303,7 @@ def coequalizer(f: FinMap, g: FinMap):
 
     Classes are numbered by least member in domain order. Returns (object, q).
     """
-    if f.dom != g.dom or f.cod != g.cod:
+    if f.dom.size != g.dom.size or f.cod.size != g.cod.size:
         raise DomainMismatch("coequalizer needs a parallel pair")
     uf = _UnionFind(f.cod.size)
     for x in range(f.dom.size):

@@ -75,7 +75,12 @@ class InternalCategory:
     m: FinMap   # composition C2 -> C1
 
     def __post_init__(self):
-        # finite sets are equal when their sizes are
+        self._check_shapes(count_pairs(self.d0.table, self.d1.table))
+
+    def _check_shapes(self, n_pairs):
+        """ShapeMismatch unless every map has its stated shape, with n_pairs
+        the number of composable pairs; finite sets are equal when their
+        sizes are."""
         c0, c1 = self.C0.size, self.C1.size
         if self.d0.dom.size != c1 or self.d0.cod.size != c0:
             raise ShapeMismatch("d0 must be C1 -> C0")
@@ -83,18 +88,20 @@ class InternalCategory:
             raise ShapeMismatch("d1 must be C1 -> C0")
         if self.i.dom.size != c0 or self.i.cod.size != c1:
             raise ShapeMismatch("i must be C0 -> C1")
-        if (self.m.dom.size != count_pairs(self.d0.table, self.d1.table)
-                or self.m.cod.size != c1):
+        if self.m.dom.size != n_pairs or self.m.cod.size != c1:
             raise ShapeMismatch("m must be C2 -> C1 over the derived pairs")
 
     @classmethod
     def with_composition(cls, C0, C1, d0, d1, i, composition):
         """The category whose m is composition(pairs), for pairs the chosen
-        pullback of (d1, d0); that pullback is built once and kept as the
-        category's `pairs`."""
+        pullback of (d1, d0); that pullback is built once, kept as the
+        category's `pairs` and read for the size of m's domain, so the pairs
+        are not counted again."""
         pairs = finset.pullback(d1, d0)
-        c = cls(C0, C1, d0, d1, i, composition(pairs))
-        c.__dict__["pairs"] = pairs
+        c = object.__new__(cls)
+        c.__dict__.update(C0=C0, C1=C1, d0=d0, d1=d1, i=i, m=composition(pairs),
+                          pairs=pairs)
+        c._check_shapes(pairs.apex.size)
         return c
 
     def __eq__(self, other):
@@ -126,6 +133,12 @@ class InternalCategory:
     def nerve(self):
         """Levels 0..3 of the nerve, with every action table built once."""
         return Nerve(self)
+
+    @cached_property
+    def end_plans(self):
+        """The end search's plans with this category as X, by level k
+        (`ends.EndPlan`), each built by `ends.end_families` on first use."""
+        return {}
 
     def comp(self, u, v):
         """Composite u . v of arrows with d1(u) = d0(v)."""
@@ -354,7 +367,7 @@ def full_image(t: FinMap, b: InternalCategory) -> InternalFunctor:
     read off `b.homs`: for each (target, source) pair in the order of X x X,
     the arrows of b between their images, in b's order. Identities and
     composites are looked up by (target, source, b's identity or composite)."""
-    if t.cod != b.C0:
+    if t.cod.size != b.C0.size:
         raise DomainMismatch("full_image needs a map into b's objects")
     x, homs, trusted = t.dom, b.homs, FinMap._trusted  # tables in range
     keys = [(tgt, src, arrow)

@@ -430,9 +430,10 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     sources = [f.vertex(0) for f in hom1]
     targets = [f.vertex(1) for f in hom1]
     diagonals = [f.eta1[(0, 1)] for f in hom1]
-    c0, c1 = FinObj(len(hom0)), FinObj(len(hom1))
-    d0 = FinMap(c1, c0, tuple(map(idx0.__getitem__, targets)))
-    d1 = FinMap(c1, c0, tuple(map(idx0.__getitem__, sources)))
+    # hom indices read off idx0 and idx1, so in range by construction
+    c0, c1, trusted = FinObj(len(hom0)), FinObj(len(hom1)), FinMap._trusted
+    d0 = trusted(c1, c0, tuple(map(idx0.__getitem__, targets)))
+    d1 = trusted(c1, c0, tuple(map(idx0.__getitem__, sources)))
     SizeBound.check(count_pairs(d0.table, d1.table), bound, "cell pairs",
                     "composable pairs of cells")
     # the composite of u after v at an arrow a: p -> q of x is u at q after
@@ -447,11 +448,11 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
             diag = tuple(y_m[y_pair[(u_diag[t], v_diag[a])]]
                          for a, t in enumerate(at_target))
             table.append(idx1[Family.cell_key(sources[cv], targets[cu], diag)])
-        return FinMap(pairs.apex, c1, tuple(table))
+        return trusted(pairs.apex, c1, tuple(table))
 
     try:
-        i = FinMap(c0, c1, tuple(idx1[Family.cell_key(v, v, v[1])]
-                                 for v in (f.vertex(0) for f in hom0)))
+        i = trusted(c0, c1, tuple(idx1[Family.cell_key(v, v, v[1])]
+                                  for v in (f.vertex(0) for f in hom0)))
         carrier = InternalCategory.with_composition(c0, c1, d0, d1, i, join)
     except KeyError as exc:
         raise CertificateFailure(

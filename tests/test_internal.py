@@ -291,6 +291,23 @@ def test_cell_rejects_assigner_of_wrong_shape():
         == id_nat_trans(f)
 
 
+def test_composition_of_wrong_shape_is_shape_mismatch():
+    # the free arrow has four composable pairs; the public constructor counts
+    # them, and with_composition reads the size of the pullback it built
+    cat = free_arrow()
+    fields = (cat.C0, cat.C1, cat.d0, cat.d1, cat.i)
+    wrong = [FinMap(FinObj(3), cat.C1, (0, 1, 2)),
+             FinMap(FinObj(5), cat.C1, (0, 1, 2, 2, 2)),
+             FinMap(FinObj(4), cat.C0, (0, 1, 1, 1))]
+    for m in wrong:
+        with pytest.raises(ShapeMismatch, match="m must be C2 -> C1"):
+            InternalCategory(*fields, m)
+        with pytest.raises(ShapeMismatch, match="m must be C2 -> C1"):
+            InternalCategory.with_composition(*fields, lambda pairs, m=m: m)
+    built = InternalCategory.with_composition(*fields, lambda pairs: cat.m)
+    assert built == cat and built.pairs.apex.size == 4
+
+
 def test_compose_functors_unit_laws():
     two = free_arrow()
     cells = enumerate_functors(two, disc(FinObj(2)))

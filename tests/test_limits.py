@@ -574,6 +574,38 @@ def test_end_families_steps_and_order_unchanged(corpus, counted):
     assert got == _END_DIGESTS
 
 
+def test_end_plans_are_stateless_and_built_once(corpus, counted, monkeypatch):
+    # a plan kept on X and read by searches into many Y, interleaved over
+    # k = 0, 1, 2, gives what a search over an equal copy of X without a
+    # plan gives; the kept copy builds one plan per level
+    built = []
+
+    class CountedPlan(ends.EndPlan):
+        def __init__(self, x_cat, k):
+            built.append((x_cat, k))
+            super().__init__(x_cat, k)
+
+    def fresh(x):
+        return InternalCategory(x.C0, x.C1, x.d0, x.d1, x.i, x.m)
+
+    monkeypatch.setattr(ends, "EndPlan", CountedPlan)
+    kept = [fresh(corpus[i]) for i in (0, 6, 13, 21, 22)]
+    ys = [corpus[j] for j in (0, 3, 13, 17, 22)] + [free_arrow()]
+    for _ in range(2):
+        for y in ys:
+            for k in (0, 1, 2):
+                for x in kept:
+                    got, got_steps = counted(x, y, k)
+                    want, want_steps = counted(fresh(x), y, k)
+                    assert got_steps == want_steps
+                    assert [f.key() for f in got] == [f.key() for f in want]
+                    assert ([(f.eta0, f.eta1) for f in got]
+                            == [(f.eta0, f.eta1) for f in want])
+    kept_builds = [(id(x), k) for x, k in built if any(x is c for c in kept)]
+    assert sorted(kept_builds) == sorted((id(x), k) for x in kept for k in (0, 1, 2))
+    assert all(set(x.end_plans) == {0, 1, 2} for x in kept)
+
+
 def test_memoised_check_family_rejects_every_perturbation():
     # every single-entry change to a natural family either gives another
     # solution of the end or must fail the sweep
