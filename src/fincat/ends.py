@@ -11,21 +11,20 @@ X_n -> Y_n, and the equations say
 
 for every monotone theta: [m] -> [n] and psi: [n] -> [k].
 
-The solver enumerates the level-0 and level-1 slot tables entry by entry, in
-an order fixed before the search starts, writing one flat list. Everything
-it reads that depends on X and k alone is its plan (`EndPlan`): the flat
-layout of the slots, the cell order and each cell's flat indices. X owns its
-plans, one per k, built on first use and kept on the category
-(`InternalCategory.end_plans`), so every hom out of X reads one plan; they
-are not kept on X's nerve, whose construction tabulates composable triples
-that the search never reads. The endpoint and degeneracy equations limit
-each entry's candidates. Each composition instance is checked once, inline
-through Y's pairs index and composition table, at the entry that completes
-it in that order, and an entry is forced by the first instance whose two
-factors come before it. Slots at levels 2 and 3 are then assembled by spines
-and the assembled family is checked. Solutions are returned in the
-lexicographic order of the ambient product encoding, and `budget` caps the
-search steps.
+Everything that depends on X and k alone is X's level-k plan (`EndPlan`):
+the slots in one order, the flat layout of their tables, the search's cell
+order and each cell's flat indices, and the sweep's equation indices. X owns
+its plans, one per k, built on first use and kept on the category
+(`InternalCategory.end_plans`), so the search, the sweep and the literal
+equalizer out of X read one plan. The solver enumerates the level-0 and
+level-1 slot tables entry by entry, in the plan's order, writing one flat
+list. The endpoint and degeneracy equations limit each entry's candidates.
+Each composition instance is checked once, inline through Y's pairs index
+and composition table, at the entry that completes it in that order, and an
+entry is forced by the first instance whose two factors come before it.
+Slots at levels 2 and 3 are then assembled by spines and the assembled
+family is checked. Solutions are returned in the lexicographic order of the
+ambient product encoding, and `budget` caps the search steps.
 
 The functor at each vertex t <= k is a level-0 solution, so the search runs
 the t = 0 block (the level-0 search) once, copies each (k + 1)-tuple of its
@@ -43,20 +42,19 @@ equals them. `brute_families` materialises the full product and filters by
 every equation; it is the literal equalizer, feasible only at tiny sizes, and
 the fidelity oracle for the solver. One naturality sweep (`_natural`) serves
 it and `check_family`, which differ only in where a slot table comes from.
-The sweep reads index plans that the nerves own and build on first use: X's
-nerve fixes the slot order and, for every equation, the flat indices of its
-two entries and the theta it uses (`Nerve.sweep_plan`); Y's nerve keeps its
-action tables in the sweep's theta order (`Nerve.sweep_tables`). A sweep
-concatenates the family's slot tables into one flat list, refusing a table
-with an entry outside Y_n, and compares every equation through C-level maps,
-stopping at the first that fails.
+It reads each equation's two flat entries and theta from X's plan, where
+they are built on the first sweep because they read X's nerve
+(`EndPlan.sweep`), and Y's action tables in the sweep's theta order
+(`Nerve.sweep_tables`). It concatenates the family's slot tables into one
+flat list, refusing a table with an entry outside Y_n, and compares every
+equation through C-level maps, stopping at the first that fails.
 """
 
 from itertools import accumulate, product as iproduct
 from operator import eq, getitem
 
 from .errors import Budget, SizeBound
-from .internal import InternalCategory, monotone_maps
+from .internal import InternalCategory, monotone_maps, sweep_thetas
 
 
 class Family:
@@ -103,10 +101,12 @@ class Family:
 
 
 class EndPlan:
-    """The plan of the level-k end search out of X: what it reads that
-    depends on X and k alone.
+    """The plan of the level-k end out of X: what its search and its
+    naturality sweep read that depends on X and k alone.
 
-    A search writes one flat list of length `size`: the tables eta0[(t,)]
+    `slots` lists every slot (n, psi), psi: [n] -> [k], n <= 3, once; a
+    family's slot tables, concatenated in this order, form one flat list.
+    The search writes the first `size` entries of it: the tables eta0[(t,)]
     over X0 for t <= k, then eta1[psi] over X1 for psi: [1] -> [k], at the
     slices in `rows0` and `rows1`. The functor at vertex t is copied into the
     rows `vertex_rows[t]` of eta0[(t,)] and eta1[(t, t)]. `cells` lists the
@@ -122,22 +122,30 @@ class EndPlan:
         come before the cell, which force it to be their composite, else None;
       * completes: the instances (u, v, uv) whose last cell it is, checked
         as m_Y(eta[u], eta[v]) = eta[uv] once the cell is set.
-    """
 
-    __slots__ = ("size", "rows0", "rows1", "vertex_rows", "block", "cells")
+    The sweep's indices read X's nerve, which the search never builds, so
+    they are None until the first sweep (`sweep`). For each equation
+    eta[m, psi . theta][X_theta(s)] = Y_theta(eta[n, psi][s]), in the order
+    (n, m, theta, psi, s), `low` and `top` hold the flat indices of its two
+    entries and `theta_ids` the place of theta in `sweep_thetas()`."""
+
+    __slots__ = ("slots", "size", "rows0", "rows1", "vertex_rows", "block",
+                 "cells", "low", "top", "theta_ids")
 
     def __init__(self, x_cat: InternalCategory, k: int):
         x0, x1 = x_cat.C0.size, x_cat.C1.size
         d0, d1 = x_cat.d0.table, x_cat.d1.table
-        slots1 = monotone_maps(1, k)
-        widths = [((t,), x0) for t in range(k + 1)] + [(psi, x1) for psi in slots1]
+        self.slots = tuple((n, psi) for n in range(4) for psi in monotone_maps(n, k))
+        # a slot's psi has n + 1 values, so psi alone names the slot
+        widths = [(psi, (x0, x1)[n]) for n, psi in self.slots if n <= 1]
         offset = dict(zip((psi for psi, _w in widths),
                           accumulate((w for _psi, w in widths), initial=0)))
         rows = {psi: slice(offset[psi], offset[psi] + w) for psi, w in widths}
         self.size = sum(w for _psi, w in widths)
-        self.rows0 = tuple(((t,), rows[(t,)]) for t in range(k + 1))
-        self.rows1 = tuple((psi, rows[psi]) for psi in slots1)
+        self.rows0 = tuple((psi, rows[psi]) for n, psi in self.slots if n == 0)
+        self.rows1 = tuple((psi, rows[psi]) for n, psi in self.slots if n == 1)
         self.vertex_rows = tuple((rows[(t,)], rows[(t, t)]) for t in range(k + 1))
+        self.low = self.top = self.theta_ids = None
         degenerate = {x_cat.i.table[x]: x for x in range(x0)}
 
         # assignment order: the t = 0 functor block, then the jump slots with
@@ -146,7 +154,7 @@ class EndPlan:
         # forced and checked right after the components at its ends
         order = [((0,), x) for x in range(x0)] + [((0, 0), a) for a in range(x1)]
         self.block = len(order)
-        jump_order = sorted((psi for psi in slots1 if psi[0] != psi[1]),
+        jump_order = sorted((psi for psi, _at in self.rows1 if psi[0] != psi[1]),
                             key=lambda psi: (psi[1] - psi[0], psi[0]))
         arrows_by_larger_end = sorted(
             range(x1), key=lambda a: (max(d0[a], d1[a]), a not in degenerate, a))
@@ -188,6 +196,34 @@ class EndPlan:
                           identity, forced_by.get(entry), tuple(checks)))
         self.cells = tuple(cells)
 
+    def sweep(self, x_cat: InternalCategory):
+        """(low, top, theta_ids), built on the first call by extending the
+        search's offsets over the slots at levels 2 and 3 of X's nerve."""
+        if self.low is None:
+            nerve, end = x_cat.nerve, self.size
+            offset = {psi: at.start for psi, at in self.rows0 + self.rows1}
+            for n, psi in self.slots[len(offset):]:
+                offset[psi], end = end, end + nerve.levels[n].size
+            low, top, theta_ids = [], [], []
+            for tid, (n, m, theta) in enumerate(sweep_thetas()):
+                x_theta = nerve.act(theta, n, m).table
+                for psi in [psi for level, psi in self.slots if level == n]:
+                    base, start = offset[tuple(psi[j] for j in theta)], offset[psi]
+                    low += [base + a for a in x_theta]
+                    top += range(start, start + len(x_theta))
+                    theta_ids += [tid] * len(x_theta)
+            self.low, self.top, self.theta_ids = tuple(low), tuple(top), tuple(theta_ids)
+        return self.low, self.top, self.theta_ids
+
+
+def _plan(x_cat: InternalCategory, k: int) -> EndPlan:
+    """X's level-k plan, built on first use and kept in `x_cat.end_plans`."""
+    plans = x_cat.end_plans
+    plan = plans.get(k)
+    if plan is None:
+        plan = plans[k] = EndPlan(x_cat, k)
+    return plan
+
 
 def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
                  budget: int = 10 ** 6):
@@ -197,10 +233,7 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     steps. A step is a candidate tried for one cell or, at k > 0, one
     (k + 1)-tuple of functors that the jump slots start from.
     """
-    plans = x_cat.end_plans
-    plan = plans.get(k)
-    if plan is None:
-        plan = plans[k] = EndPlan(x_cat, k)
+    plan = _plan(x_cat, k)
     tick = Budget(budget, f"level-{k} end").tick
     cells, flat = plan.cells, [None] * plan.size
     objects, y_homs, y_i = range(y_cat.C0.size), y_cat.homs, y_cat.i.table
@@ -264,10 +297,11 @@ def _natural(x_cat, y_cat, k, table) -> bool:
     table at (n, psi): every theta: [m] -> [n] and psi: [n] -> [k] at levels
     0..3. A None table fails, and so does a table of the wrong length or with
     an entry outside Y_n, before any equation is read. The equations then run
-    in C through x's sweep plan and y's sweep tables, and stop at the first
-    that fails."""
-    plan, xs = x_cat.nerve.sweep_plan(k), x_cat.nerve.levels
-    ys, y_tables = y_cat.nerve.levels, y_cat.nerve.sweep_tables
+    in C through x's plan and y's sweep tables, and stop at the first that
+    fails."""
+    plan = _plan(x_cat, k)
+    low, top_at, theta_ids = plan.sweep(x_cat)
+    xs, ys, y_tables = x_cat.nerve.levels, y_cat.nerve.levels, y_cat.nerve.sweep_tables
     flat = []
     for n, psi in plan.slots:
         top = table(n, psi)
@@ -276,9 +310,8 @@ def _natural(x_cat, y_cat, k, table) -> bool:
             return False
         flat += top
     entry = flat.__getitem__
-    y_images = map(getitem, map(y_tables.__getitem__, plan.theta_ids),
-                   map(entry, plan.top))
-    return all(map(eq, map(entry, plan.low), y_images))
+    y_images = map(getitem, map(y_tables.__getitem__, theta_ids), map(entry, top_at))
+    return all(map(eq, map(entry, low), y_images))
 
 
 def check_family(x_cat, y_cat, fam: Family) -> bool:
@@ -302,8 +335,7 @@ def brute_families(x_cat, y_cat, k: int):
     SizeBound (stage "brute-force product") past 200,000 families.
     """
     limit = 200000
-    xn, yn = x_cat.nerve, y_cat.nerve
-    slots = [(n, psi) for n in range(4) for psi in monotone_maps(n, k)]
+    xn, yn, slots = x_cat.nerve, y_cat.nerve, _plan(x_cat, k).slots
     total = 1
     for n, _psi in slots:
         total *= yn.levels[n].size ** xn.levels[n].size

@@ -18,7 +18,7 @@ triples are the nerve's level 3, built by the nerve.
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
 from . import finset
 from .errors import (CertificateFailure, DomainMismatch, FiberNotSingleton,
@@ -136,8 +136,9 @@ class InternalCategory:
 
     @cached_property
     def end_plans(self):
-        """The end search's plans with this category as X, by level k
-        (`ends.EndPlan`), each built by `ends.end_families` on first use."""
+        """The plans of the level-k end with this category as X, by k
+        (`ends.EndPlan`), each built on first use by the end search, the
+        naturality sweep or the literal equalizer, whichever comes first."""
         return {}
 
     def comp(self, u, v):
@@ -496,42 +497,14 @@ def sweep_thetas():
                  for theta in monotone_maps(m, n))
 
 
-class SweepPlan:
-    """The flat-index plan of the level-k naturality sweep over a nerve X.
-
-    `slots` lists every (n, psi), psi: [n] -> [k], n <= 3; a family's slot
-    tables, concatenated in this order, form one flat list. For each equation
-    eta[m, psi . theta][X_theta(s)] = Y_theta(eta[n, psi][s]), in the order
-    (n, m, theta, psi, s), `low` and `top` hold the flat indices of its two
-    entries and `theta_ids` the place of theta in `sweep_thetas()`."""
-
-    __slots__ = ("slots", "low", "top", "theta_ids")
-
-    def __init__(self, nerve, k):
-        self.slots = tuple((n, psi) for n in range(4) for psi in monotone_maps(n, k))
-        sizes = [nerve.levels[n].size for n, _psi in self.slots]
-        offset = dict(zip(self.slots, accumulate(sizes, initial=0)))
-        low, top, theta_ids = [], [], []
-        for tid, (n, m, theta) in enumerate(sweep_thetas()):
-            x_theta = nerve.act(theta, n, m).table
-            width = len(x_theta)
-            for psi in monotone_maps(n, k):
-                base = offset[(m, tuple(psi[j] for j in theta))]
-                start = offset[(n, psi)]
-                low += [base + a for a in x_theta]
-                top += range(start, start + width)
-                theta_ids += [tid] * width
-        self.low, self.top, self.theta_ids = tuple(low), tuple(top), tuple(theta_ids)
-
-
 class Nerve:
     """Levels 0..3 of the nerve of a category, with its simplicial action.
 
     levels[n] is the object of n-simplices; spines[n][k] and first[n][k] are
     the spine and first vertex of simplex k, and simplex() encodes one back.
     Each action table is built on first use and kept, so repeated reads
-    return the same FinMap; so are the naturality sweep's plans over this
-    nerve as X (`sweep_plan`) and its action tables as Y (`sweep_tables`).
+    return the same FinMap; as Y of a naturality sweep, the nerve keeps its
+    action tables in the sweep's theta order (`sweep_tables`).
 
     faces[(n, k)] : level n -> level n-1 (0 <= k <= n, 1 <= n <= 3)
     degeneracies[(n, k)] : level n -> level n+1 (0 <= k <= n, 0 <= n <= 2)
@@ -550,7 +523,6 @@ class Nerve:
         self.first = (tuple(range(c.C0.size)),) + tuple(
             tuple(c.d1.table[sp[0]] for sp in spines) for spines in self.spines[1:])
         self._acts = {}
-        self._plans = {}
 
     def simplex(self, vertex0, arrows):
         """Encode the simplex with the given first vertex and spine arrows."""
@@ -589,13 +561,6 @@ class Nerve:
         table = FinMap(self.levels[n_from], self.levels[n_to], tuple(out))
         self._acts[(phi, n_from, n_to)] = table
         return table
-
-    def sweep_plan(self, k) -> SweepPlan:
-        """The plan of the level-k naturality sweep with this nerve as X."""
-        plan = self._plans.get(k)
-        if plan is None:
-            plan = self._plans[k] = SweepPlan(self, k)
-        return plan
 
     @cached_property
     def sweep_tables(self):

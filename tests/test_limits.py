@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from fincat import ends, finset, internal, naive
+from fincat import ends, finset, naive
 from fincat.audit import diagonal_equaliser_holds
 from fincat.corpus import category_from_tables, monoid_delooping
 from fincat.ends import Family, brute_families, check_family, end_families
@@ -574,6 +574,11 @@ def test_end_families_steps_and_order_unchanged(corpus, counted):
     assert got == _END_DIGESTS
 
 
+def _fresh(c):
+    """An equal copy of c with none of its derived data built."""
+    return InternalCategory(c.C0, c.C1, c.d0, c.d1, c.i, c.m)
+
+
 def test_end_plans_are_stateless_and_built_once(corpus, counted, monkeypatch):
     # a plan kept on X and read by searches into many Y, interleaved over
     # k = 0, 1, 2, gives what a search over an equal copy of X without a
@@ -585,18 +590,15 @@ def test_end_plans_are_stateless_and_built_once(corpus, counted, monkeypatch):
             built.append((x_cat, k))
             super().__init__(x_cat, k)
 
-    def fresh(x):
-        return InternalCategory(x.C0, x.C1, x.d0, x.d1, x.i, x.m)
-
     monkeypatch.setattr(ends, "EndPlan", CountedPlan)
-    kept = [fresh(corpus[i]) for i in (0, 6, 13, 21, 22)]
+    kept = [_fresh(corpus[i]) for i in (0, 6, 13, 21, 22)]
     ys = [corpus[j] for j in (0, 3, 13, 17, 22)] + [free_arrow()]
     for _ in range(2):
         for y in ys:
             for k in (0, 1, 2):
                 for x in kept:
                     got, got_steps = counted(x, y, k)
-                    want, want_steps = counted(fresh(x), y, k)
+                    want, want_steps = counted(_fresh(x), y, k)
                     assert got_steps == want_steps
                     assert [f.key() for f in got] == [f.key() for f in want]
                     assert ([(f.eta0, f.eta1) for f in got]
@@ -850,21 +852,49 @@ def test_check_family_matches_the_equation_loop(corpus):
     assert checked == 948
 
 
+def test_check_family_matches_the_equation_loop_at_level_two():
+    # the k = 2 sweep reads slots at levels 2 and 3 with psi onto [2]
+    two = free_arrow()
+    checked = 0
+    for y in (two, indisc(FinObj(2))):
+        for fam in end_families(two, y, 2):
+            assert check_family(two, y, fam) and _reference_natural(two, y, fam)
+            for bad in _perturbations(fam, y):
+                assert check_family(two, y, bad) == _reference_natural(two, y, bad)
+                checked += 1
+    assert checked == 4260
+
+
 def test_check_family_builds_each_plan_once(monkeypatch):
+    # one plan per (X, k) serves the search and the sweep; the first sweep
+    # builds its equation indices and the next one reads them
     built = []
 
-    class CountedPlan(internal.SweepPlan):
-        def __init__(self, nerve, k):
-            built.append(k)
-            super().__init__(nerve, k)
+    class CountedPlan(ends.EndPlan):
+        def __init__(self, x_cat, k):
+            built.append((x_cat, k))
+            super().__init__(x_cat, k)
 
-    monkeypatch.setattr(internal, "SweepPlan", CountedPlan)
-    x, y = disc(FinObj(2)), indisc(FinObj(2))  # a nerve no other test swept
+    monkeypatch.setattr(ends, "EndPlan", CountedPlan)
+    x, y = disc(FinObj(2)), indisc(FinObj(2))  # a category no other test planned
     fam = end_families(x, y, 1)[0]
+    plan = x.end_plans[1]
+    assert plan.low is None
     assert check_family(x, y, fam)
-    plan = x.nerve.sweep_plan(1)
+    low = plan.low
+    assert low is not None
     assert check_family(x, y, fam)
-    assert x.nerve.sweep_plan(1) is plan and built == [1]
+    assert x.end_plans == {1: plan} and plan.low is low
+    assert len(built) == 1 and built[0][0] is x and built[0][1] == 1
+
+
+def test_end_search_builds_no_nerve(corpus):
+    # the hom reads X's plan and Y's tables, never a nerve, so the sweep's
+    # part of X's plan waits for the first check_family
+    for xi, yi in _SWEPT_HOMS + ((21, 20), (13, 22), (6, 6)):
+        x, y = _fresh(corpus[xi]), _fresh(corpus[yi])
+        internal_hom(x, y)
+        assert "nerve" not in x.__dict__ and "nerve" not in y.__dict__
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -1,7 +1,9 @@
 """Rules on the package source that no single behaviour test pins: a
 certificate must be checked by code that `python -O` keeps, so no `assert`
 statement, and no handler may catch every exception, so no bare `except:`
-and no `except Exception`."""
+and no `except Exception`. The oracle (`naive`) shares nothing with the
+paths it checks but the error types, and the category layer (`internal`)
+does not reach up into the end search or the limits built on it."""
 
 import ast
 import os
@@ -19,10 +21,41 @@ def _catches_everything(handler):
                for t in types)
 
 
+def _parse(name):
+    with open(os.path.join(SRC, name), encoding="utf-8") as f:
+        return ast.parse(f.read(), name)
+
+
+def _package_imports(name):
+    """The modules of the package that the source file `name` imports."""
+    found = set()
+    for node in ast.walk(_parse(name)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative: within the package
+                module = "fincat." + module if module else "fincat"
+            modules = ([module] if module != "fincat"
+                       else [f"fincat.{alias.name}" for alias in node.names])
+        else:
+            continue
+        found.update(m.split(".")[1] for m in modules if m.startswith("fincat."))
+        found.update(m for m in modules if m == "fincat")
+    return found
+
+
+def test_oracle_imports_only_the_error_types():
+    assert _package_imports("naive.py") <= {"errors"}
+
+
+def test_category_layer_imports_neither_ends_nor_limits():
+    assert not _package_imports("internal.py") & {"ends", "limits"}
+
+
 @pytest.mark.parametrize("name", FILES)
 def test_source_has_no_assert_and_no_catch_all(name):
-    with open(os.path.join(SRC, name), encoding="utf-8") as f:
-        tree = ast.parse(f.read(), name)
+    tree = _parse(name)
     found = [f"{name}:{node.lineno}: assert" for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     found += [f"{name}:{node.lineno}: except catches everything"
