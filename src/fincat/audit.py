@@ -1,14 +1,17 @@
 """The model-axiom checklist: recursor search and finite-NNO refutation,
 generator and 2-well-pointedness verification, and the aggregate report.
 
-The finite-set base cannot carry a natural numbers object; the audit does not
-assume this but refutes every candidate up to NNO_MAX_SIZE elements with a
-verified counterexample. Verdicts use the vocabulary
-{verified-at-scale, refuted, skipped}: desk-scale checks cannot certify
-universally quantified axioms.
+The report's suites come from one registry, `SUITES`, in report order; it
+gives each suite's function, whether it needs the corpus and its expected
+verdict, and `fincat audit --suite` takes its names. The finite-set base
+cannot carry a natural numbers object; the audit does not assume this but
+refutes every candidate up to NNO_MAX_SIZE elements with a verified
+counterexample. Verdicts use the vocabulary {verified-at-scale, refuted,
+skipped}: desk-scale checks cannot certify universally quantified axioms.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import product as iproduct
 
 from . import finset
 from .classifiers import (categorified_choice_audit, classify_full_mono,
@@ -178,31 +181,21 @@ def generator_check(family, test_pairs) -> GeneratorVerdict:
     """For each distinct parallel pair (f, g), find a probe h from a family
     member with f.h != g.h. Free-arrow members use the arrow-probe recipe;
     other members fall back to exhaustive functor enumeration."""
-    failures = []
-    for f, g in test_pairs:
-        if f == g:
-            continue
-        separated = False
-        for member in family:
-            if member == free_arrow():
-                if f.f1.table != g.f1.table:
-                    arrow = next(k for k in range(f.dom.C1.size)
-                                 if f.f1.table[k] != g.f1.table[k])
-                    h = arrow_functor(f.dom, arrow)
-                    if compose_functors(f, h) != compose_functors(g, h):
-                        separated = True
-                        break
-            else:
-                for h in enumerate_functors(member, f.dom):
-                    if compose_functors(f, h) != compose_functors(g, h):
-                        separated = True
-                        break
-                if separated:
-                    break
-        if not separated:
-            failures.append((f, g))
+    failures = tuple((f, g) for f, g in test_pairs if f != g and not any(
+        _separates(member, f, g) for member in family))
     return GeneratorVerdict("verified-at-scale" if not failures else "refuted",
-                            tuple(failures))
+                            failures)
+
+
+def _separates(member, f, g) -> bool:
+    """Some probe h from `member` has f.h != g.h."""
+    if member == free_arrow():
+        # one probe, picking the first arrow where f and g differ, if any
+        differ = [k for k, (x, y) in enumerate(zip(f.f1.table, g.f1.table)) if x != y]
+        probes = [arrow_functor(f.dom, k) for k in differ[:1]]
+    else:
+        probes = enumerate_functors(member, f.dom)
+    return any(compose_functors(f, h) != compose_functors(g, h) for h in probes)
 
 
 def diagonal_equaliser_holds(a: FinObj) -> bool:
@@ -232,10 +225,128 @@ def two_well_pointed_check(test_pairs, base_sizes) -> GeneratorVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Aggregate audit.
+# Aggregate audit: one function per suite, in one registry.
 # ---------------------------------------------------------------------------
 
 NNO_MAX_SIZE = 3  # the largest NNO candidate the audit refutes
+
+
+def _finite_limits(corpus, functors, config):
+    pairs = [(a, b) for a in corpus[:4] for b in corpus[:4]]
+    for a, b in pairs:
+        if not validate_category(product_cat(a, b).category).ok:
+            return "refuted", {"pair": (a.C0.size, b.C0.size)}
+    return "verified-at-scale", {"products_checked": len(pairs)}
+
+
+def _cartesian_closed(corpus, functors, config):
+    tried = agree = 0
+    for a, b in iproduct(corpus, repeat=2):
+        try:
+            ih = internal_hom(a, b, config.size_bound)
+            hc = hom_category(a, b, config.size_bound)
+        except SizeBound:
+            continue
+        tried += 1
+        try:
+            hom_iso_with_oracle(ih, hc)
+            agree += 1
+        except CertificateFailure:
+            pass
+        if tried == 10:
+            break
+    # no pair under the size bound means nothing was compared
+    verdict = ("skipped" if not tried else
+               "verified-at-scale" if agree == tried else "refuted")
+    return verdict, {"pairs_compared": tried, "agreements": agree}
+
+
+def _well_pointed2(corpus, functors, config):
+    pairs = _parallel_pairs(functors)
+    verdict = two_well_pointed_check(pairs, range(config.max_objects + 2))
+    return verdict.verdict, {"pairs_tested": len(pairs)}
+
+
+def _nno(corpus, functors, config):
+    refutations = refute_finite_nno(NNO_MAX_SIZE)
+    witnesses = [{
+        "candidate": {"N": r.candidate[0].size, "z": list(r.candidate[1].table),
+                      "s": list(r.candidate[2].table)},
+        "test": {"X": r.test[0].size, "f": list(r.test[1].table),
+                 "g": list(r.test[2].table)},
+        "outcome": r.verdict.outcome,
+    } for r in refutations]
+    return "refuted", {
+        "candidates": len(refutations), "counterexamples": witnesses,
+        "note": "no finite candidate admits unique recursors; every "
+                "candidate refuted with a verified counterexample"}
+
+
+def _full_subobject_classifier(corpus, functors, config):
+    fsc = full_subobject_classifier()
+    monos = [f for f in functors if is_full_mono(f)]
+    bad = [f for f in monos
+           if not classifying_square_is_pullback(f, classify_full_mono(f), fsc)]
+    return ("verified-at-scale" if not bad else "refuted",
+            {"full_monos_classified": len(monos), "failures": len(bad)})
+
+
+def _categorified_choice(corpus, functors, config):
+    outcomes = [r.outcome for r in categorified_choice_audit(functors)]
+    certs, bad = outcomes.count("certificate"), outcomes.count("counterexample")
+    return ("verified-at-scale" if not bad else "refuted",
+            {"certificates": certs, "skipped": len(outcomes) - certs - bad})
+
+
+def _extensivity(corpus, functors, config):
+    """Coproducts of the first three corpus members validate, and pulling a
+    functor into a summand back along both injections splits its domain."""
+    ok, tested = True, 0
+    for a in corpus[:3]:
+        probes = [h for h in functors if h.cod == a][:2]
+        for b in corpus[:3]:
+            cop = coproduct_cat(a, b)
+            ok &= validate_category(cop.category).ok
+            for p in probes:
+                h = compose_functors(cop.inj0, p)
+                pb0 = pullback_cat(h, cop.inj0).category
+                pb1 = pullback_cat(h, cop.inj1).category
+                ok &= (pb0.C0.size + pb1.C0.size == h.dom.C0.size
+                       and pb0.C1.size + pb1.C1.size == h.dom.C1.size)
+                tested += 1
+    return ("verified-at-scale" if ok else "refuted",
+            {"pullback_decompositions": tested})
+
+
+def _boolean(corpus, functors, config):
+    return "verified-at-scale" if is_boolean() else "refuted", {}
+
+
+def _two_valued(corpus, functors, config):
+    verdict, info = is_two_valued()
+    return "verified-at-scale" if verdict else "refuted", info
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A registry entry; a suite that `needs_corpus` skips an empty corpus."""
+    check: callable    # (corpus, functors, config) -> (verdict, witnesses)
+    needs_corpus: bool = True
+    expected: str = "verified-at-scale"
+
+
+SUITES = {
+    "finiteLimits": Suite(_finite_limits),
+    "cartesianClosed": Suite(_cartesian_closed),
+    "wellPointed2": Suite(_well_pointed2),
+    # finiteness forbids a natural numbers object
+    "nno": Suite(_nno, needs_corpus=False, expected="refuted"),
+    "fullSubobjectClassifier": Suite(_full_subobject_classifier),
+    "categorifiedChoice": Suite(_categorified_choice),
+    "extensivity": Suite(_extensivity),
+    "boolean": Suite(_boolean),
+    "twoValued": Suite(_two_valued),
+}
 
 
 @dataclass(frozen=True)
@@ -245,134 +356,28 @@ class AuditConfig:
     max_arrows: int = 10
     corpus_size: int = 12
     size_bound: int = 10 ** 6
-    suites: tuple = ("finiteLimits", "cartesianClosed", "wellPointed2", "nno",
-                     "fullSubobjectClassifier", "categorifiedChoice",
-                     "extensivity", "boolean", "twoValued")
+    suites: tuple = tuple(SUITES)
 
 
 def run_audit(config: AuditConfig) -> dict:
-    """Execute the per-axiom suites at the configured scale and assemble the
-    report; deterministic for a fixed config."""
-    report = {"config": {
-        "seed": config.seed, "max_objects": config.max_objects,
-        "max_arrows": config.max_arrows, "corpus_size": config.corpus_size,
-        "nno_max_size": NNO_MAX_SIZE, "size_bound": config.size_bound,
-        "suites": list(config.suites)}, "entries": {}}
+    """Run the selected suites at the configured scale and assemble the
+    report, with a skipped entry for every other suite; deterministic for a
+    fixed config. A suite name outside `SUITES` is a `ValueError`."""
+    unknown = [name for name in config.suites if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown audit suites: {', '.join(unknown)}")
     spec = CorpusSpec(seed=config.seed, max_objects=config.max_objects,
                       max_arrows=config.max_arrows, count=config.corpus_size)
     corpus = generate_corpus(spec)
     functors = generate_functor_corpus(corpus, seed=config.seed)
-    entries = report["entries"]
-
-    def entry(name, verdict, **witnesses):
+    entries = {}
+    for name, suite in SUITES.items():
+        verdict, witnesses = "skipped", {}
+        if name in config.suites and (corpus or not suite.needs_corpus):
+            verdict, witnesses = suite.check(corpus, functors, config)
         entries[name] = {"verdict": verdict, "witnesses": witnesses}
-
-    empty = not corpus
-    for name in AuditConfig.suites:
-        if name not in config.suites or (empty and name != "nno"):
-            entry(name, "skipped")
-
-    if "finiteLimits" in config.suites and not empty:
-        pairs = [(a, b) for a in corpus[:4] for b in corpus[:4]]
-        bad = next(((a, b) for a, b in pairs
-                    if not validate_category(product_cat(a, b).category).ok), None)
-        if bad is None:
-            entry("finiteLimits", "verified-at-scale", products_checked=len(pairs))
-        else:
-            entry("finiteLimits", "refuted", pair=(bad[0].C0.size, bad[1].C0.size))
-
-    if "cartesianClosed" in config.suites and not empty:
-        agree = 0
-        tried = 0
-        for a in corpus:
-            for b in corpus:
-                try:
-                    ih = internal_hom(a, b, config.size_bound)
-                    hc = hom_category(a, b, config.size_bound)
-                except SizeBound:
-                    continue
-                tried += 1
-                try:
-                    hom_iso_with_oracle(ih, hc)
-                except CertificateFailure:
-                    pass
-                else:
-                    agree += 1
-                if tried >= 10:
-                    break
-            if tried >= 10:
-                break
-        # no pair under the size bound means nothing was compared
-        verdict = ("skipped" if not tried else
-                   "verified-at-scale" if agree == tried else "refuted")
-        entry("cartesianClosed", verdict, pairs_compared=tried, agreements=agree)
-
-    if "wellPointed2" in config.suites and not empty:
-        pairs = _parallel_pairs(functors)
-        verdict = two_well_pointed_check(pairs, range(config.max_objects + 2))
-        entry("wellPointed2", verdict.verdict, pairs_tested=len(pairs))
-
-    if "nno" in config.suites:
-        refutations = refute_finite_nno(NNO_MAX_SIZE)
-        witnesses = [{
-            "candidate": {"N": r.candidate[0].size,
-                          "z": list(r.candidate[1].table),
-                          "s": list(r.candidate[2].table)},
-            "test": {"X": r.test[0].size, "f": list(r.test[1].table),
-                     "g": list(r.test[2].table)},
-            "outcome": r.verdict.outcome,
-        } for r in refutations]
-        entry("nno", "refuted", candidates=len(refutations),
-              counterexamples=witnesses,
-              note="no finite candidate admits unique recursors; every "
-                   "candidate refuted with a verified counterexample")
-
-    if "fullSubobjectClassifier" in config.suites and not empty:
-        fsc = full_subobject_classifier()
-        monos = [f for f in functors if is_full_mono(f)]
-        bad = [f for f in monos
-               if not classifying_square_is_pullback(f, classify_full_mono(f), fsc)]
-        entry("fullSubobjectClassifier",
-              "verified-at-scale" if not bad else "refuted",
-              full_monos_classified=len(monos), failures=len(bad))
-
-    if "categorifiedChoice" in config.suites and not empty:
-        results = categorified_choice_audit(functors)
-        certs = sum(1 for r in results if r.outcome == "certificate")
-        bad = sum(1 for r in results if r.outcome == "counterexample")
-        entry("categorifiedChoice", "verified-at-scale" if not bad else "refuted",
-              certificates=certs, skipped=len(results) - certs - bad)
-
-    if "extensivity" in config.suites and not empty:
-        ok = True
-        tested = 0
-        for a in corpus[:3]:
-            for b in corpus[:3]:
-                cop = coproduct_cat(a, b)
-                if not validate_category(cop.category).ok:
-                    ok = False
-                probes = [h for h in functors if h.cod == a][:2]
-                for p in probes:
-                    h = compose_functors(cop.inj0, p)
-                    pb0 = pullback_cat(h, cop.inj0)
-                    pb1 = pullback_cat(h, cop.inj1)
-                    if (pb0.category.C0.size + pb1.category.C0.size
-                            != h.dom.C0.size
-                            or pb0.category.C1.size + pb1.category.C1.size
-                            != h.dom.C1.size):
-                        ok = False
-                    tested += 1
-        entry("extensivity", "verified-at-scale" if ok else "refuted",
-              pullback_decompositions=tested)
-
-    if "boolean" in config.suites and not empty:
-        entry("boolean", "verified-at-scale" if is_boolean() else "refuted")
-
-    if "twoValued" in config.suites and not empty:
-        verdict, info = is_two_valued()
-        entry("twoValued", "verified-at-scale" if verdict else "refuted", **info)
-
-    return report
+    return {"config": {**asdict(config), "nno_max_size": NNO_MAX_SIZE,
+                       "suites": list(config.suites)}, "entries": entries}
 
 
 def _parallel_pairs(functors):

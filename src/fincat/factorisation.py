@@ -141,12 +141,6 @@ def is_acute(f: InternalFunctor) -> bool:
     return is_epi_on_objects(f)
 
 
-def bo_ff_factorisation(f: InternalFunctor) -> LiftedFactorisation:
-    """The (iso-on-objects, fully faithful) factorisation, the (iso, all)
-    instance of the lifted system."""
-    return factor_internal(f, iso_all_ofs())
-
-
 def left_orthogonal_to(f: InternalFunctor, r: InternalFunctor) -> bool:
     """Direct orthogonality test: every commuting square from f to r has
     exactly one diagonal filler, checked by exhaustive enumeration."""

@@ -4,8 +4,10 @@ aggregate audit report."""
 import random
 from itertools import product as iproduct
 
+import pytest
+
 from fincat import finset
-from fincat.audit import (AuditConfig, arrow_functor, generator_check,
+from fincat.audit import (SUITES, AuditConfig, arrow_functor, generator_check,
                           nno_candidates, recursor_search, refute_finite_nno,
                           run_audit, two_dimensional_nno_check,
                           two_well_pointed_check)
@@ -315,3 +317,32 @@ def test_run_audit_deterministic():
     a = serialize_report(run_audit(AuditConfig(corpus_size=8)))
     b = serialize_report(run_audit(AuditConfig(corpus_size=8)))
     assert a == b
+
+
+def test_default_suites_are_the_registry_in_order():
+    assert AuditConfig().suites == tuple(SUITES)
+    report = run_audit(AuditConfig(corpus_size=4))
+    assert list(report["entries"]) == list(SUITES)
+    # the benchmark's report check requires an entry for every suite
+    assert set(report["entries"]) == set(report["config"]["suites"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_suite_alone_gives_its_default_entry(seed):
+    default = run_audit(AuditConfig(seed=seed))["entries"]
+    for name in SUITES:
+        alone = run_audit(AuditConfig(seed=seed, suites=(name,)))["entries"]
+        assert alone[name] == default[name], name
+        assert all(alone[other]["verdict"] == "skipped"
+                   for other in SUITES if other != name), name
+
+
+def test_unknown_suite_is_refused_before_the_corpus(monkeypatch):
+    from fincat import audit
+
+    def no_corpus(spec):
+        raise AssertionError("the corpus was built")
+
+    monkeypatch.setattr(audit, "generate_corpus", no_corpus)
+    with pytest.raises(ValueError, match="nosuch, Boolean"):
+        run_audit(AuditConfig(suites=("nosuch", "Boolean", "boolean")))

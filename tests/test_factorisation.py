@@ -10,11 +10,10 @@ import pytest
 
 from fincat import finset
 from fincat.errors import NotInClass
-from fincat.factorisation import (bo_ff_factorisation, epi_mono_ofs,
-                                  factor_internal, in_lifted_left,
-                                  in_lifted_right, is_acute, iso_all_ofs,
-                                  left_orthogonal_to, lift_square,
-                                  lift_two_cell)
+from fincat.factorisation import (epi_mono_ofs, factor_internal,
+                                  in_lifted_left, in_lifted_right, is_acute,
+                                  iso_all_ofs, left_orthogonal_to,
+                                  lift_square, lift_two_cell)
 from fincat.finset import FinMap, FinObj, compose
 from fincat.internal import (compose_functors, id_functor, id_nat_trans,
                              InternalFunctor, InternalNatTrans,
@@ -52,7 +51,7 @@ def test_full_mono_factors_with_iso_left():
 
 def test_iso_all_instance_gives_bo_ff():
     two = free_arrow()
-    fact = bo_ff_factorisation(bang_functor(two))
+    fact = factor_internal(bang_functor(two), iso_all_ofs())
     assert is_iso_on_objects(fact.left)
     assert is_fully_faithful(fact.right)
     # objects stay, arrows are pulled back from the terminal category
@@ -190,7 +189,7 @@ def test_lift_two_cell_unique_among_assigners():
     two = free_arrow()
     i2 = indisc(FinObj(2))
     # s: collapse-free epi-on-objects, f: full mono into an indiscrete target
-    s = bo_ff_factorisation(bang_functor(two)).left  # iso on objects
+    s = factor_internal(bang_functor(two), iso_all_ofs()).left  # iso on objects
     f = id_functor(i2)
     b, x = s.cod, f.dom
     fillers = enumerate_functors(b, x)

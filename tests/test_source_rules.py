@@ -3,12 +3,15 @@ certificate must be checked by code that `python -O` keeps, so no `assert`
 statement, and no handler may catch every exception, so no bare `except:`
 and no `except Exception`. The oracle (`naive`) shares nothing with the
 paths it checks but the error types, and the category layer (`internal`)
-does not reach up into the end search or the limits built on it."""
+does not reach up into the end search or the limits built on it. Each audit
+suite is named once, in the registry `audit.SUITES`."""
 
 import ast
 import os
 
 import pytest
+
+from fincat.audit import SUITES
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "fincat")
 FILES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
@@ -51,6 +54,18 @@ def test_oracle_imports_only_the_error_types():
 
 def test_category_layer_imports_neither_ends_nor_limits():
     assert not _package_imports("internal.py") & {"ends", "limits"}
+
+
+def test_each_suite_name_is_written_once():
+    written = {}
+    for name in FILES:
+        for node in ast.walk(_parse(name)):
+            if isinstance(node, ast.Constant) and node.value in SUITES:
+                written.setdefault(node.value, []).append(f"{name}:{node.lineno}")
+    assert {suite: len(places) for suite, places in written.items()} == \
+        dict.fromkeys(SUITES, 1), written
+    assert not any(place.startswith("cli.py:")
+                   for places in written.values() for place in places)
 
 
 @pytest.mark.parametrize("name", FILES)
