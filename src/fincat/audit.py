@@ -377,7 +377,8 @@ def run_audit(config: AuditConfig) -> dict:
             verdict, witnesses = suite.check(corpus, functors, config)
         entries[name] = {"verdict": verdict, "witnesses": witnesses}
     return {"config": {**asdict(config), "nno_max_size": NNO_MAX_SIZE,
-                       "suites": list(config.suites)}, "entries": entries}
+                       "suites": list(dict.fromkeys(config.suites))},
+            "entries": entries}
 
 
 def _parallel_pairs(functors):

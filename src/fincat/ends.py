@@ -35,12 +35,13 @@ checked by the components at its ends.
 
 The internal hom (limits.internal_hom) uses only levels 0 and 1: level 2 of a
 Segal category is the join of composable level-1 cells, so its composition is
-built from level 1 directly. A level-1 family is keyed by its source and
-target functors (Family.vertex) and its diagonal (Family.cell_key). The
-level-2 and level-3 ends stay available as the fidelity check that the join
-equals them. `brute_families` materialises the full product and filters by
-every equation; it is the literal equalizer, feasible only at tiny sizes, and
-the fidelity oracle for the solver. One naturality sweep (`_natural`) serves
+built from level 1 directly. A family's key is its eta0 tables, then its
+eta1 tables, in psi order (Family.key), and the hom numbers a level-1 family
+by its source and target functors' numbers and its diagonal. The level-2
+and level-3 ends stay available as the fidelity check that the join equals
+them. `brute_families` materialises the full product and filters by every
+equation; it is the literal equalizer, feasible only at tiny sizes, and the
+fidelity oracle for the solver. One naturality sweep (`_natural`) serves
 it and `check_family`, which differ only in where a slot table comes from.
 It reads each equation's two flat entries and theta from X's plan, where
 they are built on the first sweep because they read X's nerve
@@ -66,13 +67,9 @@ class Family:
         self.k = k
         self.eta0 = eta0  # dict psi -> tuple over X0
         self.eta1 = eta1  # dict psi -> tuple over X1
-        if k == 0:
-            self._key = self.vertex(0)
-        elif k == 1:
-            self._key = self.cell_key(self.vertex(0), self.vertex(1), eta1[(0, 1)])
-        else:
-            self._key = (tuple(eta0[p] for p in sorted(eta0))
-                         + tuple(eta1[p] for p in sorted(eta1)))
+        # the eta0 tables, then the eta1 tables, each in psi order
+        self._key = (tuple(map(eta0.__getitem__, sorted(eta0)))
+                     + tuple(map(eta1.__getitem__, sorted(eta1))))
 
     def key(self):
         return self._key
@@ -80,11 +77,6 @@ class Family:
     def vertex(self, t):
         """The level-0 key of the functor at vertex t: (object, arrow) tables."""
         return self.eta0[(t,)], self.eta1[(t, t)]
-
-    @staticmethod
-    def cell_key(source, target, diagonal):
-        """The level-1 key with these vertex keys and diagonal eta1[(0, 1)]."""
-        return source[0], target[0], source[1], diagonal, target[1]
 
     def table(self, x_cat: InternalCategory, y_cat: InternalCategory, n, psi):
         """The slot table at (n, psi), assembling levels 2 and 3 by spines."""

@@ -5,16 +5,17 @@ extensive coproducts, copowers, and internal homs via the simplicial end.
 The internal hom is computed by the end formula (see ends.py) as the
 definitional path: its objects and cells are the level-0 and level-1 ends, and
 its composition is the Segal join of composable cells, read off level 1
-without a level-2 search. A cell is keyed by its source and target functors
-and its diagonal, through Family.vertex and Family.cell_key; curry reads those
-keys straight off the tables of the functor it transposes, whose rows are
-slices of the chosen product's numbering (finset's `rows`), and the
-evaluation's rows are the families' tables (`join`). The carrier is
-certified by the components of its cells (validate_hom_carrier), in time
-linear in its composable pairs of cells. The product carrier x X and the
-evaluation functor are built, and the evaluation certified, only when first
-read. A count over `bound` raises SizeBound, whose message names its stage,
-the count and the bound (internal_hom lists the stages).
+without a level-2 search. A functor is keyed by its (object, arrow) tables
+(Family.vertex) and a cell by the numbers of its source and target functors
+and its diagonal; curry reads those keys straight off the tables of the
+functor it transposes, whose rows are slices of the chosen product's
+numbering (finset's `rows`), and the evaluation's rows are the families'
+tables (`join`). The carrier is certified by the components of its cells
+(validate_hom_carrier), in time linear in its composable pairs of cells. The
+product carrier x X and the evaluation functor are built, and the evaluation
+certified, only when first read. A count over `bound` raises SizeBound, whose
+message names its stage, the count and the bound (internal_hom lists the
+stages).
 
 The functor, cell and hom-category searches all live in naive.py, which shares
 with the end path only the error types and errors.Budget: enumerate_functors,
@@ -28,7 +29,7 @@ from functools import cached_property
 import math
 
 from . import finset
-from .ends import Family, end_families
+from .ends import end_families
 from .errors import CertificateFailure, DomainMismatch, SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
@@ -283,8 +284,10 @@ def copower_by_two(a: InternalCategory) -> CopowerByTwo:
 class InternalHom:
     """The hom [dom, cod]: its carrier, and the level-0 and level-1 end
     families that are the carrier's objects and cells, in index order, with
-    the carrier index of each family by its key (`family_index`), built by
-    internal_hom with the carrier.
+    the carrier index of each object and each cell by its key
+    (`family_index`), built by internal_hom with the carrier: an object's
+    key is its functor's (object, arrow) tables, and a cell's key is
+    (source index, target index, diagonal eta1[(0, 1)]).
 
     `prod` and `evaluation` are built the first time they are read, and the
     evaluation is certified then; SizeBound (stage "evaluation pairs") when
@@ -296,8 +299,8 @@ class InternalHom:
     level0: tuple            # Family objects for functors
     level1: tuple            # Family objects for cells
     bound: int
-    # key -> carrier index of each level-0 and each level-1 family; derived
-    # from level0 and level1, so it takes no part in equality or hashing
+    # key -> carrier index of each object and each cell; derived from level0
+    # and level1, so it takes no part in equality or hashing
     family_index: tuple = field(compare=False, repr=False)
 
     @cached_property
@@ -324,10 +327,10 @@ class InternalHom:
               h: InternalFunctor) -> InternalFunctor:
         """Transpose a functor Z x X -> Y (over the chosen product) to Z -> hom.
         h's tables are read by rows of the chosen product: an object z is
-        keyed by h's rows at z and at i(z), and an arrow c by its ends' keys
-        and h's row at c. DomainMismatch if prod_zx is not the chosen product
-        Z x X at both levels, or if a key is missing from the hom, which
-        happens only when h is not a functor."""
+        keyed by h's rows at z and at i(z), and an arrow c by its ends'
+        transposes and h's row at c. DomainMismatch if prod_zx is not the
+        chosen product Z x X at both levels, or if a key is missing from the
+        hom, which happens only when h is not a functor."""
         x, y = self.dom, self.cod
         if h.dom != prod_zx.category or h.cod != y:
             raise DomainMismatch("curry needs a functor Z x X -> Y")
@@ -336,12 +339,12 @@ class InternalHom:
             raise DomainMismatch("curry needs the chosen product Z x X")
         idx0, idx1 = self.family_index
         rows1 = l1.rows(h.f1.table)
-        vertices = list(zip(l0.rows(h.f0.table), map(rows1.__getitem__, z.i.table)))
         try:
-            f0 = tuple(map(idx0.__getitem__, vertices))
-            f1 = tuple(map(idx1.__getitem__, map(
-                Family.cell_key, map(vertices.__getitem__, z.d1.table),
-                map(vertices.__getitem__, z.d0.table), rows1)))
+            f0 = tuple(map(idx0.__getitem__, zip(
+                l0.rows(h.f0.table), map(rows1.__getitem__, z.i.table))))
+            f1 = tuple(map(idx1.__getitem__, zip(
+                map(f0.__getitem__, z.d1.table), map(f0.__getitem__, z.d0.table),
+                rows1)))
         except KeyError as exc:
             raise DomainMismatch("curry needs a functor Z x X -> Y: a transpose "
                                  "is not in the hom") from exc
@@ -425,21 +428,20 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
         for p, cp in objects.items() for q, cq in objects.items())
     SizeBound.check(components, bound, "component tables", "component tables")
     hom1 = tuple(end_families(x, y, 1, bound))
-    idx0, idx1 = family_index = tuple({f.key(): i for i, f in enumerate(fams)}
-                                      for fams in (hom0, hom1))
-    sources = [f.vertex(0) for f in hom1]
-    targets = [f.vertex(1) for f in hom1]
+    idx0 = {f.key(): i for i, f in enumerate(hom0)}
     diagonals = [f.eta1[(0, 1)] for f in hom1]
     # hom indices read off idx0 and idx1, so in range by construction
     c0, c1, trusted = FinObj(len(hom0)), FinObj(len(hom1)), FinMap._trusted
-    d0 = trusted(c1, c0, tuple(map(idx0.__getitem__, targets)))
-    d1 = trusted(c1, c0, tuple(map(idx0.__getitem__, sources)))
+    d0 = trusted(c1, c0, tuple(idx0[f.vertex(1)] for f in hom1))
+    d1 = trusted(c1, c0, tuple(idx0[f.vertex(0)] for f in hom1))
     SizeBound.check(count_pairs(d0.table, d1.table), bound, "cell pairs",
                     "composable pairs of cells")
+    idx1 = {cell: c for c, cell in enumerate(zip(d1.table, d0.table, diagonals))}
     # the composite of u after v at an arrow a: p -> q of x is u at q after
     # v's diagonal at a; its source is v's and its target u's
     at_target = tuple(x.i.table[q] for q in x.d0.table)
     y_pair, y_m = y.pairs.index, y.m.table
+    src, tgt = d1.table, d0.table
 
     def join(pairs):
         table = []
@@ -447,17 +449,17 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
             u_diag, v_diag = diagonals[cu], diagonals[cv]
             diag = tuple(y_m[y_pair[(u_diag[t], v_diag[a])]]
                          for a, t in enumerate(at_target))
-            table.append(idx1[Family.cell_key(sources[cv], targets[cu], diag)])
+            table.append(idx1[(src[cv], tgt[cu], diag)])
         return trusted(pairs.apex, c1, tuple(table))
 
     try:
-        i = trusted(c0, c1, tuple(idx1[Family.cell_key(v, v, v[1])]
-                                  for v in (f.vertex(0) for f in hom0)))
+        i = trusted(c0, c1, tuple(idx1[(o, o, f.eta1[(0, 0)])]
+                                  for o, f in enumerate(hom0)))
         carrier = InternalCategory.with_composition(c0, c1, d0, d1, i, join)
     except KeyError as exc:
         raise CertificateFailure(
             f"hom cell join missing from level 1: {exc.args[0]}") from exc
-    ih = InternalHom(carrier, x, y, hom0, hom1, bound, family_index)
+    ih = InternalHom(carrier, x, y, hom0, hom1, bound, (idx0, idx1))
     validate_hom_carrier(ih).certify("hom carrier")
     return ih
 

@@ -337,6 +337,11 @@ def test_each_suite_alone_gives_its_default_entry(seed):
                    for other in SUITES if other != name), name
 
 
+def test_selected_suites_are_listed_once_in_the_order_first_given():
+    report = run_audit(AuditConfig(corpus_size=0, suites=("nno", "boolean", "nno")))
+    assert report["config"]["suites"] == ["nno", "boolean"]
+
+
 def test_unknown_suite_is_refused_before_the_corpus(monkeypatch):
     from fincat import audit
 

@@ -374,6 +374,16 @@ def test_cli_audit_suite_selection(capsys):
     assert "invalid choice: 'nosuch'" in capsys.readouterr().err
 
 
+def test_cli_audit_repeated_suite_is_listed_once(capsys):
+    # a suite given twice runs once and is listed once, so the report and
+    # the exit code are those of the suite given once
+    once = ["audit", "--suite", "boolean", "--format", "structured"]
+    want = main(once), capsys.readouterr().out
+    assert main(once + ["--suite", "boolean"]) == want[0]
+    assert capsys.readouterr().out == want[1]
+    assert json.loads(want[1])["config"]["suites"] == ["boolean"]
+
+
 def test_cli_builds_its_parser_once_and_suites_do_not_accumulate(monkeypatch,
                                                                   capsys):
     built = []

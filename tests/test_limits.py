@@ -143,10 +143,12 @@ def test_internal_hom_higher_levels_match_end(corpus):
 def _level_two_m(ih, x, y):
     """Composition read off the level-2 end: each family's edges (1, 2) and
     (0, 1) compose to its edge (0, 2), and the Segal map is a bijection."""
-    idx1 = {f.key(): i for i, f in enumerate(ih.level1)}
+    idx0 = {f.key(): i for i, f in enumerate(ih.level0)}
 
     def edge_key(fam, s, t):
-        return Family.cell_key(fam.vertex(s), fam.vertex(t), fam.eta1[(s, t)])
+        return idx0[fam.vertex(s)], idx0[fam.vertex(t)], fam.eta1[(s, t)]
+
+    idx1 = {edge_key(f, 0, 1): i for i, f in enumerate(ih.level1)}
 
     seen = {}
     for fam in end_families(x, y, 2):
@@ -574,6 +576,23 @@ def test_end_families_steps_and_order_unchanged(corpus, counted):
     assert got == _END_DIGESTS
 
 
+# a digest of the hom's numbering, the carrier's (d0, d1, i, m), over every
+# ordered pair of corpus members with at most 3 arrows and then (21, 20),
+# recorded before the hom keyed its cells by (source, target, diagonal)
+_HOM_DIGEST = "22e7618263a073b3289eb419c73b55fe4b05189e9bd2ef414017da861113c97d"
+
+
+def test_hom_numbering_unchanged(corpus):
+    small = [c for c in corpus if c.C1.size <= 3]
+    pairs = [(x, y) for x in small for y in small] + [(corpus[21], corpus[20])]
+    assert len(pairs) == 325
+    tables = []
+    for x, y in pairs:
+        c = internal_hom(x, y).carrier
+        tables.append((c.d0.table, c.d1.table, c.i.table, c.m.table))
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == _HOM_DIGEST
+
+
 def _fresh(c):
     """An equal copy of c with none of its derived data built."""
     return InternalCategory(c.C0, c.C1, c.d0, c.d1, c.i, c.m)
@@ -951,18 +970,22 @@ def _reference_curry(ih, z, prod_zx, h):
             tuple(idx1[family_for(c, 1).key()] for c in range(z.C1.size)))
 
 
-def test_cell_key_is_the_level_one_key(corpus):
+def test_family_key_and_the_hom_cell_index(corpus):
+    # a family's key is its eta0 tables, then its eta1 tables, in psi order;
+    # the hom keys a cell by (source index, target index, diagonal)
     for x in corpus[:8]:
         for y in corpus[:8]:
-            try:
-                level1 = end_families(x, y, 1, 10 ** 5)
-            except SizeBound:
-                continue
-            for fam in level1:
-                assert fam.key() == Family.cell_key(fam.vertex(0), fam.vertex(1),
-                                                    fam.eta1[(0, 1)])
-            for fam in end_families(x, y, 0, 10 ** 5):
+            ih = internal_hom(x, y, 10 ** 5)
+            for fam in ih.level0:
                 assert fam.key() == fam.vertex(0)
+            for fam in ih.level1:
+                eta0, eta1 = fam.eta0, fam.eta1
+                assert fam.key() == (eta0[(0,)], eta0[(1,)], eta1[(0, 0)],
+                                     eta1[(0, 1)], eta1[(1, 1)])
+            d0, d1 = ih.carrier.d0.table, ih.carrier.d1.table
+            assert ih.family_index[1] == {(d1[c], d0[c], fam.eta1[(0, 1)]): c
+                                          for c, fam in enumerate(ih.level1)}
+            assert len(ih.family_index[1]) == ih.carrier.C1.size
 
 
 def test_curry_matches_the_family_reference(corpus):
