@@ -74,6 +74,13 @@ class Family:
     def key(self):
         return self._key
 
+    def __eq__(self, other):
+        return (isinstance(other, Family) and self.k == other.k
+                and self._key == other._key)
+
+    def __hash__(self):
+        return hash((self.k, self._key))
+
     def vertex(self, t):
         """The level-0 key of the functor at vertex t: (object, arrow) tables."""
         return self.eta0[(t,)], self.eta1[(t, t)]

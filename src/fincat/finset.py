@@ -8,14 +8,16 @@ after construction and every operation is a pure function.
 Maps built by callers or parsed from input go through the public FinMap
 constructor, which checks the table's length and range. The maps this module
 builds in range by construction skip those checks: `identity`, `compose`,
-every limit projection and `ChosenLimit.mediate`. A limit is stored as its
-projections; its `tuples` and `index` are built on first read. The chosen
-product numbers (x, y) as x·|B| + y, so its projections and `mediate` are
-arithmetic, and a table over A x B is |A| rows of width |B|. The product's
-`rows` and `join` are the one reader of that numbering: `rows` cuts a table
-into its rows and `join` concatenates rows back, and `is_product` says
-whether a limit is the chosen product of two given sets, so that its tables
-may be read by rows.
+every limit projection and coproduct injection, `ChosenLimit.mediate` and
+`copair`. A limit is stored as its projections; its `tuples` and `index` are
+built on first read. The chosen product numbers (x, y) as x·|B| + y, so its
+projections and `mediate` are arithmetic, and a table over A x B is |A| rows
+of width |B|. The product's `rows` and `join` are the one reader of that
+numbering: `rows` cuts a table into its rows and `join` concatenates rows
+back, and `is_product` says whether a limit is the chosen product of two
+given sets, so that its tables may be read by rows. The chosen coproduct
+A + B numbers A's elements first, and `copair`, which concatenates the
+tables of the two cases, is the one reader of that numbering.
 
 Determinism conventions:
   * chosen-limit apexes enumerate solution tuples lexicographically,
@@ -262,21 +264,16 @@ def equalizer(f: FinMap, g: FinMap) -> ChosenLimit:
 def coproduct(a: FinObj, b: FinObj):
     """Disjoint union with a's elements first; returns (object, inj0, inj1)."""
     obj = FinObj(a.size + b.size)
-    inj0 = FinMap(a, obj, tuple(range(a.size)))
-    inj1 = FinMap(b, obj, tuple(range(a.size, a.size + b.size)))
-    return obj, inj0, inj1
+    return (obj, _trusted(a, obj, tuple(range(a.size))),
+            _trusted(b, obj, tuple(range(a.size, obj.size))))
 
 
-def copair(f: FinMap, g: FinMap, obj: FinObj, inj0: FinMap, inj1: FinMap) -> FinMap:
-    """The map out of a coproduct given by cases."""
+def copair(f: FinMap, g: FinMap) -> FinMap:
+    """The map out of the chosen coproduct f.dom + g.dom that is f on the
+    first summand and g on the second: f's table followed by g's."""
     if f.cod.size != g.cod.size:
         raise DomainMismatch("copairing needs a common codomain")
-    table = [0] * obj.size
-    for x in range(f.dom.size):
-        table[inj0.table[x]] = f.table[x]
-    for y in range(g.dom.size):
-        table[inj1.table[y]] = g.table[y]
-    return FinMap(obj, f.cod, tuple(table))
+    return _trusted(FinObj(f.dom.size + g.dom.size), f.cod, f.table + g.table)
 
 
 class _UnionFind:

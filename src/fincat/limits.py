@@ -112,36 +112,29 @@ class CoproductCone:
     inj1: InternalFunctor
 
     def copair(self, p: InternalFunctor, q: InternalFunctor) -> InternalFunctor:
-        if p.cod != q.cod:
-            raise DomainMismatch("copairing needs a common codomain")
-        c = self.category
-        f0 = finset.copair(p.f0, q.f0, c.C0, self.inj0.f0, self.inj1.f0)
-        f1 = finset.copair(p.f1, q.f1, c.C1, self.inj0.f1, self.inj1.f1)
-        return InternalFunctor(c, p.cod, f0, f1)
+        """The functor that is p on the first summand and q on the second."""
+        if p.dom != self.inj0.dom or q.dom != self.inj1.dom or p.cod != q.cod:
+            raise DomainMismatch("copairing needs a leg out of each summand, "
+                                 "in order, into a common codomain")
+        return InternalFunctor(self.category, p.cod, finset.copair(p.f0, q.f0),
+                               finset.copair(p.f1, q.f1))
 
 
 def coproduct_cat(a: InternalCategory, b: InternalCategory) -> CoproductCone:
-    """Levelwise disjoint union, a's elements first."""
+    """Levelwise disjoint union: each structure map is the copair of a's and
+    b's through the injections; so is m, as the chosen pullback of (d1, d0)
+    lists a's composable pairs, then b's (no arrow of a composes with b's)."""
     c0, i00, i01 = finset.coproduct(a.C0, b.C0)
     c1, i10, i11 = finset.coproduct(a.C1, b.C1)
-    d0 = finset.copair(compose(i00, a.d0), compose(i01, b.d0), c1, i10, i11)
-    d1 = finset.copair(compose(i00, a.d1), compose(i01, b.d1), c1, i10, i11)
-    i = finset.copair(compose(i10, a.i), compose(i11, b.i), c0, i00, i01)
-    na = a.C1.size
 
-    def composition(pairs):
-        table = []
-        for u, v in pairs.tuples:
-            if u < na:
-                table.append(i10.table[a.comp(u, v)])
-            else:
-                table.append(i11.table[b.comp(u - na, v - na)])
-        return FinMap(pairs.apex, c1, tuple(table))
+    def copair(i, j, f, g):
+        return finset.copair(compose(i, f), compose(j, g))
 
-    cat = InternalCategory.with_composition(c0, c1, d0, d1, i, composition)
-    inj0 = InternalFunctor(a, cat, i00, i10)
-    inj1 = InternalFunctor(b, cat, i01, i11)
-    return CoproductCone(cat, inj0, inj1)
+    cat = InternalCategory.with_composition(
+        c0, c1, copair(i00, i01, a.d0, b.d0), copair(i00, i01, a.d1, b.d1),
+        copair(i10, i11, a.i, b.i), lambda _pairs: copair(i10, i11, a.m, b.m))
+    return CoproductCone(cat, InternalFunctor(a, cat, i00, i10),
+                         InternalFunctor(b, cat, i01, i11))
 
 
 def _build_free_arrow() -> InternalCategory:

@@ -111,6 +111,8 @@ def _require(doc, field, kind=None):
 def parse_obj_doc(doc, field="set"):
     _object(doc, field)
     size = _require(doc, "size", int)
+    if size < 0:
+        raise ParseError("must be at least 0", field=f"{field}.size")
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != size:

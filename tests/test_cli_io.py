@@ -5,10 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from fincat import cli, naive, serialize
+from fincat import audit, cli, naive, serialize
 from fincat.cli import main
 from fincat.corpus import (CorpusSpec, generate_corpus, generate_functor_corpus,
                            monoid_delooping)
@@ -228,6 +229,27 @@ def test_cli_bool_table_entry_is_input_error(tmp_path):
                                  "table": [True]})
 
 
+def test_cli_negative_size_is_input_error(tmp_path, capsys):
+    doc = {"C0": {"size": -1}, "C1": {"size": 0}, "d0": [], "d1": [], "i": [],
+           "m": []}
+    assert main(["validate", _write(tmp_path, "neg.json", json.dumps(doc))]) == 2
+    assert capsys.readouterr().err == \
+        "input error: category.C0.size: must be at least 0\n"
+    with pytest.raises(ParseError) as err:
+        serialize.parse('{"size": -2}')
+    assert err.value.field == "set.size"
+
+
+def test_cli_non_json_and_lawless_functor_are_input_errors(tmp_path, capsys):
+    assert main(["validate", _write(tmp_path, "text.json", "not json")]) == 2
+    assert capsys.readouterr().err.startswith("input error: not valid JSON")
+    # the free arrow's arrow sent to an identity: well-formed, not a functor
+    doc = json.loads(serialize.serialize_functor(id_functor(free_arrow())))
+    doc["f1"] = [0, 1, 0]
+    assert main(["classify", _write(tmp_path, "f.json", json.dumps(doc))]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 @pytest.mark.parametrize("kind", ["missing", "non_utf8", "directory",
                                   "deep_nesting"])
 def test_cli_unreadable_input_is_input_error(kind, tmp_path, capsys):
@@ -382,6 +404,16 @@ def test_cli_audit_repeated_suite_is_listed_once(capsys):
     assert main(once + ["--suite", "boolean"]) == want[0]
     assert capsys.readouterr().out == want[1]
     assert json.loads(want[1])["config"]["suites"] == ["boolean"]
+
+
+def test_cli_audit_unexpected_verdict_exits_one(monkeypatch, capsys):
+    monkeypatch.setitem(audit.SUITES, "boolean",
+                        replace(audit.SUITES["boolean"],
+                                check=lambda corpus, functors, config:
+                                ("refuted", {})))
+    assert main(["audit", "--suite", "boolean", "--format", "structured"]) == 1
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert entries["boolean"]["verdict"] == "refuted"
 
 
 def test_cli_builds_its_parser_once_and_suites_do_not_accumulate(monkeypatch,

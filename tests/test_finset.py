@@ -88,6 +88,21 @@ def test_coproduct_sizes_and_injections():
     assert inj1.table == (2, 3, 4)
 
 
+def test_copair_is_one_concatenation_over_the_chosen_coproduct():
+    rng = random.Random(30)
+    for a_s, b_s, c_s in iproduct(range(4), range(4), range(1, 3)):
+        a, b, c = FinObj(a_s), FinObj(b_s), FinObj(c_s)
+        f = FinMap(a, c, tuple(rng.randrange(c_s) for _ in range(a_s)))
+        g = FinMap(b, c, tuple(rng.randrange(c_s) for _ in range(b_s)))
+        obj, inj0, inj1 = finset.coproduct(a, b)
+        h = finset.copair(f, g)
+        assert (h.dom, h.cod, h.table) == (obj, c, f.table + g.table)
+        assert compose(h, inj0).table == f.table
+        assert compose(h, inj1).table == g.table
+    with pytest.raises(DomainMismatch, match="common codomain"):
+        finset.copair(identity(FinObj(2)), identity(FinObj(3)))
+
+
 def test_coequalizer_of_identities():
     q_obj, q = finset.coequalizer(identity(FinObj(3)), identity(FinObj(3)))
     assert q_obj.size == 3

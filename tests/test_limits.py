@@ -14,17 +14,18 @@ import pytest
 
 from fincat import ends, finset, naive
 from fincat.audit import diagonal_equaliser_holds
-from fincat.corpus import category_from_tables, monoid_delooping
+from fincat.corpus import (CorpusSpec, category_from_tables, generate_corpus,
+                           monoid_delooping)
 from fincat.ends import Family, brute_families, check_family, end_families
 from fincat.errors import CertificateFailure, DomainMismatch, SizeBound
 from fincat.finset import FinMap, FinObj, identity
 from fincat.internal import (InternalCategory, compose_functors, id_functor,
                              monotone_maps, validate_category, validate_functor)
-from fincat.limits import (HomCategory, coproduct_cat, copower_by_two,
-                           enumerate_cells, enumerate_functors, free_arrow,
-                           hom_category, hom_iso_with_oracle, internal_hom,
-                           power_by_two, product_cat, pullback_cat,
-                           terminal_cat, validate_hom_carrier)
+from fincat.limits import (HomCategory, constant_functor, coproduct_cat,
+                           copower_by_two, enumerate_cells, enumerate_functors,
+                           free_arrow, hom_category, hom_iso_with_oracle,
+                           internal_hom, power_by_two, product_cat,
+                           pullback_cat, terminal_cat, validate_hom_carrier)
 from fincat.transfer import disc, indisc
 
 
@@ -270,6 +271,42 @@ def test_hom_certificate_rejects_merged_cells():
         report.certify("hom carrier")
 
 
+def _with_diagonal(ih, cell, diag):
+    """ih with the diagonal eta1[(0, 1)] of one cell replaced."""
+    fam = ih.level1[cell]
+    bad = Family(fam.k, fam.eta0, {**fam.eta1, (0, 1): tuple(diag)})
+    return replace(ih, level1=ih.level1[:cell] + (bad,) + ih.level1[cell + 1:])
+
+
+def test_hom_certificate_rejects_a_component_out_of_its_hom():
+    # one cell's component at an object of the free arrow, read off its
+    # diagonal at that object's identity, moved to an arrow of y with
+    # another target
+    x, y = free_arrow(), indisc(FinObj(2))
+    ih = internal_hom(x, y)
+    cell = next(c for c in range(ih.carrier.C1.size)
+                if c not in ih.carrier.i.table)
+    diag = list(ih.level1[cell].eta1[(0, 1)])
+    at = x.i.table[0]
+    diag[at] = next(b for b in range(y.C1.size)
+                    if y.d0.table[b] != y.d0.table[diag[at]])
+    report = validate_hom_carrier(_with_diagonal(ih, cell, diag))
+    assert [v.axiom for v in report.violations] == ["cell-components"]
+    assert report.violations[0].witness == cell
+
+
+def test_homs_compare_and_hash_by_value():
+    two = free_arrow()
+    a, b = internal_hom(two, two), internal_hom(two, two)
+    assert a is not b and a.carrier == b.carrier
+    assert a == b and hash(a) == hash(b)
+    assert a.level1[0] == b.level1[0] and a.level1[0] != a.level1[1]
+    # the hom with one cell's diagonal changed is another value
+    diag = list(a.level1[0].eta1[(0, 1)])
+    diag[0] = next(u for u in range(two.C1.size) if u != diag[0])
+    assert _with_diagonal(a, 0, diag) != a
+
+
 def test_corrupted_evaluation_fails_on_first_read():
     # one cell's diagonal at the free arrow's non-identity arrow is sent to
     # an arrow of y with another target
@@ -278,14 +315,10 @@ def test_corrupted_evaluation_fails_on_first_read():
     ih = internal_hom(two, y)
     cell = next(c for c, fam in enumerate(ih.level1)
                 if fam.eta0[(0,)] != fam.eta0[(1,)])
-    fam = ih.level1[cell]
-    diag = list(fam.eta1[(0, 1)])
+    diag = list(ih.level1[cell].eta1[(0, 1)])
     diag[2] = next(b for b in range(y.C1.size)
                    if y.d0.table[b] != y.d0.table[diag[2]])
-    eta1 = dict(fam.eta1)
-    eta1[(0, 1)] = tuple(diag)
-    bad_fam = Family(fam.k, dict(fam.eta0), eta1)
-    bad = replace(ih, level1=ih.level1[:cell] + (bad_fam,) + ih.level1[cell + 1:])
+    bad = _with_diagonal(ih, cell, diag)
     assert validate_functor(ih.evaluation).ok
     with pytest.raises(CertificateFailure, match="evaluation"):
         bad.evaluation
@@ -442,33 +475,58 @@ def test_component_tables_bound_the_cells(corpus):
     assert refused >= 2
 
 
-def test_over_budget_level_one_refused_by_its_component_tables(corpus):
+@pytest.fixture
+def end_levels(monkeypatch):
+    """The level k of every end_families call that internal_hom makes."""
+    import fincat.limits as limits
+    real, levels = limits.end_families, []
+
+    def recorded(x, y, k, bound):
+        levels.append(k)
+        return real(x, y, k, bound)
+
+    monkeypatch.setattr(limits, "end_families", recorded)
+    return levels
+
+
+# the refusals below are timed in CPU time, which a loaded machine does not
+# stretch the way it stretches wall-clock time
+
+
+def test_over_budget_level_one_refused_by_its_component_tables(corpus,
+                                                                end_levels):
     for i, j in [(10, 4), (10, 9)]:
         a, b = corpus[i], corpus[j]
-        start = time.perf_counter()
+        end_levels.clear()
+        start = time.process_time()
         with pytest.raises(SizeBound) as err:
             internal_hom(a, b, 10 ** 6)
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         assert elapsed < 0.1, (i, j, elapsed)
         assert (err.value.stage, err.value.steps, err.value.bound) == \
             ("component tables", 16_777_216, 10 ** 6)
         assert "component tables" in str(err.value)
+        # refused before the level-1 end starts
+        assert end_levels == [0], (i, j)
 
 
-def test_oversize_functor_pairs_refused_before_their_component_tables():
+def test_oversize_functor_pairs_refused_before_their_component_tables(
+        end_levels):
     # disc n -> disc m has m^n functors but only m^n component tables: a
     # pair of distinct functors has none, yet counting them, or starting
     # the level-1 end, runs over every pair. disc 2 -> disc 40 (2,560,000
     # pairs) has a cheap level-0 end; disc 4 -> disc 10 (10^8 pairs) spends
     # its time in the level-0 end
     for n, m, limit in [(2, 40, 0.1), (4, 10, 1.0)]:
-        start = time.perf_counter()
+        end_levels.clear()
+        start = time.process_time()
         with pytest.raises(SizeBound) as err:
             internal_hom(disc(FinObj(n)), disc(FinObj(m)), 10 ** 6)
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         assert elapsed < limit, (n, m, elapsed)
         assert (err.value.stage, err.value.steps, err.value.bound) == \
             ("functor pairs", m ** (2 * n), 10 ** 6)
+        assert end_levels == [0], (n, m)
 
 
 def test_level_one_end_steps_once_per_pair_of_functors(counted):
@@ -670,6 +728,56 @@ def test_coproduct_free_arrow_indisc():
     cop = coproduct_cat(free_arrow(), indisc(FinObj(2)))
     assert validate_category(cop.category).ok
     assert (cop.category.C0.size, cop.category.C1.size) == (4, 7)
+
+
+def _coproduct_pairs(corpus):
+    """(a, b, a + b) over the ordered pairs of corpus[:12], for the corpora
+    of seeds 1, 2, 3 and 7."""
+    corpora = [generate_corpus(CorpusSpec(seed=s)) for s in (1, 2, 3)]
+    for members in corpora + [corpus]:
+        for a in members[:12]:
+            for b in members[:12]:
+                yield a, b, coproduct_cat(a, b)
+
+
+# a digest of coproduct_cat's tables (d0, d1, i, m and both injections) over
+# _coproduct_pairs, recorded before m was built as a copair
+_COPRODUCT_DIGEST = "c7322b414380a3d64f425451333967d576022fdbec43ed18db020387d04fa3c8"
+
+
+def test_coproduct_tables_unchanged(corpus):
+    tables = []
+    for _a, _b, cop in _coproduct_pairs(corpus):
+        c = cop.category
+        tables.append((c.d0.table, c.d1.table, c.i.table, c.m.table,
+                       cop.inj0.f0.table, cop.inj0.f1.table,
+                       cop.inj1.f0.table, cop.inj1.f1.table))
+    assert len(tables) == 576
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == _COPRODUCT_DIGEST
+
+
+def test_coproduct_pairs_are_the_summands_pairs(corpus):
+    # why m is a copair: a's composable pairs, then b's shifted past a's arrows
+    for a, b, cop in _coproduct_pairs(corpus):
+        na = a.C1.size
+        assert cop.category.pairs.tuples == a.pairs.tuples + tuple(
+            (u + na, v + na) for u, v in b.pairs.tuples)
+
+
+def test_copair_needs_a_leg_out_of_each_summand():
+    two, one = free_arrow(), terminal_cat()
+    cop = coproduct_cat(two, two)
+    # a leg out of the terminal category is not a leg out of the free arrow
+    with pytest.raises(DomainMismatch, match="each summand"):
+        cop.copair(constant_functor(one, two, 1), id_functor(two))
+    with pytest.raises(DomainMismatch, match="each summand"):
+        cop.copair(id_functor(two), constant_functor(one, two, 1))
+    cop = coproduct_cat(one, two)
+    with pytest.raises(DomainMismatch, match="each summand"):
+        cop.copair(id_functor(two), constant_functor(one, two, 1))
+    legs = cop.copair(constant_functor(one, two, 1), id_functor(two))
+    assert validate_functor(legs).ok
+    assert (legs.f0.table, legs.f1.table) == ((1, 0, 1), (1, 0, 1, 2))
 
 
 def test_free_arrow_shape():
