@@ -12,19 +12,18 @@ X_n -> Y_n, and the equations say
 for every monotone theta: [m] -> [n] and psi: [n] -> [k].
 
 Everything that depends on X and k alone is X's level-k plan (`EndPlan`):
-the slots in one order, the flat layout of their tables, the search's cell
-order and each cell's flat indices, and the sweep's equation indices. X owns
-its plans, one per k, built on first use and kept on the category
-(`InternalCategory.end_plans`), so the search, the sweep and the literal
-equalizer out of X read one plan. The solver enumerates the level-0 and
-level-1 slot tables entry by entry, in the plan's order, writing one flat
-list. The endpoint and degeneracy equations limit each entry's candidates.
-Each composition instance is checked once, inline through Y's pairs index
-and composition table, at the entry that completes it in that order, and an
-entry is forced by the first instance whose two factors come before it.
-Slots at levels 2 and 3 are then assembled by spines and the assembled
-family is checked. Solutions are returned in the lexicographic order of the
-ambient product encoding, and `budget` caps the search steps.
+the slots at levels 0 and 1 in one order, the flat layout of their tables,
+the search's cell order and each cell's flat indices, and the cylinder
+[k] x X that the naturality check reads. X owns its plans, one per k, built
+on first use and kept on the category (`InternalCategory.end_plans`), so the
+search and the check out of X read one plan. The solver enumerates the
+level-0 and level-1 slot tables entry by entry, in the plan's order, writing
+one flat list. The endpoint and degeneracy equations limit each entry's
+candidates. Each composition instance is checked once, inline through Y's
+pairs index and composition table, at the entry that completes it in that
+order, and an entry is forced by the first instance whose two factors come
+before it. Solutions are returned in the lexicographic order of the ambient
+product encoding, and `budget` caps the search steps.
 
 The functor at each vertex t <= k is a level-0 solution, so the search runs
 the t = 0 block (the level-0 search) once, copies each (k + 1)-tuple of its
@@ -37,25 +36,25 @@ The internal hom (limits.internal_hom) uses only levels 0 and 1: level 2 of a
 Segal category is the join of composable level-1 cells, so its composition is
 built from level 1 directly. A family's key is its eta0 tables, then its
 eta1 tables, in psi order (Family.key), and the hom numbers a level-1 family
-by its source and target functors' numbers and its diagonal. The level-2
-and level-3 ends stay available as the fidelity check that the join equals
-them. `brute_families` materialises the full product and filters by every
-equation; it is the literal equalizer, feasible only at tiny sizes, and the
-fidelity oracle for the solver. One naturality sweep (`_natural`) serves
-it and `check_family`, which differ only in where a slot table comes from.
-It reads each equation's two flat entries and theta from X's plan, where
-they are built on the first sweep because they read X's nerve
-(`EndPlan.sweep`), and Y's action tables in the sweep's theta order
-(`Nerve.sweep_tables`). It concatenates the family's slot tables into one
-flat list, refusing a table with an entry outside Y_n, and compares every
-equation through C-level maps, stopping at the first that fails.
+by its source and target functors' numbers and its diagonal.
+
+A category's nerve is determined by its levels 0 to 2 (it is 2-coskeletal),
+so a level-k family is natural at every level up to 3 exactly when its
+tables form a functor [k] x X -> Y, for [k] the ordinal (`ordinal`).
+`check_family` joins the eta0 tables in psi order into the object table
+over the chosen product [k] x X, whose row t holds the objects at vertex t,
+and the eta1 tables into its arrow table, whose row psi holds the arrows over
+psi: [1] -> [k], and certifies that functor with `validate_functor`. The
+level-2 and level-3 ends stay available; the tests check every level against
+the naive functor search on [k] x X.
 """
 
 from itertools import accumulate, product as iproduct
-from operator import eq, getitem
 
-from .errors import Budget, SizeBound
-from .internal import InternalCategory, monotone_maps, sweep_thetas
+from .errors import Budget
+from .finset import FinMap
+from .internal import (InternalCategory, InternalFunctor, monotone_maps, ordinal,
+                       validate_functor)
 
 
 class Family:
@@ -85,30 +84,16 @@ class Family:
         """The level-0 key of the functor at vertex t: (object, arrow) tables."""
         return self.eta0[(t,)], self.eta1[(t, t)]
 
-    def table(self, x_cat: InternalCategory, y_cat: InternalCategory, n, psi):
-        """The slot table at (n, psi), assembling levels 2 and 3 by spines."""
-        psi = tuple(psi)
-        if n == 0:
-            return self.eta0[psi]
-        if n == 1:
-            return self.eta1[psi]
-        xn, simplex = x_cat.nerve, y_cat.nerve.simplex
-        v0 = self.eta0[(psi[0],)]
-        cols = [self.eta1[(psi[j - 1], psi[j])] for j in range(1, n + 1)]
-        return tuple(simplex(v0[first], [col[a] for col, a in zip(cols, sp)])
-                     for first, sp in zip(xn.first[n], xn.spines[n]))
-
 
 class EndPlan:
     """The plan of the level-k end out of X: what its search and its
-    naturality sweep read that depends on X and k alone.
+    naturality check read that depends on X and k alone.
 
-    `slots` lists every slot (n, psi), psi: [n] -> [k], n <= 3, once; a
-    family's slot tables, concatenated in this order, form one flat list.
-    The search writes the first `size` entries of it: the tables eta0[(t,)]
-    over X0 for t <= k, then eta1[psi] over X1 for psi: [1] -> [k], at the
-    slices in `rows0` and `rows1`. The functor at vertex t is copied into the
-    rows `vertex_rows[t]` of eta0[(t,)] and eta1[(t, t)]. `cells` lists the
+    A family's slot tables at levels 0 and 1, concatenated in psi order,
+    form one flat list of `size` entries: the tables eta0[(t,)] over X0 for
+    t <= k, then eta1[psi] over X1 for psi: [1] -> [k], at the slices in
+    `rows0` and `rows1`. The functor at vertex t is copied into the rows
+    `vertex_rows[t]` of eta0[(t,)] and eta1[(t, t)]. `cells` lists the
     cells in assignment order, the first `block` of them the t = 0 block,
     each as flat indices (entry, source, target, identity, forced, completes):
 
@@ -122,29 +107,28 @@ class EndPlan:
       * completes: the instances (u, v, uv) whose last cell it is, checked
         as m_Y(eta[u], eta[v]) = eta[uv] once the cell is set.
 
-    The sweep's indices read X's nerve, which the search never builds, so
-    they are None until the first sweep (`sweep`). For each equation
-    eta[m, psi . theta][X_theta(s)] = Y_theta(eta[n, psi][s]), in the order
-    (n, m, theta, psi, s), `low` and `top` hold the flat indices of its two
-    entries and `theta_ids` the place of theta in `sweep_thetas()`."""
+    `cylinder` is the chosen product [k] x X (a `limits.LimitCone`), whose
+    row t of objects is the slice of eta0[(t,)] and row psi of arrows that
+    of eta1[psi]; the search never reads it, so it is None until the first
+    `check_family` out of X at level k."""
 
-    __slots__ = ("slots", "size", "rows0", "rows1", "vertex_rows", "block",
-                 "cells", "low", "top", "theta_ids")
+    __slots__ = ("size", "rows0", "rows1", "vertex_rows", "block", "cells",
+                 "cylinder")
 
     def __init__(self, x_cat: InternalCategory, k: int):
         x0, x1 = x_cat.C0.size, x_cat.C1.size
         d0, d1 = x_cat.d0.table, x_cat.d1.table
-        self.slots = tuple((n, psi) for n in range(4) for psi in monotone_maps(n, k))
         # a slot's psi has n + 1 values, so psi alone names the slot
-        widths = [(psi, (x0, x1)[n]) for n, psi in self.slots if n <= 1]
+        widths = ([(psi, x0) for psi in monotone_maps(0, k)]
+                  + [(psi, x1) for psi in monotone_maps(1, k)])
         offset = dict(zip((psi for psi, _w in widths),
                           accumulate((w for _psi, w in widths), initial=0)))
         rows = {psi: slice(offset[psi], offset[psi] + w) for psi, w in widths}
         self.size = sum(w for _psi, w in widths)
-        self.rows0 = tuple((psi, rows[psi]) for n, psi in self.slots if n == 0)
-        self.rows1 = tuple((psi, rows[psi]) for n, psi in self.slots if n == 1)
+        self.rows0 = tuple((psi, rows[psi]) for psi in monotone_maps(0, k))
+        self.rows1 = tuple((psi, rows[psi]) for psi in monotone_maps(1, k))
         self.vertex_rows = tuple((rows[(t,)], rows[(t, t)]) for t in range(k + 1))
-        self.low = self.top = self.theta_ids = None
+        self.cylinder = None
         degenerate = {x_cat.i.table[x]: x for x in range(x0)}
 
         # assignment order: the t = 0 functor block, then the jump slots with
@@ -194,25 +178,6 @@ class EndPlan:
             cells.append((entry, offset[(s,)] + d1[elem], offset[(t,)] + d0[elem],
                           identity, forced_by.get(entry), tuple(checks)))
         self.cells = tuple(cells)
-
-    def sweep(self, x_cat: InternalCategory):
-        """(low, top, theta_ids), built on the first call by extending the
-        search's offsets over the slots at levels 2 and 3 of X's nerve."""
-        if self.low is None:
-            nerve, end = x_cat.nerve, self.size
-            offset = {psi: at.start for psi, at in self.rows0 + self.rows1}
-            for n, psi in self.slots[len(offset):]:
-                offset[psi], end = end, end + nerve.levels[n].size
-            low, top, theta_ids = [], [], []
-            for tid, (n, m, theta) in enumerate(sweep_thetas()):
-                x_theta = nerve.act(theta, n, m).table
-                for psi in [psi for level, psi in self.slots if level == n]:
-                    base, start = offset[tuple(psi[j] for j in theta)], offset[psi]
-                    low += [base + a for a in x_theta]
-                    top += range(start, start + len(x_theta))
-                    theta_ids += [tid] * len(x_theta)
-            self.low, self.top, self.theta_ids = tuple(low), tuple(top), tuple(theta_ids)
-        return self.low, self.top, self.theta_ids
 
 
 def _plan(x_cat: InternalCategory, k: int) -> EndPlan:
@@ -291,56 +256,27 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     return solutions
 
 
-def _natural(x_cat, y_cat, k, table) -> bool:
-    """The naturality sweep of one level-k family, with table(n, psi) the slot
-    table at (n, psi): every theta: [m] -> [n] and psi: [n] -> [k] at levels
-    0..3. A None table fails, and so does a table of the wrong length or with
-    an entry outside Y_n, before any equation is read. The equations then run
-    in C through x's plan and y's sweep tables, and stop at the first that
-    fails."""
-    plan = _plan(x_cat, k)
-    low, top_at, theta_ids = plan.sweep(x_cat)
-    xs, ys, y_tables = x_cat.nerve.levels, y_cat.nerve.levels, y_cat.nerve.sweep_tables
-    flat = []
-    for n, psi in plan.slots:
-        top = table(n, psi)
-        if top is None or len(top) != xs[n].size or (
-                top and (min(top) < 0 or max(top) >= ys[n].size)):
-            return False
-        flat += top
-    entry = flat.__getitem__
-    y_images = map(getitem, map(y_tables.__getitem__, theta_ids), map(entry, top_at))
-    return all(map(eq, map(entry, low), y_images))
-
-
 def check_family(x_cat, y_cat, fam: Family) -> bool:
-    """Full naturality sweep: every theta and psi at levels 0..3."""
-
-    def table(n, psi):
-        """The slot table, or None where the image of a spine is not
-        composable in y, so that a face equation at level 1 already fails."""
-        try:
-            return fam.table(x_cat, y_cat, n, psi)
-        except KeyError:
-            return None
-
-    return _natural(x_cat, y_cat, fam.k, table)
-
-
-def brute_families(x_cat, y_cat, k: int):
-    """The literal equalizer: filter the full product of all slot tables.
-
-    Only feasible at tiny sizes; used as the fidelity oracle for end_families.
-    SizeBound (stage "brute-force product") past 200,000 families.
-    """
-    limit = 200000
-    xn, yn, slots = x_cat.nerve, y_cat.nerve, _plan(x_cat, k).slots
-    total = 1
-    for n, _psi in slots:
-        total *= yn.levels[n].size ** xn.levels[n].size
-        SizeBound.check(total, limit, "brute-force product", "families")
-    tables_per_slot = [list(iproduct(range(yn.levels[n].size), repeat=xn.levels[n].size))
-                       for n, _psi in slots]
-    families = (dict(zip(slots, combo)) for combo in iproduct(*tables_per_slot))
-    return [fam for fam in families
-            if _natural(x_cat, y_cat, k, lambda n, psi: fam[(n, psi)])]
+    """Whether fam is natural at every level up to 3: whether its tables,
+    joined in psi order, are the object and arrow tables of a functor
+    [k] x X -> Y. False when a table is missing, has the wrong length or has
+    an entry outside Y0 or Y1."""
+    plan = _plan(x_cat, fam.k)
+    if plan.cylinder is None:
+        from .limits import product_cat  # limits imports ends
+        plan.cylinder = product_cat(ordinal(fam.k), x_cat)
+    tables = []
+    for eta, rows, size in ((fam.eta0, plan.rows0, y_cat.C0.size),
+                            (fam.eta1, plan.rows1, y_cat.C1.size)):
+        table = [eta.get(psi) for psi, _at in rows]
+        for row, (_psi, at) in zip(table, rows):
+            if row is None or len(row) != at.stop - at.start or (
+                    row and (min(row) < 0 or max(row) >= size)):
+                return False
+        tables.append(table)
+    # the rows of the chosen product [k] x X, each checked in range above
+    cylinder, trusted = plan.cylinder, FinMap._trusted
+    l0, l1 = cylinder.l0, cylinder.l1
+    return validate_functor(InternalFunctor(
+        cylinder.category, y_cat, trusted(l0.apex, y_cat.C0, l0.join(tables[0])),
+        trusted(l1.apex, y_cat.C1, l1.join(tables[1])))).ok

@@ -137,8 +137,8 @@ class InternalCategory:
     @cached_property
     def end_plans(self):
         """The plans of the level-k end with this category as X, by k
-        (`ends.EndPlan`), each built on first use by the end search, the
-        naturality sweep or the literal equalizer, whichever comes first."""
+        (`ends.EndPlan`), each built on first use by the end search or the
+        naturality check, whichever comes first."""
         return {}
 
     def comp(self, u, v):
@@ -490,11 +490,22 @@ def monotone_maps(m: int, n: int):
 
 
 @lru_cache(maxsize=None)
-def sweep_thetas():
-    """Every monotone theta: [m] -> [n] with m, n <= 3, as (n, m, theta), in
-    the order of the naturality sweep: by n, then m, then theta."""
-    return tuple((n, m, theta) for n in range(4) for m in range(4)
-                 for theta in monotone_maps(m, n))
+def ordinal(k: int) -> InternalCategory:
+    """The ordinal [k] = {0 <= 1 <= ... <= k} as a category, built once per k.
+    Its arrows are the monotone maps [1] -> [k] in their order, the arrow
+    (s, t) running from s to t; (t, u) after (s, t) is (s, u)."""
+    arrows = monotone_maps(1, k)
+    index = dict(zip(arrows, range(len(arrows))))
+    c0, c1 = FinObj(k + 1), FinObj(len(arrows))
+
+    def composition(pairs):
+        return FinMap(pairs.apex, c1, tuple(index[(arrows[v][0], arrows[u][1])]
+                                            for u, v in pairs.tuples))
+
+    return InternalCategory.with_composition(
+        c0, c1, FinMap(c1, c0, tuple(t for _s, t in arrows)),
+        FinMap(c1, c0, tuple(s for s, _t in arrows)),
+        FinMap(c0, c1, tuple(index[(t, t)] for t in range(k + 1))), composition)
 
 
 class Nerve:
@@ -503,8 +514,8 @@ class Nerve:
     levels[n] is the object of n-simplices; spines[n][k] and first[n][k] are
     the spine and first vertex of simplex k, and simplex() encodes one back.
     Each action table is built on first use and kept, so repeated reads
-    return the same FinMap; as Y of a naturality sweep, the nerve keeps its
-    action tables in the sweep's theta order (`sweep_tables`).
+    return the same FinMap. The package reads the nerve only through
+    `simplicial_map`.
 
     faces[(n, k)] : level n -> level n-1 (0 <= k <= n, 1 <= n <= 3)
     degeneracies[(n, k)] : level n -> level n+1 (0 <= k <= n, 0 <= n <= 2)
@@ -561,12 +572,6 @@ class Nerve:
         table = FinMap(self.levels[n_from], self.levels[n_to], tuple(out))
         self._acts[(phi, n_from, n_to)] = table
         return table
-
-    @cached_property
-    def sweep_tables(self):
-        """With this nerve as Y: the Y_theta table of every theta in
-        `sweep_thetas()`, in that order."""
-        return tuple(self.act(theta, n, m).table for n, m, theta in sweep_thetas())
 
     @cached_property
     def faces(self):

@@ -16,11 +16,12 @@ from fincat import ends, finset, naive
 from fincat.audit import diagonal_equaliser_holds
 from fincat.corpus import (CorpusSpec, category_from_tables, generate_corpus,
                            monoid_delooping)
-from fincat.ends import Family, brute_families, check_family, end_families
+from fincat.ends import Family, check_family, end_families
 from fincat.errors import CertificateFailure, DomainMismatch, SizeBound
 from fincat.finset import FinMap, FinObj, identity
 from fincat.internal import (InternalCategory, compose_functors, id_functor,
-                             monotone_maps, validate_category, validate_functor)
+                             monotone_maps, ordinal, validate_category,
+                             validate_functor)
 from fincat.limits import (HomCategory, constant_functor, coproduct_cat,
                            copower_by_two, enumerate_cells, enumerate_functors,
                            free_arrow, hom_category, hom_iso_with_oracle,
@@ -581,8 +582,6 @@ _REFUSALS = [
     ("oracle functors", lambda: enumerate_functors(_TWO, _I2, 17), 18, 17),
     ("oracle cells", lambda: hom_category(_D1, _I3, 8), 9, 8),
     ("oracle composable cell pairs", lambda: hom_category(_D1, _I3, 26), 27, 26),
-    ("brute-force product", lambda: brute_families(_TWO, _TWO, 1),
-     314_928, 200_000),
 ]
 
 
@@ -899,21 +898,25 @@ def test_hom_iso_with_oracle_rejects_tampered_oracle():
                                             hc.comp))
 
 
-def test_end_families_match_literal_equalizer():
-    # tiny instances where the full product can be materialised and filtered
-    one = terminal_cat()
-    two = free_arrow()
-    d2 = disc(FinObj(2))
-    for (x, y, k) in [(one, two, 0), (one, d2, 1), (d2, d2, 0), (two, one, 0),
-                      (two, one, 2), (one, one, 3), (one, indisc(FinObj(2)), 0)]:
-        smart = end_families(x, y, k)
-        brute = brute_families(x, y, k)
-        assert len(smart) == len(brute)
-        smart_keys = {f.key() for f in smart}
-        for fam in brute:
-            key = tuple([fam[(0, psi)] for psi in sorted(p for (n, p) in fam if n == 0)]
-                        + [fam[(1, psi)] for psi in sorted(p for (n, p) in fam if n == 1)])
-            assert key in smart_keys
+def test_end_families_are_the_functors_out_of_the_cylinder(corpus):
+    # a level-k family is a functor [k] x X -> Y: decoded by joining its
+    # tables in psi order, the end's families are the naive oracle's
+    # functors out of the chosen product, in the same order
+    members = {k: [c for c in corpus if c.C1.size <= (2 if k == 3 else 3)]
+               for k in range(4)}
+    triples = 0
+    for k, small in members.items():
+        for x in small:
+            cylinder = naive.oracle_from_internal(product_cat(ordinal(k), x).category)
+            for y in small:
+                decoded = [
+                    (sum((fam.eta0[psi] for psi in monotone_maps(0, k)), ()),
+                     sum((fam.eta1[psi] for psi in monotone_maps(1, k)), ()))
+                    for fam in end_families(x, y, k)]
+                assert decoded == naive.oracle_functors(
+                    cylinder, naive.oracle_from_internal(y))
+                triples += 1
+    assert triples == 1093
 
 
 def test_end_families_full_naturality_sweep():
@@ -929,13 +932,27 @@ def test_end_families_full_naturality_sweep():
 _SWEPT_HOMS = ((0, 0), (0, 5), (17, 6), (3, 3), (17, 17), (5, 12))
 
 
+def _slot_table(fam, x, y, n, psi):
+    """fam's table at the slot (n, psi), assembling levels 2 and 3 by spines:
+    KeyError where the image of a spine does not compose in y."""
+    if n == 0:
+        return fam.eta0[psi]
+    if n == 1:
+        return fam.eta1[psi]
+    xn, simplex = x.nerve, y.nerve.simplex
+    v0 = fam.eta0[(psi[0],)]
+    cols = [fam.eta1[(psi[j - 1], psi[j])] for j in range(1, n + 1)]
+    return tuple(simplex(v0[first], [col[a] for col, a in zip(cols, sp)])
+                 for first, sp in zip(xn.first[n], xn.spines[n]))
+
+
 def _reference_natural(x, y, fam):
     """The naturality sweep as a plain loop over every equation, in order."""
     tables = {}
     for n in range(4):
         for psi in monotone_maps(n, fam.k):
             try:
-                tables[(n, psi)] = fam.table(x, y, n, psi)
+                tables[(n, psi)] = _slot_table(fam, x, y, n, psi)
             except KeyError:  # a spine whose image does not compose
                 return False
     for n in range(4):
@@ -993,35 +1010,42 @@ def test_check_family_matches_the_equation_loop_at_level_two():
 
 
 def test_check_family_builds_each_plan_once(monkeypatch):
-    # one plan per (X, k) serves the search and the sweep; the first sweep
-    # builds its equation indices and the next one reads them
-    built = []
+    # one plan per (X, k) serves the search and the check; the first check
+    # at level k builds the cylinder [k] x X on that plan, and the next
+    # checks read it
+    import fincat.limits as limits
+    plans, cylinders = [], []
 
     class CountedPlan(ends.EndPlan):
         def __init__(self, x_cat, k):
-            built.append((x_cat, k))
+            plans.append((x_cat, k))
             super().__init__(x_cat, k)
 
+    real = limits.product_cat
     monkeypatch.setattr(ends, "EndPlan", CountedPlan)
+    monkeypatch.setattr(limits, "product_cat",
+                        lambda a, b: cylinders.append((a, b)) or real(a, b))
     x, y = disc(FinObj(2)), indisc(FinObj(2))  # a category no other test planned
-    fam = end_families(x, y, 1)[0]
-    plan = x.end_plans[1]
-    assert plan.low is None
-    assert check_family(x, y, fam)
-    low = plan.low
-    assert low is not None
-    assert check_family(x, y, fam)
-    assert x.end_plans == {1: plan} and plan.low is low
-    assert len(built) == 1 and built[0][0] is x and built[0][1] == 1
+    fams = {k: end_families(x, y, k) for k in (0, 1)}
+    assert [plan.cylinder for plan in x.end_plans.values()] == [None, None]
+    for _ in range(2):
+        for k, found in fams.items():
+            assert all(check_family(x, y, fam) for fam in found)
+    assert [(a, b is x) for a, b in cylinders] == [(ordinal(0), True),
+                                                  (ordinal(1), True)]
+    assert [(k, plan.cylinder.proj0.cod) for k, plan in x.end_plans.items()] == \
+        [(0, ordinal(0)), (1, ordinal(1))]
+    assert [(c is x, k) for c, k in plans] == [(True, 0), (True, 1)]
 
 
 def test_end_search_builds_no_nerve(corpus):
-    # the hom reads X's plan and Y's tables, never a nerve, so the sweep's
-    # part of X's plan waits for the first check_family
+    # the hom reads X's plan and Y's tables, never a nerve, and leaves the
+    # cylinder of each plan to the first check_family
     for xi, yi in _SWEPT_HOMS + ((21, 20), (13, 22), (6, 6)):
         x, y = _fresh(corpus[xi]), _fresh(corpus[yi])
         internal_hom(x, y)
         assert "nerve" not in x.__dict__ and "nerve" not in y.__dict__
+        assert [plan.cylinder for plan in x.end_plans.values()] == [None, None]
 
 
 @pytest.mark.parametrize("k", [0, 1])

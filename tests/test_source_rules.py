@@ -4,7 +4,8 @@ statement, and no handler may catch every exception, so no bare `except:`
 and no `except Exception`. The oracle (`naive`) shares nothing with the
 paths it checks but the error types, and the category layer (`internal`)
 does not reach up into the end search or the limits built on it. Each audit
-suite is named once, in the registry `audit.SUITES`."""
+suite is named once, in the registry `audit.SUITES`. The nerve is read only
+through `internal.simplicial_map`."""
 
 import ast
 import os
@@ -54,6 +55,27 @@ def test_oracle_imports_only_the_error_types():
 
 def test_category_layer_imports_neither_ends_nor_limits():
     assert not _package_imports("internal.py") & {"ends", "limits"}
+
+
+def _nerve_reads(name):
+    """module.function of each read of an attribute `nerve` in `name`."""
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "nerve":
+            reads.append(f"{name[:-3]}.{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(_parse(name), None)
+    return reads
+
+
+def test_only_simplicial_map_reads_the_nerve():
+    assert [read for name in FILES for read in _nerve_reads(name)] == \
+        ["internal.simplicial_map"]
 
 
 def test_each_suite_name_is_written_once():

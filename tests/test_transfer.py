@@ -7,13 +7,14 @@ from itertools import product as iproduct
 import pytest
 
 from fincat import finset
+from fincat.corpus import preorder_category
 from fincat.errors import DomainMismatch, NotInHomSet, ShapeMismatch
 from fincat.finset import FinMap, FinObj, compose, identity
 from fincat.internal import (compose_functors, is_fully_faithful,
-                             monotone_maps, reflects_identities,
+                             monotone_maps, ordinal, reflects_identities,
                              simplicial_map, validate_category,
                              validate_functor, validate_nat_trans)
-from fincat.limits import enumerate_functors, free_arrow
+from fincat.limits import enumerate_functors, free_arrow, terminal_cat
 from fincat.transfer import (adjunction_disc_objects,
                              adjunction_objects_indisc, adjunction_pi0_disc,
                              arrows_part, disc, disc_map,
@@ -220,6 +221,21 @@ def test_nerve_of_disc_is_constant():
 def test_nerve_of_free_arrow_sizes():
     n = free_arrow().nerve
     assert [lv.size for lv in n.levels] == [2, 3, 4, 5]
+
+
+def test_ordinal_is_the_preorder_on_its_vertices():
+    assert ordinal(0) == terminal_cat()
+    for k in range(4):
+        leq = {(s, t) for s in range(k + 1) for t in range(s, k + 1)}
+        assert ordinal(k) == preorder_category(leq, k + 1)
+        assert ordinal(k) is ordinal(k)
+
+
+def test_nerve_levels_are_functors_out_of_ordinals(corpus):
+    # an n-simplex of the nerve is a functor [n] -> C
+    for c in corpus:
+        assert [lv.size for lv in c.nerve.levels] == \
+            [len(enumerate_functors(ordinal(n), c)) for n in range(4)]
 
 
 def test_nerve_is_cached_on_its_category():
