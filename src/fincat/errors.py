@@ -69,7 +69,9 @@ class SizeBound(FincatError):
 
 class Budget:
     """The step counter of one bounded search: `tick` counts a step and
-    raises SizeBound at step `bound + 1`."""
+    raises SizeBound at step `bound + 1`; `spend(n)` counts n steps at once
+    and, if they pass the bound, raises exactly what the tick that passed
+    it would have raised."""
 
     def __init__(self, bound, stage):
         self.bound = bound
@@ -80,6 +82,11 @@ class Budget:
         self.steps += 1
         if self.steps > self.bound:
             raise SizeBound(self.stage, self.steps, self.bound)
+
+    def spend(self, n):
+        if n and self.steps + n > self.bound:
+            raise SizeBound(self.stage, max(self.steps, self.bound) + 1, self.bound)
+        self.steps += n
 
 
 class ParseError(FincatError):

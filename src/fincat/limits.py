@@ -343,8 +343,8 @@ class InternalHom:
                                  "is not in the hom") from exc
         # hom indices, so in range by construction
         carrier, trusted = self.carrier, FinMap._trusted
-        return InternalFunctor(z, carrier, trusted(z.C0, carrier.C0, f0),
-                               trusted(z.C1, carrier.C1, f1))
+        return InternalFunctor._trusted(z, carrier, trusted(z.C0, carrier.C0, f0),
+                                        trusted(z.C1, carrier.C1, f1))
 
 
 def validate_hom_carrier(ih: InternalHom) -> ValidationReport:
@@ -405,6 +405,8 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
     "level-1 end", "cell pairs". The component tables of a pair (F, G) of
     functors choose one arrow of Y(Fx, Gx) at each object x of X; they
     bound the cells from F to G, whose other diagonal entries are forced.
+    They are counted only when their upper bound, the number of functor pairs
+    times w ** |X0| for w the size of Y's largest hom-set, passes `bound`.
     CertificateFailure if the carrier fails validate_hom_carrier.
 
     The result's `prod` and `evaluation` are built, and the evaluation
@@ -415,11 +417,14 @@ def internal_hom(x: InternalCategory, y: InternalCategory,
                         "object tables")
     hom0 = tuple(end_families(x, y, 0, bound))
     SizeBound.check(len(hom0) ** 2, bound, "functor pairs", "pairs of functors")
-    objects, homs = Counter(f.eta0[(0,)] for f in hom0), y.homs
-    components = sum(
-        cp * cq * math.prod(len(homs.get(pq, ())) for pq in zip(p, q))
-        for p, cp in objects.items() for q, cq in objects.items())
-    SizeBound.check(components, bound, "component tables", "component tables")
+    homs = y.homs
+    widest = max(map(len, homs.values()), default=0)
+    if len(hom0) ** 2 * widest ** x.C0.size > bound:
+        objects = Counter(f.eta0[(0,)] for f in hom0)
+        components = sum(
+            cp * cq * math.prod(len(homs.get(pq, ())) for pq in zip(p, q))
+            for p, cp in objects.items() for q, cq in objects.items())
+        SizeBound.check(components, bound, "component tables", "component tables")
     hom1 = tuple(end_families(x, y, 1, bound))
     idx0 = {f.key(): i for i, f in enumerate(hom0)}
     diagonals = [f.eta1[(0, 1)] for f in hom1]
@@ -478,8 +483,8 @@ def enumerate_functors(a: InternalCategory, b: InternalCategory,
     SizeBound, with stage "oracle functors", past `bound` search steps."""
     funs = oracle_functors(oracle_from_internal(a), oracle_from_internal(b), bound)
     # objects come from range(|B0|) and arrows from b's hom-sets, so in range
-    trusted = FinMap._trusted
-    return [InternalFunctor(a, b, trusted(a.C0, b.C0, f0), trusted(a.C1, b.C1, f1))
+    trusted, functor = FinMap._trusted, InternalFunctor._trusted
+    return [functor(a, b, trusted(a.C0, b.C0, f0), trusted(a.C1, b.C1, f1))
             for f0, f1 in funs]
 
 

@@ -7,10 +7,17 @@ shared bug cannot silently confirm itself.
 Its searches for functors, natural transformations and hom-categories are the
 package's only ones; limits.enumerate_functors, enumerate_cells and
 hom_category are typed views over them.
+
+A bounded search counts one step per candidate it tries, as a search that
+tries them one at a time would count them, so a call is refused exactly when
+that count passes the bound. The functor search counts its object steps in
+closed form before it walks the object tables, each arrow's candidates when
+it reaches the arrow, and a run of identities, which does not branch, once.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .errors import Budget, SizeBound
 
@@ -87,47 +94,81 @@ def oracle_from_internal(cat) -> NaiveCategory:
 
 
 def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
-    """All functors a -> b as (object table, arrow table) pairs, enumerated by
-    backtracking over object tables and then arrow assignments in arrow order.
+    """All functors a -> b as (object table, arrow table) pairs, sorted: the
+    object tables in lexicographic order, and for each, arrow assignments by
+    backtracking in arrow order.
 
-    An identity goes to the identity of its object's image. Each composition
+    An identity goes to the identity of its object's image, so a run of
+    identities is assigned in a loop, without branching. Each composition
     triangle of a is checked once, at the arrow that completes it: the
-    largest of its two factors and its composite. `bound` caps the search
-    steps, one per object or arrow candidate tried."""
-    results = []
+    largest of its two factors and its composite. An arrow that is the
+    composite of two earlier ones can only go to their composite, so that is
+    the one candidate checked. When a's identities are loops and b's
+    identities are units (checked once per call), a triangle that only
+    restates a unit law, g . 1 = g or 1 . f = f, holds for every candidate
+    and is not checked.
+
+    `bound` caps the search steps, one per object or arrow candidate tried:
+    one per node of the tree of partial object tables, sum of |B0| ** l for
+    l = 1..|A0|, counted before the walk; then, per object table, each
+    arrow's candidates when it is reached. SizeBound("oracle functors",
+    bound + 1, bound) exactly when that count passes `bound`."""
     budget = Budget(bound, "oracle functors")
-    obj = [None] * a.objects
-    arr = [None] * len(a.arrows)
-    completes = [[] for _ in a.arrows]
+    budget.spend(sum(b.objects ** depth for depth in range(1, a.objects + 1)))
+    n, a_arrows, a_ids = len(a.arrows), a.arrows, set(a.identities)
+    homs, b_ids, b_arrows, b_comp = b.homs, b.identities, b.arrows, b.comp
+    units = (all(a_arrows[e] == (x, x) for x, e in enumerate(a.identities))
+             and all(b_arrows[e] == (x, x) for x, e in enumerate(b_ids))
+             and all(b_comp.get((b_ids[t], y)) == y == b_comp.get((y, b_ids[s]))
+                     for y, (s, t) in enumerate(b_arrows)))
+    completes = [[] for _ in a_arrows]
     for (g, f), gf in a.comp.items():
-        completes[max(g, f, gf)].append((g, f, gf))
+        unit_law = (g in a_ids and gf == f and a_arrows[f][1] == a_arrows[g][0]
+                    or f in a_ids and gf == g and a_arrows[g][0] == a_arrows[f][0])
+        if not (units and unit_law):
+            completes[max(g, f, gf)].append((g, f, gf))
+    plan = [(s, t, a.identities[s] == k,
+             next(((g, f) for g, f, gf in completes[k] if gf == k and k not in (g, f)),
+                  None),
+             completes[k])
+            for k, (s, t) in enumerate(a_arrows)]
+    spend = budget.spend
+    results = []
+    arr = [None] * n
+    obj = ()  # the object table, set by the walk below
 
-    def obj_rec(x):
-        if x == a.objects:
-            arr_rec(0)
-            return
-        for y in range(b.objects):
-            budget.tick()
-            obj[x] = y
-            obj_rec(x + 1)
-
-    def arr_rec(k):
-        if k == len(a.arrows):
-            results.append((tuple(obj), tuple(arr)))
-            return
-        s, t = a.arrows[k]
-        if a.identities[s] == k:
-            cands = [b.identities[obj[s]]]
+    def extend(k):
+        start = k
+        while k < n:
+            s, t, ident, forced, triangles = plan[k]
+            if not ident:
+                break
+            arr[k] = b_ids[obj[s]]
+            for g, f, gf in triangles:
+                if b_comp[arr[g], arr[f]] != arr[gf]:
+                    spend(k + 1 - start)
+                    return
+            k += 1
         else:
-            cands = b.homs.get((obj[s], obj[t]), ())
+            spend(k - start)
+            results.append((obj, tuple(arr)))
+            return
+        ends = (obj[s], obj[t])
+        cands = homs.get(ends, ())
+        spend(k - start + len(cands))
+        if forced is not None and cands:
+            y = b_comp[arr[forced[0]], arr[forced[1]]]
+            cands = (y,) if b_arrows[y] == ends else ()
         for y in cands:
-            budget.tick()
             arr[k] = y
-            if all(b.comp[(arr[g], arr[f])] == arr[gf]
-                   for g, f, gf in completes[k]):
-                arr_rec(k + 1)
+            for g, f, gf in triangles:
+                if b_comp[arr[g], arr[f]] != arr[gf]:
+                    break
+            else:
+                extend(k + 1)
 
-    obj_rec(0)
+    for obj in product(range(b.objects), repeat=a.objects):
+        extend(0)
     results.sort()
     return results
 

@@ -19,9 +19,9 @@ from fincat.corpus import (CorpusSpec, category_from_tables, generate_corpus,
 from fincat.ends import Family, check_family, end_families
 from fincat.errors import CertificateFailure, DomainMismatch, SizeBound
 from fincat.finset import FinMap, FinObj, identity
-from fincat.internal import (InternalCategory, compose_functors, id_functor,
-                             monotone_maps, ordinal, validate_category,
-                             validate_functor)
+from fincat.internal import (InternalCategory, InternalFunctor, compose_functors,
+                             id_functor, monotone_maps, ordinal,
+                             validate_category, validate_functor)
 from fincat.limits import (HomCategory, constant_functor, coproduct_cat,
                            copower_by_two, enumerate_cells, enumerate_functors,
                            free_arrow, hom_category, hom_iso_with_oracle,
@@ -919,6 +919,21 @@ def test_end_families_are_the_functors_out_of_the_cylinder(corpus):
     assert triples == 1093
 
 
+def test_functors_out_of_two_are_composable_pairs(corpus):
+    # Segal: [2] is [1] glued to [1] along [0], so a functor [2] -> A is a
+    # composable pair (u, v) of A, sent 0 -> 2 to the composite u . v
+    arrow = {ends: k for k, ends in enumerate(monotone_maps(1, 2))}
+    functors = 0
+    for a in corpus:
+        funs = enumerate_functors(ordinal(2), a)
+        pairs = [(f.f1.table[arrow[(1, 2)]], f.f1.table[arrow[(0, 1)]]) for f in funs]
+        assert sorted(pairs) == sorted(a.pairs.tuples)  # each pair once
+        for f, (u, v) in zip(funs, pairs):
+            assert f.f1.table[arrow[(0, 2)]] == a.comp(u, v)
+        functors += len(funs)
+    assert functors == 149
+
+
 def test_end_families_full_naturality_sweep():
     two = free_arrow()
     i2 = indisc(FinObj(2))
@@ -1120,6 +1135,15 @@ def test_family_key_and_the_hom_cell_index(corpus):
             assert len(ih.family_index[1]) == ih.carrier.C1.size
 
 
+def _assert_built_publicly_alike(fun):
+    """curry, enumerate_functors and compose_functors build their results
+    without the shape re-check: each must be the functor the public
+    constructor builds from the same maps."""
+    public = InternalFunctor(fun.dom, fun.cod, fun.f0, fun.f1)
+    assert fun == public and hash(fun) == hash(public)
+    assert vars(fun) == vars(public)
+
+
 def test_curry_matches_the_family_reference(corpus):
     # the six homs and six categories Z of perfbench's hom-transpose workload
     transposes = 0
@@ -1130,8 +1154,26 @@ def test_curry_matches_the_family_reference(corpus):
             for h in enumerate_functors(prod_zx.category, ih.cod):
                 g = ih.curry(z, prod_zx, h)
                 assert (g.f0.table, g.f1.table) == _reference_curry(ih, z, prod_zx, h)
+                _assert_built_publicly_alike(h)
+                _assert_built_publicly_alike(g)
                 transposes += 1
     assert transposes == 741
+
+
+def test_trusted_functors_equal_the_publicly_built_ones(corpus):
+    # every functor between seed-7 members with at most 3 arrows, and a
+    # composite of each with a functor back
+    small = [c for c in corpus if c.C1.size <= 3]
+    functors = 0
+    for a in small:
+        for b in small:
+            funs = enumerate_functors(a, b)
+            for f in funs:
+                _assert_built_publicly_alike(f)
+            for f, g in zip(funs, enumerate_functors(b, a)):
+                _assert_built_publicly_alike(compose_functors(g, f))
+            functors += len(funs)
+    assert functors == 674
 
 
 def test_curry_of_a_non_functor_is_domain_mismatch():
