@@ -30,7 +30,10 @@ the t = 0 block (the level-0 search) once, copies each (k + 1)-tuple of its
 completions in turn into the plan's vertex rows, and searches only the jump
 slots. A jump slot takes its arrows by larger endpoint, identity first: each
 identity entry is a component, and each other entry is then forced and
-checked by the components at its ends.
+checked by the components at its ends. The first jump cell, in the slot
+(0, 1), is neither: its candidates are all of Y(F0 x, F1 x'), so a pair of
+functors (F0, F1) with no arrow there starts no family, and the tuples that
+begin with it are counted but not copied.
 
 The internal hom (limits.internal_hom) uses only levels 0 and 1: level 2 of a
 Segal category is the join of composable level-1 cells, so its composition is
@@ -107,13 +110,19 @@ class EndPlan:
       * completes: the instances (u, v, uv) whose last cell it is, checked
         as m_Y(eta[u], eta[v]) = eta[uv] once the cell is set.
 
+    `first_jump` is (x, x'), the ends of the arrow x -> x' of the first
+    jump cell, in the slot psi = (0, 1): its candidates are Y(F0 x, F1 x')
+    for the functors F0 and F1 at vertices 0 and 1, read from the object
+    tables at positions x and x'. It is None when there is no jump cell
+    (k = 0 or X empty).
+
     `cylinder` is the chosen product [k] x X (a `limits.LimitCone`), whose
     row t of objects is the slice of eta0[(t,)] and row psi of arrows that
     of eta1[psi]; the search never reads it, so it is None until the first
     `check_family` out of X at level k."""
 
     __slots__ = ("size", "rows0", "rows1", "vertex_rows", "block", "cells",
-                 "cylinder")
+                 "first_jump", "cylinder")
 
     def __init__(self, x_cat: InternalCategory, k: int):
         x0, x1 = x_cat.C0.size, x_cat.C1.size
@@ -178,6 +187,10 @@ class EndPlan:
             cells.append((entry, offset[(s,)] + d1[elem], offset[(t,)] + d0[elem],
                           identity, forced_by.get(entry), tuple(checks)))
         self.cells = tuple(cells)
+        self.first_jump = None
+        if len(cells) > self.block:
+            _entry, src, tgt, *_rest = cells[self.block]
+            self.first_jump = (src - offset[(0,)], tgt - offset[(1,)])
 
 
 def _plan(x_cat: InternalCategory, k: int) -> EndPlan:
@@ -196,9 +209,17 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
     SizeBound (stage "level-k end") when the search would exceed `budget`
     steps. A step is a candidate tried for one cell or, at k > 0, one
     (k + 1)-tuple of functors that the jump slots start from.
+
+    The tuples are walked as (F0, F1, rest). When Y(F0 x, F1 x') is empty
+    for the first jump cell x -> x' (`EndPlan.first_jump`), no tuple
+    starting with F0, F1 has a family: each would spend its own step and
+    find no candidate for that cell. Those tuples are not walked; their
+    steps are spent at once, so the counts and refusals are those of a
+    search that walks every tuple.
     """
     plan = _plan(x_cat, k)
-    tick = Budget(budget, f"level-{k} end").tick
+    counter = Budget(budget, f"level-{k} end")
+    tick = counter.tick
     cells, flat = plan.cells, [None] * plan.size
     objects, y_homs, y_i = range(y_cat.C0.size), y_cat.homs, y_cat.i.table
     pair_at, m_table = y_cat.pairs.index.get, y_cat.m.table
@@ -239,19 +260,30 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
         solutions.append(Family(k, {psi: full[at] for psi, at in rows0},
                                 {psi: full[at] for psi, at in rows1}))
 
-    # the t = 0 block alone is the level-0 search; its completions are the
-    # functors at every vertex, whose rows stay set from here on
-    firsts = []
-    objects0, arrows0 = plan.vertex_rows[0]
-    rec(0, plan.block,
-        lambda: firsts.append((tuple(flat[objects0]), tuple(flat[arrows0]))))
-    for combo in iproduct(firsts, repeat=k + 1):
-        if k:
-            tick()  # each vertex tuple is one step of the jump search
-        for (objects_t, arrows_t), (f0, f1) in zip(plan.vertex_rows, combo):
-            flat[objects_t] = f0
-            flat[arrows_t] = f1
-        rec(plan.block, len(cells), emit)
+    if not k:
+        rec(0, plan.block, emit)  # the t = 0 block is the whole search
+    else:
+        # the t = 0 block alone is the level-0 search; its completions are
+        # the functors at every vertex, whose rows stay set from here on
+        firsts = []
+        (objects0, arrows0), (objects1, arrows1), *later = plan.vertex_rows
+        rec(0, plan.block,
+            lambda: firsts.append((tuple(flat[objects0]), tuple(flat[arrows0]))))
+        jump, skipped = plan.first_jump, len(firsts) ** (k - 1)
+        for f0 in firsts:
+            flat[objects0], flat[arrows0] = f0
+            for f1 in firsts:
+                if jump is not None and (f0[0][jump[0]],
+                                         f1[0][jump[1]]) not in y_homs:
+                    counter.spend(skipped)
+                    continue
+                flat[objects1], flat[arrows1] = f1
+                for rest in iproduct(firsts, repeat=k - 1):
+                    tick()  # each vertex tuple is one step of the jump search
+                    for (objects_t, arrows_t), (f_obj, f_arr) in zip(later, rest):
+                        flat[objects_t] = f_obj
+                        flat[arrows_t] = f_arr
+                    rec(plan.block, len(cells), emit)
     solutions.sort(key=Family.key)
     return solutions
 

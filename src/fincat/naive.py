@@ -13,11 +13,18 @@ tries them one at a time would count them, so a call is refused exactly when
 that count passes the bound. The functor search counts its object steps in
 closed form before it walks the object tables, each arrow's candidates when
 it reaches the arrow, and a run of identities, which does not branch, once.
+
+The natural transformation searches (one pair, all pairs, the hom-category)
+share one helper. It searches a functor pair (f, g) only when every hom-set
+b(f x, g x) is inhabited, since a pair with an empty one has no cell, and it
+checks each naturality square once, when the later of its two components is
+set. The hom-category's bounds count cells and composable pairs of cells,
+not pairs visited, so the skipped pairs change no count.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import compress, product, repeat
 
 from .errors import Budget, SizeBound
 
@@ -173,34 +180,58 @@ def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
     return results
 
 
-def oracle_nat_trans(a: NaiveCategory, b: NaiveCategory, fun_f, fun_g):
-    """All natural transformations between two oracle functors, as component
-    tuples indexed by objects of a."""
-    obj_f, arr_f = fun_f
-    obj_g, arr_g = fun_g
-    results = []
-    comp = [None] * a.objects
+def _cells(a: NaiveCategory, b: NaiveCategory, sources, targets):
+    """(source index, target index, components) of every natural
+    transformation from one of `sources` to one of `targets`, by source,
+    then target, then components in lexicographic order.
+
+    A pair f, g with an empty hom-set b(f x, g x) has no cell and is not
+    searched; the targets of each source are filtered in C. The components
+    of the other pairs are found by backtracking over the objects of a in
+    order. The squares are listed once per call: the arrow u: s -> t is
+    checked when the component at max(s, t) is set."""
+    squares = [[] for _ in range(a.objects)]
+    for u, (s, t) in enumerate(a.arrows):
+        squares[max(s, t)].append((u, s, t))
+    homs, b_comp, last = b.homs, b.comp, a.objects
+    has_arrows = set(homs).issuperset
+    comp, found = [None] * last, []
+    cands = arr_f = arr_g = None  # the pair being searched, set below
 
     def rec(x):
-        if x == a.objects:
-            results.append(tuple(comp))
+        if x == last:
+            found.append(tuple(comp))
             return
-        for c in b.homs.get((obj_f[x], obj_g[x]), ()):
+        for c in cands[x]:
             comp[x] = c
-            if all(b.comp[(arr_g[u], comp[s])] == b.comp[(comp[t], arr_f[u])]
-                   for u, (s, t) in enumerate(a.arrows)
-                   if comp[s] is not None and comp[t] is not None):
+            for u, s, t in squares[x]:
+                if b_comp[arr_g[u], comp[s]] != b_comp[comp[t], arr_f[u]]:
+                    break
+            else:
                 rec(x + 1)
-            comp[x] = None
 
-    rec(0)
-    results.sort()
-    return results
+    target_objects = [obj for obj, _arr in targets]
+    for si, (obj_f, arr_f) in enumerate(sources):
+        # the targets g with every b(f x, g x) inhabited, tested in C
+        live = compress(enumerate(targets),
+                        map(has_arrows, map(zip, repeat(obj_f), target_objects)))
+        for ti, (obj_g, arr_g) in live:
+            cands = [homs[ends] for ends in zip(obj_f, obj_g)]
+            rec(0)
+            for components in found:
+                yield si, ti, components
+            found.clear()
+
+
+def oracle_nat_trans(a: NaiveCategory, b: NaiveCategory, fun_f, fun_g):
+    """All natural transformations between two oracle functors, as component
+    tuples indexed by objects of a, sorted."""
+    return [comp for _f, _g, comp in _cells(a, b, (fun_f,), (fun_g,))]
 
 
 def count_all_nat_trans(a: NaiveCategory, b: NaiveCategory, functors):
     """Total count of natural transformations over all ordered functor pairs."""
-    return sum(len(oracle_nat_trans(a, b, f, g)) for f in functors for g in functors)
+    return sum(1 for _cell in _cells(a, b, functors, functors))
 
 
 def oracle_hom_category(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
@@ -209,30 +240,31 @@ def oracle_hom_category(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6
     pointwise in b. `bound` caps the functor search steps, the cells and the
     composable pairs of cells (stages "oracle functors", "oracle cells" and
     "oracle composable cell pairs"). Returns (functors, arrows,
-    NaiveCategory)."""
+    NaiveCategory).
+
+    Only the functor pairs (f, g) with every b(f x, g x) inhabited are
+    searched for cells; the others have none. So the cells, their order and
+    the counts the bound is held to are those of a search of every pair."""
     funs = oracle_functors(a, b, bound)
     arrows = []
-    for si, f in enumerate(funs):
-        for ti, g in enumerate(funs):
-            for comp in oracle_nat_trans(a, b, f, g):
-                arrows.append((si, ti, comp))
-                SizeBound.check(len(arrows), bound, "oracle cells", "cells")
+    for cell in _cells(a, b, funs, funs):
+        arrows.append(cell)
+        SizeBound.check(len(arrows), bound, "oracle cells", "cells")
     index = {arr: i for i, arr in enumerate(arrows)}
-    identities = tuple(
-        index[(i, i, tuple(b.identities[f[0][x]] for x in range(a.objects)))]
-        for i, f in enumerate(funs))
+    b_id = b.identities.__getitem__
+    identities = tuple(index[(i, i, tuple(map(b_id, obj)))]
+                       for i, (obj, _arr) in enumerate(funs))
     by_target = [[] for _ in funs]
     for i1, (_s1, t1, _c1) in enumerate(arrows):
         by_target[t1].append(i1)
     cell_pairs = sum(len(by_target[s2]) for s2, _t2, _c2 in arrows)
     SizeBound.check(cell_pairs, bound, "oracle composable cell pairs",
                     "composable pairs of cells")
-    comp = {}
+    comp, b_comp = {}, b.comp.__getitem__
     for i2, (s2, t2, c2) in enumerate(arrows):
         for i1 in by_target[s2]:
             s1, _t1, c1 = arrows[i1]
-            composite = tuple(b.comp[(c2[x], c1[x])] for x in range(a.objects))
-            comp[(i2, i1)] = index[(s1, t2, composite)]
+            comp[(i2, i1)] = index[(s1, t2, tuple(map(b_comp, zip(c2, c1))))]
     cat = NaiveCategory(len(funs),
                         tuple((s, t) for s, t, _c in arrows),
                         identities, comp)

@@ -49,15 +49,21 @@ def test_criterion_01_oracle_hom_equivalence(corpus):
     assert all(c.C0.size <= 4 and c.C1.size <= 10 for c in corpus)
     start = time.time()
     compared = 0
+    hom_s = oracle_s = 0.0  # on the pairs compared: end path, oracle
     skipped = {}  # SizeBound stage -> corpus pairs skipped there
     for i, a in enumerate(corpus):
         for j, b in enumerate(corpus):
             try:
+                t0 = time.perf_counter()
                 ih = internal_hom(a, b, SIZE_BOUND)
+                t1 = time.perf_counter()
                 hc = hom_category(a, b, SIZE_BOUND)
+                t2 = time.perf_counter()
             except SizeBound as exc:
                 skipped.setdefault(exc.stage, []).append((i, j))
                 continue
+            hom_s += t1 - t0
+            oracle_s += t2 - t1
             assert ih.carrier.C0.size == len(hc.objects), (a, b)
             assert ih.carrier.C1.size == len(hc.arrows), (a, b)
             hom_iso_with_oracle(ih, hc)
@@ -70,9 +76,11 @@ def test_criterion_01_oracle_hom_equivalence(corpus):
     # pairs of cells
     assert skipped == {"component tables": [(10, 4), (10, 9)],
                        "cell pairs": [(20, 9)]}, skipped
+    ratio = f", ratio {hom_s / oracle_s:.2f}" if oracle_s else ""
     _verdict("criterion 1: oracle hom equivalence", compared > 0 and elapsed < 120,
              f"{compared} pairs agreed, {sum(map(len, skipped.values()))} "
-             f"skipped by bound ({causes or 'none'}), {elapsed:.1f}s")
+             f"skipped by bound ({causes or 'none'}), {elapsed:.1f}s; "
+             f"hom {hom_s:.2f}s, oracle {oracle_s:.2f}s{ratio}")
 
 
 def test_criterion_01_segal_join_completes_pair_21_20(corpus):

@@ -650,6 +650,41 @@ def test_hom_numbering_unchanged(corpus):
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == _HOM_DIGEST
 
 
+# a digest of the steps and the family keys, in order, of end_families at
+# k = 1 and 2 over the pairs of test_hom_numbering_unchanged
+_SLICE_END_DIGEST = "661de234f705d7faebbf4855b66be36805298ea819765143e90d719b0e99e6b4"
+
+
+def test_slice_end_families_steps_and_order_unchanged(corpus, counted):
+    small = [c for c in corpus if c.C1.size <= 3]
+    pairs = [(x, y) for x in small for y in small] + [(corpus[21], corpus[20])]
+    digest = hashlib.sha256()
+    for x, y in pairs:
+        for k in (1, 2):
+            fams, steps = counted(x, y, k)
+            digest.update(repr((k, steps, [f.key() for f in fams])).encode())
+    assert digest.hexdigest() == _SLICE_END_DIGEST
+
+
+# (i, j, s): the level-1 end of corpus pair (i, j) succeeds at bound s and is
+# refused at s - 1
+_LEVEL1_THRESHOLDS = (
+    (1, 1, 4), (24, 13, 5), (15, 1, 11), (3, 12, 16), (6, 14, 33),
+    (22, 4, 299), (18, 18, 1246), (21, 20, 7291), (20, 18, 11682),
+)
+
+
+@pytest.mark.parametrize("i,j,steps", _LEVEL1_THRESHOLDS)
+def test_level1_end_step_thresholds(corpus, i, j, steps):
+    x, y = corpus[i], corpus[j]
+    with pytest.raises(SizeBound) as err:
+        end_families(x, y, 1, steps - 1)
+    assert (err.value.stage, err.value.steps, err.value.bound) == \
+        ("level-1 end", steps, steps - 1)
+    assert ([f.key() for f in end_families(x, y, 1, steps)]
+            == [f.key() for f in end_families(x, y, 1)])
+
+
 def _fresh(c):
     """An equal copy of c with none of its derived data built."""
     return InternalCategory(c.C0, c.C1, c.d0, c.d1, c.i, c.m)

@@ -1,8 +1,11 @@
 """The naive oracle's functor search, pinned: its lists (one digest over
 1,024 searches) and its step thresholds, so that a faster search must give
-the same functors in the same order and refuse exactly the same calls. Also
-the step counter's `spend`, and the unit-law triangles the search skips only
-when the codomain's identities are units."""
+the same functors in the same order and refuse exactly the same calls. The
+oracle hom-category is pinned the same way: one digest over its functors,
+cells, identities and composition table, and the bounds at which it refuses
+for cells and for composable pairs of cells. Also the step counter's `spend`,
+and the unit-law triangles the search skips only when the codomain's
+identities are units."""
 
 import hashlib
 from itertools import product
@@ -167,3 +170,45 @@ def test_unit_triangles_are_checked_when_the_codomain_has_no_units(corpus):
             assert found == _functors_by_definition(a, b)
             cut += b is not lawful and len(found) < len(naive.oracle_functors(a, lawful))
     assert cut > 0
+
+
+# a digest of oracle_hom_category's (functors, cells, composition table in
+# insertion order, identities) over every ordered pair of corpus members with
+# at most 3 arrows and then (21, 20), the hom-sweep benchmark's slice
+_ORACLE_HOM_DIGEST = "2c49d56ba296d792d663238bebf62679a25f6e7dad0df012ab55ea28d108cfc7"
+
+# (i, j, cells, composable pairs of cells) of oracle_hom_category on corpus
+# pair (i, j): each above the functor search's steps, so that the bound
+# refuses the cells at cells - 1 and the pairs at pairs - 1
+_CELL_THRESHOLDS = (
+    (1, 4, 4, 16), (13, 13, 6, 18), (8, 10, 10, 18), (5, 23, 10, 52),
+    (17, 4, 16, 256), (3, 4, 36, 330), (21, 15, 64, 512), (18, 9, 128, 2048),
+    (21, 20, 343, 1728),
+)
+
+
+def test_oracle_hom_categories_are_pinned(corpus):
+    small = [i for i, c in enumerate(corpus) if c.C1.size <= 3]
+    pairs = [(i, j) for i in small for j in small] + [(21, 20)]
+    assert len(pairs) == 325
+    digest = hashlib.sha256()
+    for i, j in pairs:
+        pair = _search_pair(corpus, ("pair", i, j))
+        funs, arrows, cat = naive.oracle_hom_category(*pair)
+        assert cat.arrows == tuple((s, t) for s, t, _c in arrows)
+        digest.update(repr((funs, arrows, list(cat.comp.items()),
+                            cat.identities)).encode())
+    assert digest.hexdigest() == _ORACLE_HOM_DIGEST
+
+
+@pytest.mark.parametrize("i,j,cells,pairs", _CELL_THRESHOLDS)
+def test_oracle_hom_category_cell_thresholds(corpus, i, j, cells, pairs):
+    a, b = _search_pair(corpus, ("pair", i, j))
+    for stage, count in (("oracle cells", cells),
+                         ("oracle composable cell pairs", pairs)):
+        with pytest.raises(SizeBound) as err:
+            naive.oracle_hom_category(a, b, count - 1)
+        assert (err.value.stage, err.value.steps, err.value.bound) == \
+            (stage, count, count - 1)
+    _funs, arrows, cat = naive.oracle_hom_category(a, b, pairs)
+    assert (len(arrows), len(cat.comp)) == (cells, pairs)

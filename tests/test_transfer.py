@@ -6,7 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from fincat import finset
+from fincat import finset, naive
 from fincat.corpus import preorder_category
 from fincat.errors import DomainMismatch, NotInHomSet, ShapeMismatch
 from fincat.finset import FinMap, FinObj, compose, identity
@@ -236,6 +236,50 @@ def test_nerve_levels_are_functors_out_of_ordinals(corpus):
     for c in corpus:
         assert [lv.size for lv in c.nerve.levels] == \
             [len(enumerate_functors(ordinal(n), c)) for n in range(4)]
+
+
+def _spine_functors(c, n):
+    """Each level-n simplex of c's nerve, in order, decoded by its spine to a
+    functor [n] -> c: the object table lists its vertices, and the arrow
+    (i, j) of [n] goes to the composite of spine arrows i + 1 to j (the
+    identity of vertex i when i = j)."""
+    nerve = c.nerve
+    functors = []
+    for v0, spine in zip(nerve.first[n], nerve.spines[n]):
+        vertices = (v0,) + tuple(c.d0.table[a] for a in spine)
+        arrows = []
+        for i, j in monotone_maps(1, n):
+            run = c.i.table[vertices[i]]
+            for a in spine[i:j]:
+                run = c.comp(a, run)
+            arrows.append(run)
+        functors.append((vertices, tuple(arrows)))
+    return functors
+
+
+def test_simplicial_map_is_precomposition(corpus):
+    # decoded by its spine, level n of the nerve is the set of functors
+    # [n] -> A, and the action of a monotone phi: [m] -> [n] sends a simplex
+    # to its functor composed with [phi], whose object map is phi and which
+    # sends the arrow (i, j) of [m] to (phi i, phi j)
+    acts = 0
+    for a in corpus:
+        simplices = [_spine_functors(a, n) for n in range(4)]
+        for n, functors in enumerate(simplices):
+            assert sorted(functors) == naive.oracle_functors(
+                naive.oracle_from_internal(ordinal(n)), naive.oracle_from_internal(a))
+        for n in range(4):
+            arrow_n = {arrow: e for e, arrow in enumerate(monotone_maps(1, n))}
+            for m in range(4):
+                simplex_m = {f: s for s, f in enumerate(simplices[m])}
+                for phi in monotone_maps(m, n):
+                    along = [arrow_n[(phi[i], phi[j])] for i, j in monotone_maps(1, m)]
+                    want = [simplex_m[(tuple(obj[t] for t in phi),
+                                       tuple(arr[e] for e in along))]
+                            for obj, arr in simplices[n]]
+                    assert list(simplicial_map(a, phi, n, m).table) == want
+                    acts += 1
+    assert acts == 25 * 121
 
 
 def test_nerve_is_cached_on_its_category():
