@@ -18,7 +18,7 @@ from .classifiers import (categorified_choice_audit, classify_full_mono,
                           classifying_square_is_pullback,
                           full_subobject_classifier, is_boolean, is_two_valued)
 from .corpus import CorpusSpec, generate_corpus, generate_functor_corpus
-from .errors import CertificateFailure, ShapeMismatch, SizeBound
+from .errors import SIZE_BOUND, CertificateFailure, ShapeMismatch, SizeBound
 from .finset import FinMap, FinObj, identity
 from .internal import (InternalCategory, InternalFunctor, compose_functors,
                        is_full_mono, validate_category)
@@ -355,7 +355,7 @@ class AuditConfig:
     max_objects: int = 4
     max_arrows: int = 10
     corpus_size: int = 12
-    size_bound: int = 10 ** 6
+    size_bound: int = SIZE_BOUND
     suites: tuple = tuple(SUITES)
 
 

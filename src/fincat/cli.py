@@ -12,8 +12,8 @@ from functools import lru_cache
 from . import serialize
 from .audit import SUITES, AuditConfig, run_audit
 from .classifiers import classify_full_mono, section_of_ff_epi
-from .errors import (CertificateFailure, FincatError, NotFFEpi, NotFullMono,
-                     ParseError, SizeBound, ValidationError)
+from .errors import (SIZE_BOUND, CertificateFailure, FincatError, NotFFEpi,
+                     NotFullMono, ParseError, SizeBound, ValidationError)
 from .factorisation import epi_mono_ofs, factor_internal, iso_all_ofs
 from .limits import (copower_by_two, hom_category, hom_iso_with_oracle,
                      internal_hom, power_by_two)
@@ -147,10 +147,12 @@ def build_parser():
         description="category theory internal to finite sets, with verification")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "structured"], default="text")
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument("--size-bound", type=count, default=SIZE_BOUND)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     p = add("validate", help="validate an internal category file")
     p.add_argument("file")
@@ -161,10 +163,9 @@ def build_parser():
     p.add_argument("--ofs", choices=["epi-mono", "iso-all"], default="epi-mono")
     p.set_defaults(fn=cmd_factor)
 
-    p = add("hom", help="internal hom of two categories")
+    p = add("hom", bounded, help="internal hom of two categories")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--size-bound", type=count, default=10 ** 6)
     p.set_defaults(fn=cmd_hom)
 
     p = add("power", help="power by the free arrow")
@@ -183,21 +184,19 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(fn=cmd_section)
 
-    p = add("audit", help="run the model-axiom audit")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-objects", type=count, default=4)
-    p.add_argument("--max-arrows", type=count, default=10)
-    p.add_argument("--corpus-size", type=count, default=12)
-    p.add_argument("--size-bound", type=count, default=10 ** 6)
+    p = add("audit", bounded, help="run the model-axiom audit")
+    p.add_argument("--seed", type=int, default=AuditConfig.seed)
+    p.add_argument("--max-objects", type=count, default=AuditConfig.max_objects)
+    p.add_argument("--max-arrows", type=count, default=AuditConfig.max_arrows)
+    p.add_argument("--corpus-size", type=count, default=AuditConfig.corpus_size)
     p.add_argument("--suite", action="append", choices=tuple(SUITES),
                    metavar="SUITE",
                    help="restrict to a named suite (repeatable)")
     p.set_defaults(fn=cmd_audit)
 
-    p = add("oracle-compare", help="compare the end formula with the oracle")
+    p = add("oracle-compare", bounded, help="compare the end formula with the oracle")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--size-bound", type=count, default=10 ** 6)
     p.set_defaults(fn=cmd_oracle_compare)
 
     return parser

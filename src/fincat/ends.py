@@ -30,10 +30,13 @@ the t = 0 block (the level-0 search) once, copies each (k + 1)-tuple of its
 completions in turn into the plan's vertex rows, and searches only the jump
 slots. A jump slot takes its arrows by larger endpoint, identity first: each
 identity entry is a component, and each other entry is then forced and
-checked by the components at its ends. The first jump cell, in the slot
-(0, 1), is neither: its candidates are all of Y(F0 x, F1 x'), so a pair of
-functors (F0, F1) with no arrow there starts no family, and the tuples that
-begin with it are counted but not copied.
+checked by the components at its ends. The first jump cell x -> x', in the
+slot (0, 1), is neither: its candidates are all of Y(F0 x, F1 x'). The
+tuples are walked as (F0, F1, rest), and when Y(F0 x, F1 x') is empty no
+tuple starting with F0, F1 has a family: each would spend its own step and
+find no candidate for that cell. Those tuples are not walked; their steps
+are spent at once, so the counts and refusals are those of a search that
+walks every tuple.
 
 The internal hom (limits.internal_hom) uses only levels 0 and 1: level 2 of a
 Segal category is the join of composable level-1 cells, so its composition is
@@ -54,7 +57,7 @@ the naive functor search on [k] x X.
 
 from itertools import accumulate, product as iproduct
 
-from .errors import Budget
+from .errors import SIZE_BOUND, Budget
 from .finset import FinMap
 from .internal import (InternalCategory, InternalFunctor, monotone_maps, ordinal,
                        validate_functor)
@@ -97,8 +100,9 @@ class EndPlan:
     t <= k, then eta1[psi] over X1 for psi: [1] -> [k], at the slices in
     `rows0` and `rows1`. The functor at vertex t is copied into the rows
     `vertex_rows[t]` of eta0[(t,)] and eta1[(t, t)]. `cells` lists the
-    cells in assignment order, the first `block` of them the t = 0 block,
-    each as flat indices (entry, source, target, identity, forced, completes):
+    cells in assignment order, the first `block` of them the t = 0 block and
+    the next, when there is one, the first jump cell, each as flat indices
+    (entry, source, target, identity, forced, completes):
 
       * entry: the entry the cell sets;
       * source, target: the entries holding its endpoints' images (None for
@@ -110,19 +114,13 @@ class EndPlan:
       * completes: the instances (u, v, uv) whose last cell it is, checked
         as m_Y(eta[u], eta[v]) = eta[uv] once the cell is set.
 
-    `first_jump` is (x, x'), the ends of the arrow x -> x' of the first
-    jump cell, in the slot psi = (0, 1): its candidates are Y(F0 x, F1 x')
-    for the functors F0 and F1 at vertices 0 and 1, read from the object
-    tables at positions x and x'. It is None when there is no jump cell
-    (k = 0 or X empty).
-
     `cylinder` is the chosen product [k] x X (a `limits.LimitCone`), whose
     row t of objects is the slice of eta0[(t,)] and row psi of arrows that
     of eta1[psi]; the search never reads it, so it is None until the first
     `check_family` out of X at level k."""
 
     __slots__ = ("size", "rows0", "rows1", "vertex_rows", "block", "cells",
-                 "first_jump", "cylinder")
+                 "cylinder")
 
     def __init__(self, x_cat: InternalCategory, k: int):
         x0, x1 = x_cat.C0.size, x_cat.C1.size
@@ -187,10 +185,6 @@ class EndPlan:
             cells.append((entry, offset[(s,)] + d1[elem], offset[(t,)] + d0[elem],
                           identity, forced_by.get(entry), tuple(checks)))
         self.cells = tuple(cells)
-        self.first_jump = None
-        if len(cells) > self.block:
-            _entry, src, tgt, *_rest = cells[self.block]
-            self.first_jump = (src - offset[(0,)], tgt - offset[(1,)])
 
 
 def _plan(x_cat: InternalCategory, k: int) -> EndPlan:
@@ -203,19 +197,13 @@ def _plan(x_cat: InternalCategory, k: int) -> EndPlan:
 
 
 def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
-                 budget: int = 10 ** 6):
+                 budget: int = SIZE_BOUND):
     """All natural families at level k, lex-ordered by product encoding.
 
     SizeBound (stage "level-k end") when the search would exceed `budget`
     steps. A step is a candidate tried for one cell or, at k > 0, one
-    (k + 1)-tuple of functors that the jump slots start from.
-
-    The tuples are walked as (F0, F1, rest). When Y(F0 x, F1 x') is empty
-    for the first jump cell x -> x' (`EndPlan.first_jump`), no tuple
-    starting with F0, F1 has a family: each would spend its own step and
-    find no candidate for that cell. Those tuples are not walked; their
-    steps are spent at once, so the counts and refusals are those of a
-    search that walks every tuple.
+    (k + 1)-tuple of functors that the jump slots start from, whether it is
+    walked or skipped by the first jump cell (see the module docstring).
     """
     plan = _plan(x_cat, k)
     counter = Budget(budget, f"level-{k} end")
@@ -269,15 +257,18 @@ def end_families(x_cat: InternalCategory, y_cat: InternalCategory, k: int,
         (objects0, arrows0), (objects1, arrows1), *later = plan.vertex_rows
         rec(0, plan.block,
             lambda: firsts.append((tuple(flat[objects0]), tuple(flat[arrows0]))))
-        jump, skipped = plan.first_jump, len(firsts) ** (k - 1)
+        src = tgt = None  # the first jump cell's ends: F0 x and F1 x'
+        if len(cells) > plan.block:
+            _entry, src, tgt, *_rest = cells[plan.block]
+        skipped = len(firsts) ** (k - 1)
         for f0 in firsts:
             flat[objects0], flat[arrows0] = f0
-            for f1 in firsts:
-                if jump is not None and (f0[0][jump[0]],
-                                         f1[0][jump[1]]) not in y_homs:
+            for f1_objects, f1_arrows in firsts:
+                flat[objects1] = f1_objects
+                if src is not None and (flat[src], flat[tgt]) not in y_homs:
                     counter.spend(skipped)
                     continue
-                flat[objects1], flat[arrows1] = f1
+                flat[arrows1] = f1_arrows
                 for rest in iproduct(firsts, repeat=k - 1):
                     tick()  # each vertex tuple is one step of the jump search
                     for (objects_t, arrows_t), (f_obj, f_arr) in zip(later, rest):

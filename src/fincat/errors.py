@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the step counter that
-raises SizeBound."""
+"""Exception types shared across the package, the step counter that
+raises SizeBound, and the default bound of every bounded search."""
+
+# the desk scale: the default bound of the searches, the hom, the audit and
+# the CLI's --size-bound
+SIZE_BOUND = 10 ** 6
 
 
 class FincatError(Exception):

@@ -18,7 +18,7 @@ message names its stage, the count and the bound (internal_hom lists the
 stages).
 
 The functor, cell and hom-category searches all live in naive.py, which shares
-with the end path only the error types and errors.Budget: enumerate_functors,
+with the end path only what errors.py holds: enumerate_functors,
 enumerate_cells and hom_category are typed views over them, and
 hom_iso_with_oracle checks the end hom against the oracle's hom-category.
 """
@@ -30,7 +30,7 @@ import math
 
 from . import finset
 from .ends import end_families
-from .errors import CertificateFailure, DomainMismatch, SizeBound
+from .errors import SIZE_BOUND, CertificateFailure, DomainMismatch, SizeBound
 from .finset import FinMap, FinObj, compose, identity
 from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        ValidationReport, Violation, compose_functors,
@@ -156,6 +156,13 @@ def free_arrow() -> InternalCategory:
     return _FREE_ARROW
 
 
+def _require_natural(cell: InternalNatTrans):
+    """DomainMismatch, naming the first violation, unless cell is natural."""
+    violations = validate_nat_trans(cell).violations
+    if violations:
+        raise DomainMismatch(f"not a 2-cell: {violations[0]}")
+
+
 @dataclass(frozen=True)
 class PowerByTwo:
     """The internal arrow category of a: objects are a's arrows, arrows are
@@ -176,16 +183,13 @@ class PowerByTwo:
                                 h.f0)
 
     def cell_to_functor(self, cell: InternalNatTrans) -> InternalFunctor:
-        a = cell.src.cod
-        f, g = cell.src, cell.tgt
-        table = []
-        for u in range(f.dom.C1.size):
-            x, y = f.dom.d1.table[u], f.dom.d0.table[u]
-            p = a.pairs.encode((g.f1.table[u], cell.alpha.table[x]))
-            q = a.pairs.encode((cell.alpha.table[y], f.f1.table[u]))
-            table.append(self.squares.encode((p, q)))
-        return InternalFunctor(f.dom, self.carrier, cell.alpha,
-                               FinMap(f.dom.C1, self.carrier.C1, tuple(table)))
+        """The functor X -> a^2 of a natural cell: u goes to its square."""
+        _require_natural(cell)
+        f, g, alpha = cell.src, cell.tgt, cell.alpha
+        pairs, x = f.cod.pairs, f.dom
+        arrows = self.squares.mediate(pairs.mediate(g.f1, compose(alpha, x.d1)),
+                                      pairs.mediate(compose(alpha, x.d0), f.f1))
+        return InternalFunctor(x, self.carrier, alpha, arrows)
 
 
 def power_by_two(a: InternalCategory) -> PowerByTwo:
@@ -237,9 +241,10 @@ class CopowerByTwo:
     universal_cell: InternalNatTrans
 
     def cell_to_functor(self, cell: InternalNatTrans) -> InternalFunctor:
-        """The functor 2 x A -> B corresponding to a 2-cell f => g : A -> B:
-        its rows at the free arrow's objects are f and g, and its row at the
-        arrow sends u: x -> y to g(u) . alpha_x."""
+        """The functor 2 x A -> B of a natural cell f => g: A -> B: its rows at
+        the free arrow's objects are f and g, and its row at the arrow sends
+        u: x -> y to g(u) . alpha_x."""
+        _require_natural(cell)
         f, g = cell.src, cell.tgt
         a, b = f.dom, f.cod
         arrow_row = tuple(map(b.comp, g.f1.table,
@@ -396,7 +401,7 @@ def validate_hom_carrier(ih: InternalHom) -> ValidationReport:
 
 
 def internal_hom(x: InternalCategory, y: InternalCategory,
-                 bound: int = 10 ** 6) -> InternalHom:
+                 bound: int = SIZE_BOUND) -> InternalHom:
     """The internal hom [x, y]: levels 0 and 1 are the stated ends, and
     composition is the Segal join of composable level-1 cells.
 
@@ -476,7 +481,7 @@ class HomCategory:
 
 
 def enumerate_functors(a: InternalCategory, b: InternalCategory,
-                       bound: int = 10 ** 6):
+                       bound: int = SIZE_BOUND):
     """All internal functors a -> b, ordered by (f0, f1) tables, as found by
     the naive oracle's functor search.
 
@@ -498,7 +503,7 @@ def enumerate_cells(f: InternalFunctor, g: InternalFunctor):
 
 
 def hom_category(a: InternalCategory, b: InternalCategory,
-                 bound: int = 10 ** 6) -> HomCategory:
+                 bound: int = SIZE_BOUND) -> HomCategory:
     """The hom-category of a and b as the naive oracle enumerates it, with its
     composition table; `bound` caps the functor search steps, the cells and
     the composable pairs of cells."""

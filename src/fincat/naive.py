@@ -1,8 +1,8 @@
 """A naive finite-category representation with its own validator and
 enumerators. This is the independent oracle: it shares with the
-internal-category validators and the end-formula path only the error types and
-the step counter errors.Budget, neither of which can confirm a result, so a
-shared bug cannot silently confirm itself.
+internal-category validators and the end-formula path only the error types,
+the step counter errors.Budget and the default bound errors.SIZE_BOUND, none
+of which can confirm a result, so a shared bug cannot silently confirm itself.
 
 Its searches for functors, natural transformations and hom-categories are the
 package's only ones; limits.enumerate_functors, enumerate_cells and
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product, repeat
 
-from .errors import Budget, SizeBound
+from .errors import SIZE_BOUND, Budget, SizeBound
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def oracle_from_internal(cat) -> NaiveCategory:
     return NaiveCategory(cat.C0.size, arrows, identities, comp)
 
 
-def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
+def oracle_functors(a: NaiveCategory, b: NaiveCategory, bound: int = SIZE_BOUND):
     """All functors a -> b as (object table, arrow table) pairs, sorted: the
     object tables in lexicographic order, and for each, arrow assignments by
     backtracking in arrow order.
@@ -234,7 +234,7 @@ def count_all_nat_trans(a: NaiveCategory, b: NaiveCategory, functors):
     return sum(1 for _cell in _cells(a, b, functors, functors))
 
 
-def oracle_hom_category(a: NaiveCategory, b: NaiveCategory, bound: int = 10 ** 6):
+def oracle_hom_category(a: NaiveCategory, b: NaiveCategory, bound: int = SIZE_BOUND):
     """The hom-category as a naive category: objects are oracle functors,
     arrows are (source index, target index, component tuple), composition is
     pointwise in b. `bound` caps the functor search steps, the cells and the

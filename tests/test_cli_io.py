@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -13,7 +13,7 @@ from fincat import audit, cli, naive, serialize
 from fincat.cli import main
 from fincat.corpus import (CorpusSpec, generate_corpus, generate_functor_corpus,
                            monoid_delooping)
-from fincat.errors import ParseError, ValidationError
+from fincat.errors import SIZE_BOUND, ParseError, ValidationError
 from fincat.finset import FinMap, FinObj
 from fincat.internal import id_functor, id_nat_trans, validate_category
 from fincat.limits import enumerate_functors, free_arrow, terminal_cat
@@ -431,6 +431,16 @@ def test_cli_builds_its_parser_once_and_suites_do_not_accumulate(monkeypatch,
         assert built == [1]
     finally:
         cli._parser.cache_clear()
+
+
+def test_cli_defaults_are_the_audit_config_and_the_size_bound():
+    parser = cli.build_parser()
+    args = vars(parser.parse_args(["audit"]))
+    config = asdict(audit.AuditConfig())
+    del config["suites"]  # no --suite selects every suite
+    assert {name: args[name] for name in config} == config
+    for argv in (["audit"], ["hom", "a", "b"], ["oracle-compare", "a", "b"]):
+        assert parser.parse_args(argv).size_bound is SIZE_BOUND, argv[0]
 
 
 def test_cli_builds_no_parser_at_import():

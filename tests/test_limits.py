@@ -2,6 +2,7 @@
 the free arrow, copowers, and internal homs with their oracles."""
 
 import hashlib
+import inspect
 import math
 import os
 import random
@@ -9,19 +10,21 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from fincat import ends, finset, naive
-from fincat.audit import diagonal_equaliser_holds
+from fincat.audit import AuditConfig, diagonal_equaliser_holds
 from fincat.corpus import (CorpusSpec, category_from_tables, generate_corpus,
                            monoid_delooping)
 from fincat.ends import Family, check_family, end_families
-from fincat.errors import CertificateFailure, DomainMismatch, SizeBound
+from fincat.errors import SIZE_BOUND, CertificateFailure, DomainMismatch, SizeBound
 from fincat.finset import FinMap, FinObj, identity
-from fincat.internal import (InternalCategory, InternalFunctor, compose_functors,
-                             id_functor, monotone_maps, ordinal,
-                             validate_category, validate_functor)
+from fincat.internal import (InternalCategory, InternalFunctor, InternalNatTrans,
+                             compose_functors, id_functor, monotone_maps, ordinal,
+                             validate_category, validate_functor,
+                             validate_nat_trans)
 from fincat.limits import (HomCategory, constant_functor, coproduct_cat,
                            copower_by_two, enumerate_cells, enumerate_functors,
                            free_arrow, hom_category, hom_iso_with_oracle,
@@ -597,6 +600,17 @@ def test_every_refusal_names_its_stage_count_and_bound(stage, refused, steps,
     assert stage in message and str(steps) in message and str(bound) in message
 
 
+def test_every_search_defaults_to_the_size_bound():
+    defaults = [(naive.oracle_functors, "bound"),
+                (naive.oracle_hom_category, "bound"), (end_families, "budget"),
+                (internal_hom, "bound"), (enumerate_functors, "bound"),
+                (hom_category, "bound"), (AuditConfig, "size_bound")]
+    for fn, name in defaults:
+        assert inspect.signature(fn).parameters[name].default is SIZE_BOUND, \
+            fn.__name__
+    assert SIZE_BOUND == 10 ** 6
+
+
 # steps, family count and a digest of the family keys in order, for the
 # cases of test_internal_hom_join_matches_level_two_end at levels 0, 1 and 2;
 # the level-1 and level-2 counts and digests are those the search gave when
@@ -664,6 +678,24 @@ def test_slice_end_families_steps_and_order_unchanged(corpus, counted):
             fams, steps = counted(x, y, k)
             digest.update(repr((k, steps, [f.key() for f in fams])).encode())
     assert digest.hexdigest() == _SLICE_END_DIGEST
+
+
+# a digest of the steps and the family keys, in order, of end_families at
+# k = 3 over the ordered pairs of corpus members with at most 2 arrows,
+# recorded while the plan kept the first jump cell's ends in a slot of their
+# own; it pins the steps that the skipped vertex tuples spend at k >= 2
+_K3_END_DIGEST = "1c5361c3d1873430702b0a45f993f1720f6e9619a620f06cad9aa2fd27099e04"
+
+
+def test_level_three_end_families_steps_and_order_unchanged(corpus, counted):
+    small = [c for c in corpus if c.C1.size <= 2]
+    pairs = [(x, y) for x in small for y in small]
+    assert len(pairs) == 121
+    digest = hashlib.sha256()
+    for x, y in pairs:
+        fams, steps = counted(x, y, 3)
+        digest.update(repr((3, steps, [f.key() for f in fams])).encode())
+    assert digest.hexdigest() == _K3_END_DIGEST
 
 
 # (i, j, s): the level-1 end of corpus pair (i, j) succeeds at bound s and is
@@ -865,6 +897,37 @@ def test_copower_universal_bijection():
                 assert validate_functor(h).ok
                 back = cp.functor_to_cell(h)
                 assert back == cell
+
+
+def test_two_cell_transposes_refuse_a_cell_that_is_not_natural(corpus):
+    # every cell alpha: f => g between functors 2 -> Y whose components have
+    # the right ends, for the members Y with at most 6 arrows: a natural one
+    # transposes to a functor into Y's power and one out of 2's copower, and
+    # back; both refuse any other, such as alpha = (e, a) on f = g sending
+    # every arrow to e, for the monoid {e, a} with a.a = a (corpus[3])
+    two = free_arrow()
+    cp = copower_by_two(two)
+    counts = [0, 0]
+    for y in corpus:
+        if y.C1.size > 6:
+            continue
+        p = power_by_two(y)
+        functors = enumerate_functors(two, y)
+        for f, g in product(functors, repeat=2):
+            for alpha in product(*(y.homs.get((f.f0.table[x], g.f0.table[x]), ())
+                                   for x in range(two.C0.size))):
+                cell = InternalNatTrans(f, g, FinMap(two.C0, y.C1, alpha))
+                natural = validate_nat_trans(cell).ok
+                counts[natural] += 1
+                for transpose in (p, cp):
+                    if natural:
+                        h = transpose.cell_to_functor(cell)
+                        assert validate_functor(h).ok
+                        assert transpose.functor_to_cell(h) == cell
+                    else:
+                        with pytest.raises(DomainMismatch, match="naturality at"):
+                            transpose.cell_to_functor(cell)
+    assert counts == [450, 327]
 
 
 def test_internal_hom_unit_law():

@@ -5,7 +5,9 @@ and no `except Exception`. The oracle (`naive`) shares nothing with the
 paths it checks but the error types, and the category layer (`internal`)
 does not reach up into the end search or the limits built on it. Each audit
 suite is named once, in the registry `audit.SUITES`. The nerve is read only
-through `internal.simplicial_map`."""
+through `internal.simplicial_map`. The default bound is written once, as
+`errors.SIZE_BOUND`, and the CLI writes no number as an option's default: it
+reads the bound and `audit.AuditConfig`'s fields."""
 
 import ast
 import os
@@ -88,6 +90,37 @@ def test_each_suite_name_is_written_once():
         dict.fromkeys(SUITES, 1), written
     assert not any(place.startswith("cli.py:")
                    for places in written.values() for place in places)
+
+
+def _is_million(node):
+    """Whether node is the literal 10 ** 6 or 1000000."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return (isinstance(node.left, ast.Constant)
+                and isinstance(node.right, ast.Constant)
+                and (node.left.value, node.right.value) == (10, 6))
+    return isinstance(node, ast.Constant) and node.value == 10 ** 6
+
+
+def test_the_default_bound_is_written_once():
+    written = [(name, node.lineno) for name in FILES
+               for node in ast.walk(_parse(name)) if _is_million(node)]
+    assert [name for name, _line in written] == ["errors.py"], written
+
+
+def _number_literal(node):
+    """Whether node writes a number out: constants and arithmetic on them."""
+    parts = list(ast.walk(node))
+    return (all(isinstance(part, (ast.Constant, ast.BinOp, ast.UnaryOp,
+                                  ast.operator, ast.unaryop)) for part in parts)
+            and any(isinstance(part, ast.Constant)
+                    and type(part.value) in (int, float) for part in parts))
+
+
+def test_cli_writes_no_numeric_option_default():
+    numeric = [f"cli.py:{node.lineno}" for node in ast.walk(_parse("cli.py"))
+               if isinstance(node, ast.keyword) and node.arg == "default"
+               and _number_literal(node.value)]
+    assert not numeric, numeric
 
 
 @pytest.mark.parametrize("name", FILES)
