@@ -1,13 +1,13 @@
 """The model-axiom checklist: recursor search and finite-NNO refutation,
 generator and 2-well-pointedness verification, and the aggregate report.
 
-The report's suites come from one registry, `SUITES`, in report order; it
-gives each suite's function, whether it needs the corpus and its expected
-verdict, and `fincat audit --suite` takes its names. The finite-set base
-cannot carry a natural numbers object; the audit does not assume this but
-refutes every candidate up to NNO_MAX_SIZE elements with a verified
-counterexample. Verdicts use the vocabulary {verified-at-scale, refuted,
-skipped}: desk-scale checks cannot certify universally quantified axioms.
+The report's suites come from one registry, `SUITES`, in report order, of
+each suite's function and expected verdict; `fincat audit --suite` takes its
+names. A suite says whether its claim held and how much it checked, and
+`run_audit` alone names the verdict: verified-at-scale, refuted or skipped,
+as desk-scale checks cannot certify universally quantified axioms. The
+finite-set base cannot carry a natural numbers object; the audit refutes
+every candidate up to NNO_MAX_SIZE elements with a verified counterexample.
 """
 
 from dataclasses import asdict, dataclass
@@ -233,10 +233,10 @@ NNO_MAX_SIZE = 3  # the largest NNO candidate the audit refutes
 
 def _finite_limits(corpus, functors, config):
     pairs = [(a, b) for a in corpus[:4] for b in corpus[:4]]
-    for a, b in pairs:
+    for checked, (a, b) in enumerate(pairs, 1):
         if not validate_category(product_cat(a, b).category).ok:
-            return "refuted", {"pair": (a.C0.size, b.C0.size)}
-    return "verified-at-scale", {"products_checked": len(pairs)}
+            return False, checked, {"pair": (a.C0.size, b.C0.size)}
+    return True, len(pairs), {"products_checked": len(pairs)}
 
 
 def _cartesian_closed(corpus, functors, config):
@@ -255,16 +255,15 @@ def _cartesian_closed(corpus, functors, config):
             pass
         if tried == 10:
             break
-    # no pair under the size bound means nothing was compared
-    verdict = ("skipped" if not tried else
-               "verified-at-scale" if agree == tried else "refuted")
-    return verdict, {"pairs_compared": tried, "agreements": agree}
+    return agree == tried, tried, {"pairs_compared": tried, "agreements": agree}
 
 
 def _well_pointed2(corpus, functors, config):
     pairs = _parallel_pairs(functors)
-    verdict = two_well_pointed_check(pairs, range(config.max_objects + 2))
-    return verdict.verdict, {"pairs_tested": len(pairs)}
+    # A x A x A has n ** 3 elements: no base size past the size bound
+    sizes = [n for n in range(config.max_objects + 2) if n ** 3 <= config.size_bound]
+    verdict = two_well_pointed_check(pairs, sizes)
+    return not verdict.failures, len(pairs), {"pairs_tested": len(pairs)}
 
 
 def _nno(corpus, functors, config):
@@ -276,7 +275,7 @@ def _nno(corpus, functors, config):
                  "g": list(r.test[2].table)},
         "outcome": r.verdict.outcome,
     } for r in refutations]
-    return "refuted", {
+    return False, len(refutations), {
         "candidates": len(refutations), "counterexamples": witnesses,
         "note": "no finite candidate admits unique recursors; every "
                 "candidate refuted with a verified counterexample"}
@@ -287,15 +286,15 @@ def _full_subobject_classifier(corpus, functors, config):
     monos = [f for f in functors if is_full_mono(f)]
     bad = [f for f in monos
            if not classifying_square_is_pullback(f, classify_full_mono(f), fsc)]
-    return ("verified-at-scale" if not bad else "refuted",
-            {"full_monos_classified": len(monos), "failures": len(bad)})
+    return not bad, len(monos), {"full_monos_classified": len(monos),
+                                 "failures": len(bad)}
 
 
 def _categorified_choice(corpus, functors, config):
     outcomes = [r.outcome for r in categorified_choice_audit(functors)]
     certs, bad = outcomes.count("certificate"), outcomes.count("counterexample")
-    return ("verified-at-scale" if not bad else "refuted",
-            {"certificates": certs, "skipped": len(outcomes) - certs - bad})
+    return not bad, certs + bad, {"certificates": certs,
+                                  "skipped": len(outcomes) - certs - bad}
 
 
 def _extensivity(corpus, functors, config):
@@ -314,24 +313,23 @@ def _extensivity(corpus, functors, config):
                 ok &= (pb0.C0.size + pb1.C0.size == h.dom.C0.size
                        and pb0.C1.size + pb1.C1.size == h.dom.C1.size)
                 tested += 1
-    return ("verified-at-scale" if ok else "refuted",
-            {"pullback_decompositions": tested})
+    return ok, len(corpus[:3]) ** 2 + tested, {"pullback_decompositions": tested}
 
 
 def _boolean(corpus, functors, config):
-    return "verified-at-scale" if is_boolean() else "refuted", {}
+    return is_boolean(), 1, {}
 
 
 def _two_valued(corpus, functors, config):
-    verdict, info = is_two_valued()
-    return "verified-at-scale" if verdict else "refuted", info
+    holds, info = is_two_valued()
+    return holds, 1, info
 
 
 @dataclass(frozen=True)
 class Suite:
-    """A registry entry; a suite that `needs_corpus` skips an empty corpus."""
-    check: callable    # (corpus, functors, config) -> (verdict, witnesses)
-    needs_corpus: bool = True
+    """A registry entry: `check(corpus, functors, config)` returns (holds,
+    checked, witnesses), and `run_audit` names the verdict."""
+    check: callable
     expected: str = "verified-at-scale"
 
 
@@ -340,7 +338,7 @@ SUITES = {
     "cartesianClosed": Suite(_cartesian_closed),
     "wellPointed2": Suite(_well_pointed2),
     # finiteness forbids a natural numbers object
-    "nno": Suite(_nno, needs_corpus=False, expected="refuted"),
+    "nno": Suite(_nno, expected="refuted"),
     "fullSubobjectClassifier": Suite(_full_subobject_classifier),
     "categorifiedChoice": Suite(_categorified_choice),
     "extensivity": Suite(_extensivity),
@@ -351,18 +349,18 @@ SUITES = {
 
 @dataclass(frozen=True)
 class AuditConfig:
-    seed: int = 7
-    max_objects: int = 4
-    max_arrows: int = 10
+    seed: int = CorpusSpec.seed
+    max_objects: int = CorpusSpec.max_objects
+    max_arrows: int = CorpusSpec.max_arrows
     corpus_size: int = 12
     size_bound: int = SIZE_BOUND
     suites: tuple = tuple(SUITES)
 
 
 def run_audit(config: AuditConfig) -> dict:
-    """Run the selected suites at the configured scale and assemble the
-    report, with a skipped entry for every other suite; deterministic for a
-    fixed config. A suite name outside `SUITES` is a `ValueError`."""
+    """Run the selected suites and assemble the report, deterministic for a
+    fixed config: refuted when a claim failed, else verified-at-scale when an
+    item was checked, else skipped. A name outside `SUITES` is a ValueError."""
     unknown = [name for name in config.suites if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown audit suites: {', '.join(unknown)}")
@@ -373,8 +371,10 @@ def run_audit(config: AuditConfig) -> dict:
     entries = {}
     for name, suite in SUITES.items():
         verdict, witnesses = "skipped", {}
-        if name in config.suites and (corpus or not suite.needs_corpus):
-            verdict, witnesses = suite.check(corpus, functors, config)
+        if name in config.suites:
+            holds, checked, witnesses = suite.check(corpus, functors, config)
+            verdict = ("refuted" if not holds else
+                       "verified-at-scale" if checked else "skipped")
         entries[name] = {"verdict": verdict, "witnesses": witnesses}
     return {"config": {**asdict(config), "nno_max_size": NNO_MAX_SIZE,
                        "suites": list(dict.fromkeys(config.suites))},

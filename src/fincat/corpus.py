@@ -48,6 +48,15 @@ def category_from_tables(n_objects, arrows, comp_pairs, identities):
             pairs.apex, c1, tuple(comp_pairs[(u, v)] for u, v in pairs.tuples)))
 
 
+def _path_count(n_nodes, edges):
+    """The number of arrows of `free_on_dag(n_nodes, edges)`, counted without
+    listing them, for edges (a, b) with a < b listed by ascending a."""
+    paths = [1] * n_nodes  # paths[a]: the paths that start at a
+    for a, b in reversed(edges):
+        paths[a] += paths[b]
+    return sum(paths)
+
+
 def free_on_dag(n_nodes, edges):
     """The free category on an acyclic graph: arrows are paths."""
     paths = [((x,), ()) for x in range(n_nodes)]  # (vertex sequence, edge seq)
@@ -115,12 +124,16 @@ def _monoid_tables(rng, max_arrows):
     return [[u | v for v in range(2)] for u in range(2)]
 
 
-def _random_preorder(rng, n):
+def _random_preorder(rng, n, cap):
+    """A random preorder on n points, or None when the drawn relation has
+    more than cap pairs before its transitive closure."""
     rel = {(x, x) for x in range(n)}
     for x in range(n):
         for y in range(x + 1, n):
             if rng.random() < 0.4:
                 rel.add((x, y))
+    if len(rel) > cap:
+        return None
     changed = True
     while changed:
         changed = False
@@ -134,14 +147,17 @@ def _random_preorder(rng, n):
 
 def generate_corpus(spec: CorpusSpec):
     """Deterministic under seed; every item passes the validator and fits
-    the caps, so the free arrow leads the list only where it fits."""
+    the caps, so the free arrow leads the list only where it fits. The
+    sizes of a free category, a preorder, an indiscrete category and a
+    product are decided from the draws before it is built, so an item over
+    the caps costs its draws, not its construction."""
     rng = random.Random(spec.seed)
 
-    def fits(cat):
-        return cat.C0.size <= spec.max_objects and cat.C1.size <= spec.max_arrows
+    def fits(n_objects, n_arrows):
+        return n_objects <= spec.max_objects and n_arrows <= spec.max_arrows
 
     two = free_arrow()
-    out = [two] if spec.count > 0 and fits(two) else []
+    out = [two] if spec.count > 0 and fits(two.C0.size, two.C1.size) else []
     attempts = 0
     while len(out) < spec.count and attempts < spec.count * 40:
         attempts += 1
@@ -151,26 +167,32 @@ def generate_corpus(spec: CorpusSpec):
         if name == "disc":
             cat = disc(FinObj(rng.randint(0, spec.max_objects)))
         elif name == "indisc":
-            cat = indisc(FinObj(rng.randint(1, max(1, spec.max_objects // 2))))
+            n = rng.randint(1, max(1, spec.max_objects // 2))
+            if fits(n, n * n):
+                cat = indisc(FinObj(n))
         elif name == "monoidDelooping" and spec.max_arrows >= 2:
             cat = monoid_delooping(_monoid_tables(rng, spec.max_arrows))
         elif name == "preorder" and spec.max_objects >= 1:
             n = rng.randint(1, spec.max_objects)
-            cat = preorder_category(_random_preorder(rng, n), n)
+            rel = _random_preorder(rng, n, spec.max_arrows)
+            if rel is not None and fits(n, len(rel)):
+                cat = preorder_category(rel, n)
         elif name == "freeOnDAG" and spec.max_objects >= 1:
             n = rng.randint(1, spec.max_objects)
             edges = [(a, b) for a in range(n) for b in range(a + 1, n)
                      if rng.random() < 0.5]
-            cat = free_on_dag(n, edges)
+            if fits(n, _path_count(n, edges)):
+                cat = free_on_dag(n, edges)
         elif name == "product" and out:
             a, b = rng.choice(out), rng.choice(out)
-            cat = product_cat(a, b).category
+            if fits(a.C0.size * b.C0.size, a.C1.size * b.C1.size):
+                cat = product_cat(a, b).category
         elif name == "coproduct" and out:
             a, b = rng.choice(out), rng.choice(out)
             cat = coproduct_cat(a, b).category
         elif name == "opposite" and out:
             cat = opposite(rng.choice(out))
-        if cat is None or not fits(cat):
+        if cat is None or not fits(cat.C0.size, cat.C1.size):
             continue
         validate_category(cat).certify("corpus category")
         out.append(cat)
@@ -216,7 +238,7 @@ def ff_epi_examples(corpus, rng):
     return out
 
 
-def generate_functor_corpus(corpus, seed=7):
+def generate_functor_corpus(corpus, seed=CorpusSpec.seed):
     """Deterministic functor family: identities, canonical constructions,
     full subcategory inclusions, ff-epi examples, and up to three sampled
     functors between each pair of small corpus members."""

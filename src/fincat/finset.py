@@ -84,9 +84,6 @@ class FinMap:
         object.__setattr__(f, "table", table)
         return f
 
-    def __call__(self, x):
-        return self.table[x]
-
     def __repr__(self):
         return f"FinMap({self.dom.size}->{self.cod.size}, {list(self.table)})"
 

@@ -130,9 +130,9 @@ def coproduct_cat(a: InternalCategory, b: InternalCategory) -> CoproductCone:
     def copair(i, j, f, g):
         return finset.copair(compose(i, f), compose(j, g))
 
-    cat = InternalCategory.with_composition(
+    cat = InternalCategory(
         c0, c1, copair(i00, i01, a.d0, b.d0), copair(i00, i01, a.d1, b.d1),
-        copair(i10, i11, a.i, b.i), lambda _pairs: copair(i10, i11, a.m, b.m))
+        copair(i10, i11, a.i, b.i), copair(i10, i11, a.m, b.m))
     return CoproductCone(cat, InternalFunctor(a, cat, i00, i10),
                          InternalFunctor(b, cat, i01, i11))
 

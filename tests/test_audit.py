@@ -7,10 +7,10 @@ from itertools import product as iproduct
 import pytest
 
 from fincat import finset
-from fincat.audit import (SUITES, AuditConfig, arrow_functor, generator_check,
-                          nno_candidates, recursor_search, refute_finite_nno,
-                          run_audit, two_dimensional_nno_check,
-                          two_well_pointed_check)
+from fincat.audit import (SUITES, AuditConfig, Suite, arrow_functor,
+                          generator_check, nno_candidates, recursor_search,
+                          refute_finite_nno, run_audit,
+                          two_dimensional_nno_check, two_well_pointed_check)
 from fincat.corpus import CorpusSpec, generate_corpus
 from fincat.finset import FinMap, FinObj, identity
 from fincat.internal import (InternalFunctor, ValidationReport, Violation,
@@ -305,12 +305,61 @@ def test_finite_limits_reports_the_first_failing_product(monkeypatch):
 
 
 def test_run_audit_zero_corpus_skips():
-    report = run_audit(AuditConfig(corpus_size=0, suites=(
-        "finiteLimits", "cartesianClosed", "wellPointed2",
-        "fullSubobjectClassifier", "categorifiedChoice", "extensivity",
-        "boolean", "twoValued")))
-    for name, data in report["entries"].items():
-        assert data["verdict"] == "skipped", name
+    # a suite that reads the corpus checks nothing on an empty one, so it is
+    # skipped with its zero counts; boolean and twoValued read no corpus
+    entries = run_audit(AuditConfig(corpus_size=0))["entries"]
+    assert {name: data["verdict"] for name, data in entries.items()} == {
+        **dict.fromkeys(SUITES, "skipped"), "nno": "refuted",
+        "boolean": "verified-at-scale", "twoValued": "verified-at-scale"}
+    assert entries["finiteLimits"]["witnesses"] == {"products_checked": 0}
+    assert entries["wellPointed2"]["witnesses"] == {"pairs_tested": 0}
+
+
+@pytest.mark.parametrize("max_objects,max_arrows", [(0, 10), (4, 1)])
+def test_well_pointed_with_no_parallel_pair_is_skipped(max_objects, max_arrows):
+    # the corpus is not empty, but no functor out of a category with an
+    # object has a distinct parallel partner
+    config = AuditConfig(max_objects=max_objects, max_arrows=max_arrows,
+                         suites=("wellPointed2",))
+    assert run_audit(config)["entries"]["wellPointed2"] == {
+        "verdict": "skipped", "witnesses": {"pairs_tested": 0}}
+
+
+@pytest.mark.parametrize("holds,checked,verdict", [
+    (False, 0, "refuted"), (False, 2, "refuted"),
+    (True, 0, "skipped"), (True, 1, "verified-at-scale")])
+def test_run_audit_names_the_verdict(holds, checked, verdict, monkeypatch):
+    # a failure is refuted even when nothing was counted
+    monkeypatch.setitem(SUITES, "boolean", Suite(
+        lambda corpus, functors, config: (holds, checked, {"n": checked})))
+    entry = run_audit(AuditConfig(suites=("boolean",)))["entries"]["boolean"]
+    assert entry == {"verdict": verdict, "witnesses": {"n": checked}}
+
+
+def test_well_pointed_base_failure_is_refuted(monkeypatch):
+    # the base checks count toward no item, but their failure is a refutation
+    from fincat import audit
+    monkeypatch.setattr(audit, "diagonal_equaliser_holds", lambda a: a.size != 3)
+    entry = run_audit(AuditConfig(suites=("wellPointed2",)))["entries"]
+    assert entry["wellPointed2"]["verdict"] == "refuted"
+
+
+def test_well_pointed_base_sizes_keep_within_the_size_bound(monkeypatch):
+    # A x A x A has n ** 3 elements; at max_objects 40 the sizes reach 41
+    from fincat import audit
+    real, seen = audit.diagonal_equaliser_holds, []
+
+    def within_bound(a):
+        if a.size ** 3 > 1000:
+            raise AssertionError(f"A x A x A of size {a.size ** 3} built")
+        seen.append(a.size)
+        return real(a)
+
+    monkeypatch.setattr(audit, "diagonal_equaliser_holds", within_bound)
+    config = AuditConfig(max_objects=40, size_bound=1000)
+    assert SUITES["wellPointed2"].check([], [], config) == (
+        True, 0, {"pairs_tested": 0})
+    assert seen == list(range(11))
 
 
 def test_run_audit_deterministic():

@@ -112,6 +112,63 @@ def test_corpus_determinism_and_caps():
     assert generate_corpus(CorpusSpec(seed=99, count=0)) == []
 
 
+def _path_count(n_nodes, edges):
+    """The paths of an acyclic graph, identities included, by recursion on
+    the first edge of a path."""
+    starting = {}
+
+    def count(a):
+        if a not in starting:
+            starting[a] = 1 + sum(count(b) for x, b in edges if x == a)
+        return starting[a]
+
+    return sum(count(a) for a in range(n_nodes))
+
+
+def test_corpus_builds_nothing_over_its_caps(monkeypatch):
+    # a random DAG on 32 nodes has some 860,000 paths on average; every
+    # size is decided before the item is built
+    from fincat import corpus as module
+    spec = CorpusSpec(seed=0, max_objects=32, count=12)
+    built = []
+
+    def capped(name, sizes, build):
+        def checked(*args):
+            n_objects, n_arrows = sizes(*args)
+            assert n_objects <= spec.max_objects, (name, n_objects)
+            assert n_arrows <= spec.max_arrows, (name, n_arrows)
+            built.append(name)
+            item = build(*args)
+            cat = getattr(item, "category", item)
+            assert (cat.C0.size, cat.C1.size) == (n_objects, n_arrows), name
+            return item
+        monkeypatch.setattr(module, name, checked)
+
+    capped("free_on_dag", lambda n, edges: (n, _path_count(n, edges)),
+           module.free_on_dag)
+    capped("preorder_category", lambda rel, n: (n, len(rel)),
+           module.preorder_category)
+    capped("indisc", lambda obj: (obj.size, obj.size ** 2), module.indisc)
+    capped("product_cat", lambda a, b: (a.C0.size * b.C0.size,
+                                        a.C1.size * b.C1.size),
+           module.product_cat)
+    for seed in range(1, 5):
+        assert len(module.generate_corpus(replace(spec, seed=seed))) == spec.count
+    assert set(built) == {"free_on_dag", "preorder_category", "indisc",
+                          "product_cat"}
+
+
+def test_cli_audit_large_object_cap_finishes():
+    script = "import sys; from fincat.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    run = subprocess.run(
+        [sys.executable, "-c", script, "audit", "--max-objects", "1000",
+         "--format", "structured"], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["config"]["max_objects"] == 1000
+
+
 def test_functor_corpus_deterministic(corpus):
     a = generate_functor_corpus(corpus, seed=5)
     b = generate_functor_corpus(corpus, seed=5)
@@ -410,7 +467,7 @@ def test_cli_audit_unexpected_verdict_exits_one(monkeypatch, capsys):
     monkeypatch.setitem(audit.SUITES, "boolean",
                         replace(audit.SUITES["boolean"],
                                 check=lambda corpus, functors, config:
-                                ("refuted", {})))
+                                (False, 0, {})))
     assert main(["audit", "--suite", "boolean", "--format", "structured"]) == 1
     entries = json.loads(capsys.readouterr().out)["entries"]
     assert entries["boolean"]["verdict"] == "refuted"

@@ -4,10 +4,11 @@ statement, and no handler may catch every exception, so no bare `except:`
 and no `except Exception`. The oracle (`naive`) shares nothing with the
 paths it checks but the error types, and the category layer (`internal`)
 does not reach up into the end search or the limits built on it. Each audit
-suite is named once, in the registry `audit.SUITES`. The nerve is read only
-through `internal.simplicial_map`. The default bound is written once, as
-`errors.SIZE_BOUND`, and the CLI writes no number as an option's default: it
-reads the bound and `audit.AuditConfig`'s fields."""
+suite is named once, in the registry `audit.SUITES`, and returns whether its
+claim held, not a verdict: `audit.run_audit` alone names one. The nerve is
+read only through `internal.simplicial_map`. The default bound is written
+once, as `errors.SIZE_BOUND`, and the CLI writes no number as an option's
+default: it reads the bound and `audit.AuditConfig`'s fields."""
 
 import ast
 import os
@@ -90,6 +91,29 @@ def test_each_suite_name_is_written_once():
         dict.fromkeys(SUITES, 1), written
     assert not any(place.startswith("cli.py:")
                    for places in written.values() for place in places)
+
+
+VERDICTS = {"verified-at-scale", "refuted", "skipped"}
+
+
+def test_no_suite_returns_a_verdict():
+    checks = {suite.check.__name__ for suite in SUITES.values()}
+    found, named = set(), []
+    for node in ast.walk(_parse("audit.py")):
+        if not (isinstance(node, ast.FunctionDef) and node.name in checks):
+            continue
+        found.add(node.name)
+        for ret in ast.walk(node):
+            if not isinstance(ret, ast.Return):
+                continue
+            # a witness key may read like a verdict; a returned value may not
+            keys = {id(key) for part in ast.walk(ret) if isinstance(part, ast.Dict)
+                    for key in part.keys}
+            named += [f"audit.py:{part.lineno}: {node.name}"
+                      for part in ast.walk(ret) if isinstance(part, ast.Constant)
+                      and part.value in VERDICTS and id(part) not in keys]
+    assert found == checks
+    assert not named, named
 
 
 def _is_million(node):
