@@ -171,20 +171,13 @@ def arrow_functor(a: InternalCategory, arrow: int) -> InternalFunctor:
     return InternalFunctor(two, a, f0, f1)
 
 
-@dataclass(frozen=True)
-class GeneratorVerdict:
-    verdict: str
-    failures: tuple = ()
-
-
-def generator_check(family, test_pairs) -> GeneratorVerdict:
-    """For each distinct parallel pair (f, g), find a probe h from a family
-    member with f.h != g.h. Free-arrow members use the arrow-probe recipe;
-    other members fall back to exhaustive functor enumeration."""
-    failures = tuple((f, g) for f, g in test_pairs if f != g and not any(
+def generator_check(family, test_pairs) -> tuple:
+    """The distinct parallel pairs (f, g) for which no probe h from a family
+    member has f.h != g.h; empty when the family separates every pair.
+    Free-arrow members use the arrow-probe recipe; other members fall back to
+    exhaustive functor enumeration."""
+    return tuple((f, g) for f, g in test_pairs if f != g and not any(
         _separates(member, f, g) for member in family))
-    return GeneratorVerdict("verified-at-scale" if not failures else "refuted",
-                            failures)
 
 
 def _separates(member, f, g) -> bool:
@@ -213,14 +206,15 @@ def diagonal_equaliser_holds(a: FinObj) -> bool:
     return image == {t[0] for t in eq.tuples}
 
 
-def two_well_pointed_check(test_pairs, base_sizes) -> GeneratorVerdict:
+def two_well_pointed_check(test_pairs, base_sizes) -> tuple:
     """Generator check with the free arrow, plus its connected components and
-    the diagonal-equaliser identity on small base objects."""
+    the diagonal-equaliser identity on small base objects: the failures, the
+    first failed base check alone or else the unseparated pairs."""
     if pi0(free_arrow()).size != 1:
-        return GeneratorVerdict("refuted", (("pi0", "free arrow not connected"),))
+        return (("pi0", "free arrow not connected"),)
     for n in base_sizes:
         if not diagonal_equaliser_holds(FinObj(n)):
-            return GeneratorVerdict("refuted", (("equaliser", n),))
+            return (("equaliser", n),)
     return generator_check([free_arrow()], test_pairs)
 
 
@@ -262,8 +256,8 @@ def _well_pointed2(corpus, functors, config):
     pairs = _parallel_pairs(functors)
     # A x A x A has n ** 3 elements: no base size past the size bound
     sizes = [n for n in range(config.max_objects + 2) if n ** 3 <= config.size_bound]
-    verdict = two_well_pointed_check(pairs, sizes)
-    return not verdict.failures, len(pairs), {"pairs_tested": len(pairs)}
+    failures = two_well_pointed_check(pairs, sizes)
+    return not failures, len(pairs), {"pairs_tested": len(pairs)}
 
 
 def _nno(corpus, functors, config):

@@ -1,12 +1,13 @@
 """Full subobject classifiers, strict bi-sieve classifiers, boolean and
 two-valued diagnostics, and the categorified axiom of choice.
 
-The classifier for full monomorphisms is the indiscrete category on the base
-truth-value object, with the truth functor picking the true object. Strict
-bi-sieves (mono on objects, both endpoint squares pullbacks) are classified
-through connected components into the discrete category on the truth values;
-that construction is only sketched upstream, so the classifying square is
-re-verified per instance and the outcome is part of the certificate.
+Both classifiers are a `Classifier`: a category on the base truth values with
+`top` picking true, and a map classifies when its square against `top` is a
+levelwise pullback. Full monomorphisms are classified into the indiscrete
+category on the truth values. Strict bi-sieves (mono on objects, both
+endpoint squares pullbacks) are classified through connected components into
+the discrete one; that construction is only sketched upstream, so its square
+is re-verified per instance, and a failed square raises CertificateFailure.
 """
 
 from dataclasses import dataclass
@@ -25,8 +26,8 @@ from .transfer import (disc, functor_from_disc, functor_to_disc, pi0_map,
 
 
 @dataclass(frozen=True)
-class FullSubobjectClassifier:
-    omega: InternalCategory   # indisc on the base truth values
+class Classifier:
+    omega: InternalCategory   # a category on the base truth values
     top: InternalFunctor      # terminal -> omega, picking true
 
 
@@ -34,10 +35,19 @@ class FullSubobjectClassifier:
 _OMEGA = full_image(finset.bang(finset.subobject_classifier()[0]), terminal_cat())
 
 
-def full_subobject_classifier() -> FullSubobjectClassifier:
-    omega, (_, top_base) = _OMEGA.dom, finset.subobject_classifier()
-    return FullSubobjectClassifier(
-        omega, functor_from_disc(finset.terminal(), omega, top_base))
+def _classifier(omega: InternalCategory) -> Classifier:
+    return Classifier(omega, functor_from_disc(
+        finset.terminal(), omega, finset.subobject_classifier()[1]))
+
+
+def full_subobject_classifier() -> Classifier:
+    """indisc(truth values), classifying full monos."""
+    return _classifier(_OMEGA.dom)
+
+
+def strict_bi_sieve_classifier() -> Classifier:
+    """disc(truth values), classifying strict bi-sieves."""
+    return _classifier(disc(finset.subobject_classifier()[0]))
 
 
 def classify_full_mono(f: InternalFunctor) -> InternalFunctor:
@@ -51,16 +61,9 @@ def classify_full_mono(f: InternalFunctor) -> InternalFunctor:
 
 
 def classifying_square_is_pullback(f: InternalFunctor, chi: InternalFunctor,
-                                   fsc: FullSubobjectClassifier) -> bool:
+                                   classifier: Classifier) -> bool:
     """Levelwise pullback check of the square (f, !) over (chi, top)."""
-    return _square_is_pullback(f, chi, fsc.top)
-
-
-def _square_is_pullback(f: InternalFunctor, chi: InternalFunctor,
-                        top: InternalFunctor) -> bool:
-    """Levelwise pullback check of the square (f, !) over (chi, top), for top
-    out of the terminal category."""
-    a = f.dom
+    a, top = f.dom, classifier.top
     return (finset.is_pullback_square(f.f0, finset.bang(a.C0), chi.f0, top.f0)
             and finset.is_pullback_square(f.f1, finset.bang(a.C1), chi.f1, top.f1))
 
@@ -74,25 +77,20 @@ def is_strict_bi_sieve(f: InternalFunctor) -> bool:
             and finset.is_pullback_square(f.f1, a.d1, b.d1, f.f0))
 
 
-@dataclass(frozen=True)
-class BiSieveCertificate:
-    chi: InternalFunctor
-    square_is_pullback: bool  # levelwise verification outcome
-
-
-def classify_strict_bi_sieve(f: InternalFunctor) -> BiSieveCertificate:
-    """Classifier into disc(truth values) through connected components.
+def classify_strict_bi_sieve(f: InternalFunctor) -> InternalFunctor:
+    """The functor into disc(truth values) classifying f, through connected
+    components; CertificateFailure if its square is not a pullback.
 
     The image of a strict bi-sieve is a union of components: every arrow of
     the codomain that touches it lifts, with both ends in the image. So
     pi0(f) is mono, and its characteristic map classifies f's components."""
     if not is_strict_bi_sieve(f):
         raise NotBiSieve("classify_strict_bi_sieve needs a strict bi-sieve")
-    omega_base, top_base = finset.subobject_classifier()
     chi0 = compose(finset.characteristic_map(pi0_map(f)), pi0_quotient(f.cod))
     chi = functor_to_disc(f.cod, chi0)
-    top = InternalFunctor(terminal_cat(), disc(omega_base), top_base, top_base)
-    return BiSieveCertificate(chi, _square_is_pullback(f, chi, top))
+    _certify(classifying_square_is_pullback(f, chi, strict_bi_sieve_classifier()),
+             "classifying square is not a pullback")
+    return chi
 
 
 def endpoint_functors():
@@ -114,7 +112,7 @@ def is_boolean() -> bool:
 def is_two_valued():
     """Count functors terminal -> classifier; report the hom-category shape.
 
-    Returns (verdict, report) where the report carries the counts and whether
+    Returns (holds, report) where the report carries the counts and whether
     the hom-category is the free-living isomorphism.
     """
     fsc = full_subobject_classifier()

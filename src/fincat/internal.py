@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations_with_replacement, product
 
-from . import finset
+from . import finset, naive
 from .errors import (CertificateFailure, DomainMismatch, FiberNotSingleton,
                      ShapeMismatch)
 from .finset import FinMap, FinObj, compose, identity
@@ -159,6 +159,12 @@ class InternalCategory:
         for a, key in enumerate(zip(self.d1.table, self.d0.table)):
             out.setdefault(key, []).append(a)
         return {key: tuple(arrows) for key, arrows in out.items()}
+
+    @cached_property
+    def oracle(self):
+        """This category as the naive oracle's `NaiveCategory`, converted
+        once, so the oracle's own `homs` index is built once too."""
+        return naive.oracle_from_internal(self)
 
     def __repr__(self):
         return f"InternalCategory(|C0|={self.C0.size}, |C1|={self.C1.size})"

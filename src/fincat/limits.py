@@ -37,8 +37,7 @@ from .internal import (InternalCategory, InternalFunctor, InternalNatTrans,
                        count_pairs, derived_unit_maps, id_functor,
                        validate_category, validate_functor, validate_nat_trans,
                        whisker_left)
-from .naive import (oracle_from_internal, oracle_functors, oracle_hom_category,
-                    oracle_nat_trans)
+from .naive import oracle_functors, oracle_hom_category, oracle_nat_trans
 from .transfer import _ONE
 
 
@@ -486,7 +485,7 @@ def enumerate_functors(a: InternalCategory, b: InternalCategory,
     the naive oracle's functor search.
 
     SizeBound, with stage "oracle functors", past `bound` search steps."""
-    funs = oracle_functors(oracle_from_internal(a), oracle_from_internal(b), bound)
+    funs = oracle_functors(a.oracle, b.oracle, bound)
     # objects come from range(|B0|) and arrows from b's hom-sets, so in range
     trusted, functor = FinMap._trusted, InternalFunctor._trusted
     return [functor(a, b, trusted(a.C0, b.C0, f0), trusted(a.C1, b.C1, f1))
@@ -497,8 +496,8 @@ def enumerate_cells(f: InternalFunctor, g: InternalFunctor):
     """All 2-cells f => g, ordered by component table, as found by the naive
     oracle."""
     a, b = f.dom, f.cod
-    comps = oracle_nat_trans(oracle_from_internal(a), oracle_from_internal(b),
-                             (f.f0.table, f.f1.table), (g.f0.table, g.f1.table))
+    comps = oracle_nat_trans(a.oracle, b.oracle, (f.f0.table, f.f1.table),
+                             (g.f0.table, g.f1.table))
     return [InternalNatTrans(f, g, FinMap(a.C0, b.C1, c)) for c in comps]
 
 
@@ -507,8 +506,7 @@ def hom_category(a: InternalCategory, b: InternalCategory,
     """The hom-category of a and b as the naive oracle enumerates it, with its
     composition table; `bound` caps the functor search steps, the cells and
     the composable pairs of cells."""
-    funs, arrows, cat = oracle_hom_category(
-        oracle_from_internal(a), oracle_from_internal(b), bound)
+    funs, arrows, cat = oracle_hom_category(a.oracle, b.oracle, bound)
     return HomCategory(tuple(funs), tuple(arrows), cat.identities, cat.comp)
 
 

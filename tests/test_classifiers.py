@@ -14,8 +14,8 @@ from fincat.classifiers import (categorified_choice_audit, classify_full_mono,
                                 classifying_square_is_pullback,
                                 endpoint_functors, full_subobject_classifier,
                                 is_boolean, is_strict_bi_sieve, is_two_valued,
-                                section_of_ff_epi)
-from fincat.errors import NotBiSieve, NotFFEpi, NotFullMono
+                                section_of_ff_epi, strict_bi_sieve_classifier)
+from fincat.errors import CertificateFailure, NotBiSieve, NotFFEpi, NotFullMono
 from fincat.finset import FinMap, FinObj, compose
 from fincat.internal import (InternalFunctor, compose_functors, id_functor,
                              id_nat_trans, is_full_mono, is_fully_faithful,
@@ -154,9 +154,10 @@ def test_unique_cell_between_functors_into_indisc(corpus):
 def test_strict_bi_sieve_identity():
     two = free_arrow()
     assert is_strict_bi_sieve(id_functor(two))
-    cert = classify_strict_bi_sieve(id_functor(two))
-    assert cert.chi.f0.table == (1, 1)
-    assert cert.square_is_pullback
+    chi = classify_strict_bi_sieve(id_functor(two))
+    assert chi.f0.table == (1, 1)
+    assert classifying_square_is_pullback(id_functor(two), chi,
+                                          strict_bi_sieve_classifier())
 
 
 def test_strict_bi_sieve_component_inclusion():
@@ -165,10 +166,10 @@ def test_strict_bi_sieve_component_inclusion():
     cop = coproduct_cat(two, extra)
     inc = cop.inj0
     assert is_strict_bi_sieve(inc)
-    cert = classify_strict_bi_sieve(inc)
-    assert cert.square_is_pullback
+    chi = classify_strict_bi_sieve(inc)
+    assert classifying_square_is_pullback(inc, chi, strict_bi_sieve_classifier())
     # distinguishes the two components
-    assert cert.chi.f0.table == (1, 1, 0)
+    assert chi.f0.table == (1, 1, 0)
 
 
 def test_components_coequalized_once_per_category(monkeypatch):
@@ -179,8 +180,8 @@ def test_components_coequalized_once_per_category(monkeypatch):
     part = indisc(FinObj(2))
     cop = coproduct_cat(part, disc(finset.terminal()))
     for _ in range(2):
-        cert = classify_strict_bi_sieve(cop.inj0)
-        assert cert.chi.f0.table == (1, 1, 0)
+        chi = classify_strict_bi_sieve(cop.inj0)
+        assert chi.f0.table == (1, 1, 0)
         assert sorted(map(id, targets)) == sorted([id(part.d0), id(cop.category.d0)])
 
 
@@ -192,6 +193,30 @@ def test_endpoint_inclusion_is_not_bi_sieve():
     assert is_full_mono(inc)
     assert not is_strict_bi_sieve(inc)
     with pytest.raises(NotBiSieve):
+        classify_strict_bi_sieve(inc)
+
+
+def test_strict_bi_sieves_classified_uniquely(functor_corpus):
+    # as criterion 4 for full monos: chi's square is a pullback, and no other
+    # functor into disc(truth values) gives one
+    classifier = strict_bi_sieve_classifier()
+    sieves = [f for f in functor_corpus if is_strict_bi_sieve(f)]
+    assert len(sieves) == 40
+    for f in sieves:
+        chi = classify_strict_bi_sieve(f)
+        assert classifying_square_is_pullback(f, chi, classifier)
+        winners = [g for g in enumerate_functors(f.cod, classifier.omega)
+                   if classifying_square_is_pullback(f, g, classifier)]
+        assert winners == [chi]
+
+
+def test_wrong_component_map_fails_the_certificate(monkeypatch):
+    import fincat.classifiers as classifiers
+    inc = coproduct_cat(free_arrow(), disc(finset.terminal())).inj0
+    # pi0(inc) sends the free arrow's one component to the extra component
+    monkeypatch.setattr(classifiers, "pi0_map",
+                        lambda f: FinMap(FinObj(1), FinObj(2), (1,)))
+    with pytest.raises(CertificateFailure):
         classify_strict_bi_sieve(inc)
 
 

@@ -865,6 +865,19 @@ def test_free_arrow_oracle_isomorphism():
     assert len(isos) == 1
 
 
+def test_each_category_converted_to_the_oracle_once(monkeypatch):
+    converted = []
+    convert = naive.oracle_from_internal
+    monkeypatch.setattr(naive, "oracle_from_internal",
+                        lambda cat: converted.append(cat) or convert(cat))
+    a, b = disc(FinObj(2)), indisc(FinObj(2))
+    first = enumerate_functors(a, b)
+    assert enumerate_functors(a, b) == first
+    enumerate_cells(first[0], first[1])
+    hom_category(a, b)
+    assert list(map(id, converted)) == [id(a), id(b)]
+
+
 def test_copower_of_terminal_is_free_arrow():
     cp = copower_by_two(terminal_cat())
     assert (cp.carrier.C0.size, cp.carrier.C1.size) == (2, 3)

@@ -5,10 +5,11 @@ and no `except Exception`. The oracle (`naive`) shares nothing with the
 paths it checks but the error types, and the category layer (`internal`)
 does not reach up into the end search or the limits built on it. Each audit
 suite is named once, in the registry `audit.SUITES`, and returns whether its
-claim held, not a verdict: `audit.run_audit` alone names one. The nerve is
-read only through `internal.simplicial_map`. The default bound is written
-once, as `errors.SIZE_BOUND`, and the CLI writes no number as an option's
-default: it reads the bound and `audit.AuditConfig`'s fields."""
+claim held, not a verdict: no function of `audit` but `audit.run_audit`
+returns one. The nerve is read only through `internal.simplicial_map`. The
+default bound is written once, as `errors.SIZE_BOUND`, and the CLI writes no
+number as an option's default: it reads the bound and `audit.AuditConfig`'s
+fields."""
 
 import ast
 import os
@@ -97,10 +98,11 @@ VERDICTS = {"verified-at-scale", "refuted", "skipped"}
 
 
 def test_no_suite_returns_a_verdict():
+    # every function of audit.py but run_audit, so no suite and no helper
     checks = {suite.check.__name__ for suite in SUITES.values()}
     found, named = set(), []
     for node in ast.walk(_parse("audit.py")):
-        if not (isinstance(node, ast.FunctionDef) and node.name in checks):
+        if not isinstance(node, ast.FunctionDef) or node.name == "run_audit":
             continue
         found.add(node.name)
         for ret in ast.walk(node):
@@ -112,7 +114,7 @@ def test_no_suite_returns_a_verdict():
             named += [f"audit.py:{part.lineno}: {node.name}"
                       for part in ast.walk(ret) if isinstance(part, ast.Constant)
                       and part.value in VERDICTS and id(part) not in keys]
-    assert found == checks
+    assert checks <= found
     assert not named, named
 
 
